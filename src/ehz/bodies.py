@@ -468,6 +468,9 @@ class Scale(ConvexBody):
         return {"type": "scale", "factor": self.factor, "body": self.body.recipe()}
 
 
+_SMOOTHED_BLOCK = 1 << 15
+
+
 class Smoothed(ConvexBody):
     """Smooth outer approximation of a polytope.
 
@@ -487,6 +490,21 @@ class Smoothed(ConvexBody):
         self.dim = body.dim
 
     def support_batch(self, U):
+        # Rows go through in blocks of at most _SMOOTHED_BLOCK (row, vertex)
+        # pairs, so that the kernel's several (rows, m) work arrays fit in a
+        # 2 MB L2 cache.  Past that it runs about 2-2.5x slower per row
+        # (measured at m = 768 with 768 rows and at m = 24 with 60000 rows).
+        # Blocks this small also keep the support-point product W @ V on
+        # BLAS's small-matrix path, where each row's result does not depend
+        # on how many rows share the call; the batched solver relies on that.
+        step = max(1, _SMOOTHED_BLOCK // self.body.vertices.shape[0])
+        if U.shape[0] <= step:
+            return self._support_block(U)
+        parts = [self._support_block(U[i:i + step]) for i in range(0, U.shape[0], step)]
+        return (np.concatenate([v for v, _ in parts]),
+                np.concatenate([g for _, g in parts]))
+
+    def _support_block(self, U):
         s = self.sharpness
         V = self.body.vertices
         R = np.maximum(U @ V.T, 0.0)  # (B, m)

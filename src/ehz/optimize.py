@@ -1,8 +1,10 @@
 """Unconstrained minimizers used across the package.
 
-`lbfgs` is a limited-memory quasi-Newton loop with Armijo backtracking.  The
-objective may return +inf outside its domain; the line search treats that as
-a rejected step, which is how scale-invariant quotients with an open domain
+`lbfgs_batch` runs independent limited-memory quasi-Newton minimizations in
+lockstep, one batched objective call per round, each with a strong-Wolfe
+bracketing line search; `lbfgs` is its one-row case.  The objective may
+return +inf outside its domain; the line search treats that as a rejected
+step, which is how scale-invariant quotients with an open domain
 (positive loop action, positive support values) are kept feasible without
 explicit constraints.
 
@@ -28,11 +30,13 @@ class MinimizeResult:
     iterations: int
     converged: bool
     status: str
+    evaluations: int = 0
 
 
-def _wolfe_search(fg, x, f, g, d, slope, armijo, curvature, max_evals=60):
+def _wolfe_search(x, f, g, d, slope, armijo, curvature, max_evals=60):
     """Strong-Wolfe line search by bracketing and bisection.
 
+    A generator: it yields each trial point and is sent back its (f, g).
     Accepts a step t with sufficient decrease (Armijo, parameter `armijo`)
     and |directional derivative| reduced below `curvature` * |slope|, which
     guarantees s.y > 0 for the quasi-Newton update and expands along long
@@ -46,7 +50,7 @@ def _wolfe_search(fg, x, f, g, d, slope, armijo, curvature, max_evals=60):
     best = (0.0, f, g)
     for _ in range(max_evals):
         x_t = x + t * d
-        f_t, g_t = fg(x_t)
+        f_t, g_t = yield x_t
         if not np.isfinite(f_t) or f_t > f + armijo * t * slope:
             hi = t  # overshot: no sufficient decrease
         else:
@@ -65,28 +69,11 @@ def _wolfe_search(fg, x, f, g, d, slope, armijo, curvature, max_evals=60):
     return best
 
 
-def lbfgs(
-    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x0: np.ndarray,
-    grad_tol: float = 1e-10,
-    max_iter: int = 500,
-    memory: int = 10,
-    armijo: float = 1e-4,
-    curvature: float = 0.9,
-    stall_patience: int = 30,
-) -> MinimizeResult:
-    """Minimize fg = (value, gradient) from x0.
-
-    Convergence is declared when the sup-norm of the gradient drops below
-    grad_tol.  The weak-Wolfe line search keeps the curvature pairs usable;
-    pairs with non-positive s.y (possible only on fallback acceptances) are
-    skipped.  A run that makes no measurable function progress for
-    `stall_patience` consecutive iterations returns early with status
-    "stall": grinding at the roundoff floor costs many line-search
-    evaluations per step and cannot improve the iterate.
-    """
+def _lbfgs_run(x0, grad_tol, max_iter, memory, armijo, curvature, stall_patience):
+    """One L-BFGS run as a generator: yields every point it needs evaluated,
+    is sent back (f, g), and returns its MinimizeResult."""
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fg(x)
+    f, g = yield x
     if not np.isfinite(f):
         raise ValueError("lbfgs started outside the objective domain")
 
@@ -124,7 +111,7 @@ def lbfgs(
             d = -g
             slope = -np.dot(g, g)
 
-        step, f_new, g_new = _wolfe_search(fg, x, f, g, d, slope, armijo, curvature)
+        step, f_new, g_new = yield from _wolfe_search(x, f, g, d, slope, armijo, curvature)
         if step == 0.0:
             status = "line_search"
             break
@@ -154,6 +141,80 @@ def lbfgs(
 
     gnorm = float(np.max(np.abs(g)))
     return MinimizeResult(x, f, gnorm, it, gnorm <= grad_tol, status)
+
+
+def lbfgs_batch(
+    fg_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    X0: np.ndarray,
+    grad_tol: float = 1e-10,
+    max_iter: int = 500,
+    memory: int = 10,
+    armijo: float = 1e-4,
+    curvature: float = 0.9,
+    stall_patience: int = 30,
+) -> list[MinimizeResult]:
+    """Run one independent L-BFGS minimization from each row of X0, in lockstep.
+
+    fg_batch maps a (B, n) array of points to values (B,) and gradients
+    (B, n), row by row.  Each round stacks the next point every live run
+    needs and makes one fg_batch call; runs that finish drop out.  Every run
+    takes exactly the steps it would take alone (see `lbfgs`), so the
+    results do not depend on which other rows share the batch, provided
+    fg_batch evaluates each row independently of the others.  Each result
+    records the number of objective evaluations its run made.
+    """
+    X0 = np.asarray(X0, dtype=float)
+    if X0.ndim != 2:
+        raise ValueError(f"X0 must be a 2-d array of start points, got shape {X0.shape}")
+    runs = [_lbfgs_run(x0, grad_tol, max_iter, memory, armijo, curvature, stall_patience)
+            for x0 in X0]
+    results: list[MinimizeResult | None] = [None] * len(runs)
+    evaluations = [0] * len(runs)
+    pending = {i: next(run) for i, run in enumerate(runs)}
+    while pending:
+        live = list(pending)
+        F, G = fg_batch(np.stack([pending[i] for i in live]))
+        for row, i in enumerate(live):
+            evaluations[i] += 1
+            try:
+                pending[i] = runs[i].send((float(F[row]), G[row]))
+            except StopIteration as done:
+                del pending[i]
+                results[i] = done.value
+                results[i].evaluations = evaluations[i]
+    return results
+
+
+def lbfgs(
+    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    grad_tol: float = 1e-10,
+    max_iter: int = 500,
+    memory: int = 10,
+    armijo: float = 1e-4,
+    curvature: float = 0.9,
+    stall_patience: int = 30,
+) -> MinimizeResult:
+    """Minimize fg = (value, gradient) from x0: the one-row case of `lbfgs_batch`.
+
+    Convergence is declared when the sup-norm of the gradient drops below
+    grad_tol.  The strong-Wolfe line search keeps the curvature pairs
+    usable; pairs with non-positive s.y (possible only on fallback
+    acceptances) are skipped.  A run that makes no measurable function
+    progress for `stall_patience` consecutive iterations returns early with
+    status "stall": grinding at the roundoff floor costs many line-search
+    evaluations per step and cannot improve the iterate.  Other exits are
+    "gradient" (converged), "line_search" (no acceptable step) and
+    "max_iter".
+    """
+    def fg_batch(X):
+        f, g = fg(X[0])
+        return np.array([f], dtype=float), np.asarray(g, dtype=float)[None, :]
+
+    x0 = np.asarray(x0, dtype=float)
+    return lbfgs_batch(fg_batch, x0[None, :], grad_tol=grad_tol, max_iter=max_iter,
+                       memory=memory, armijo=armijo, curvature=curvature,
+                       stall_patience=stall_patience)[0]
 
 
 def batched_descent(

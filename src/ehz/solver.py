@@ -38,7 +38,7 @@ import numpy as np
 from .bodies import ConvexBody, Polytope, Smoothed
 from .loops import (CarrierLoop, FourierLoop, action, normalize_action, random_loop,
                     resample_by_clock)
-from .optimize import lbfgs
+from .optimize import lbfgs_batch
 from .symplectic import apply_J, apply_J_inverse
 
 TWO_PI = 2 * np.pi
@@ -129,6 +129,8 @@ class StartDiagnostics:
     grad_norm: float
     iterations: int
     converged: bool
+    status: str              # L-BFGS exit: gradient, stall, line_search or max_iter
+    evaluations: int         # objective evaluations of this start
     winner: bool = False
 
 
@@ -167,6 +169,7 @@ class CapacityResult:
             "per_start": [
                 {"index": s.index, "lambda": s.lam, "grad_norm": s.grad_norm,
                  "iterations": s.iterations, "converged": s.converged,
+                 "status": s.status, "evaluations": s.evaluations,
                  "winner": s.winner}
                 for s in self.per_start
             ],
@@ -240,33 +243,50 @@ def objective(K: ConvexBody, loop: FourierLoop, p: float,
 
 
 def _quotient_fg(K: ConvexBody, disc: _Discretization, p: float):
-    """log of the scale-invariant quotient and its gradient.
+    """log of the scale-invariant quotient and its gradient, batched over rows.
 
     The optimization variables are the velocity coefficients (k a_k, k b_k):
     the mode index then enters the integrand Hessian uniformly, which keeps
     the quasi-Newton iteration well conditioned at large mode counts.
+
+    The returned fg maps Theta (B, n) to values F (B,) and gradients G (B, n)
+    with one support evaluation over all B * N velocity samples.  The matrix
+    products are stacked per row, means are taken per row and the value is a
+    scalar log per row, so each row comes out bit for bit as it would in a
+    batch of one.  Rows outside the domain (non-positive action or support
+    value) get +inf and a zero gradient.
     """
     half_p = 0.5 * p
     Npts = disc.N
+    M, d = disc.modes, disc.dim
     kinv = (1.0 / disc.k)[:, None]
 
-    def fg(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        av, bv = disc.unpack(theta)          # velocity coefficients
+    def fg(Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        B = Theta.shape[0]
+        av = Theta[:, :M * d].reshape(B, M, d)   # velocity coefficients
+        bv = Theta[:, M * d:].reshape(B, M, d)
         a, b = kinv * av, kinv * bv
         dz = -disc.S @ av + disc.C @ bv
-        h, gh = K.support_batch(dz)
-        A = np.pi * np.sum(disc.k * np.sum(apply_J(a) * b, axis=1))
-        if A <= 0 or np.any(h <= 0):
-            return np.inf, np.zeros_like(theta)
-        mean_hp = float(np.mean(h**p))
-        f = math.log(mean_hp) - half_p * math.log(A)
-        G = (p * h ** (p - 1.0))[:, None] * gh / (Npts * mean_hp)
-        da = -(disc.S.T @ G)
-        db = disc.C.T @ G
-        coeff = half_p * np.pi / A
-        da += coeff * apply_J(b)    # d/d(av) of -(p/2) log A; b already holds 1/k
-        db += -coeff * apply_J(a)
-        return f, disc.pack(da, db)
+        h, gh = K.support_batch(dz.reshape(B * Npts, d))
+        h = h.reshape(B, Npts)
+        gh = gh.reshape(B, Npts, d)
+        Ja = apply_J(a)
+        A = np.pi * (disc.k * (Ja * b).sum(axis=2)).sum(axis=1)
+        inside = (A > 0) & (h > 0).all(axis=1)
+        F = np.full(B, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean_hp = (h**p).mean(axis=1)
+            for i in np.flatnonzero(inside):
+                F[i] = math.log(mean_hp[i]) - half_p * math.log(A[i])
+            G = (p * h ** (p - 1.0))[:, :, None] * gh / (Npts * mean_hp)[:, None, None]
+            da = -(disc.S.T @ G)
+            db = disc.C.T @ G
+            coeff = (half_p * np.pi / A)[:, None, None]
+            da += coeff * apply_J(b)    # d/d(av) of -(p/2) log A; b already holds 1/k
+            db += -coeff * Ja
+        grad = np.concatenate([da.reshape(B, -1), db.reshape(B, -1)], axis=1)
+        grad[~inside] = 0.0
+        return F, grad
 
     return fg
 
@@ -306,8 +326,7 @@ def _default_grid(K: ConvexBody, cfg: SolveConfig, modes: int | None = None) -> 
     m = cfg.modes if modes is None else modes
     if cfg.grid is not None:
         return cfg.grid
-    dense = isinstance(K, Smoothed) or (isinstance(K, Polytope))
-    return 8 * m if dense else 4 * m
+    return 8 * m if isinstance(K, Smoothed) else 4 * m
 
 
 def minimize(K: ConvexBody, cfg: SolveConfig,
@@ -332,13 +351,13 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     starts = _starts(K, cfg)
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
-    for i, start in enumerate(starts):
-        theta0 = disc.pack(kcol * start.a, kcol * start.b)
-        res = lbfgs(fg, theta0, grad_tol=cfg.grad_tol,
-                    max_iter=cfg.max_iter, memory=cfg.memory, armijo=cfg.armijo)
+    theta0 = np.stack([disc.pack(kcol * start.a, kcol * start.b) for start in starts])
+    results = lbfgs_batch(fg, theta0, grad_tol=cfg.grad_tol,
+                          max_iter=cfg.max_iter, memory=cfg.memory, armijo=cfg.armijo)
+    for i, res in enumerate(results):
         lam_i = TWO_PI * math.exp(res.f)
         diagnostics.append(StartDiagnostics(i, lam_i, res.grad_norm, res.iterations,
-                                            res.converged))
+                                            res.converged, res.status, res.evaluations))
         # a stall at the roundoff floor or a small-gradient iteration cap is
         # the numerical floor of a stationary point; the certificates grade
         # the winner's quality downstream

@@ -13,10 +13,9 @@ Criteria (desk scale, R^4/R^6, base mode counts <= 32):
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,9 +77,7 @@ class _Cache:
         self.store = {}
 
     def capacity(self, K: ConvexBody, cfg: SolveConfig):
-        key = (K.content_hash(), cfg.p, cfg.modes, cfg.grid, cfg.starts, cfg.seed,
-               cfg.grad_tol, cfg.max_iter, cfg.polytope_sharpness,
-               cfg.sharpness_extrapolate, cfg.stability_check)
+        key = (K.content_hash(), dataclasses.astuple(cfg))
         if key not in self.store:
             self.store[key] = capacity(K, cfg)
         return self.store[key]
@@ -401,18 +398,11 @@ CRITERIA = {
 }
 
 
-def worker_count() -> int:
-    env = os.environ.get("EHZ_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def run_suite(numbers: list[int] | None = None, echo=print) -> list[CriterionResult]:
     """Run the selected acceptance criteria (all by default), in order.
 
-    Criteria are independent and internally seeded; they run on a thread
-    pool capped by EHZ_THREADS and are reported in ascending order.
+    Criteria are independent and internally seeded; they run one after
+    another and share one solve cache.
     """
     numbers = sorted(numbers or CRITERIA.keys())
     unknown = [n for n in numbers if n not in CRITERIA]
@@ -429,12 +419,7 @@ def run_suite(numbers: list[int] | None = None, echo=print) -> list[CriterionRes
         result.elapsed = time.perf_counter() - start
         return result
 
-    workers = worker_count()
-    if workers > 1 and len(numbers) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, numbers))
-    else:
-        results = [run_one(n) for n in numbers]
+    results = [run_one(n) for n in numbers]
     for res in results:
         echo(res.render())
     passed = sum(r.passed for r in results)

@@ -50,3 +50,20 @@ def test_acceptance_13_smoothed_polytopes(cache):
     rough = [line for line in result.lines if "polytope" in line.label
              or "heptagon" in line.label]
     assert rough and all(line.ok for line in rough), result.render()
+
+
+@pytest.mark.parametrize("field, value", [("memory", 3), ("armijo", 1e-2)])
+def test_cache_keys_on_every_config_field(field, value):
+    # configs that differ in a single field must not share a cached solve
+    from ehz.bodies import Ellipsoid
+    from ehz.solver import SolveConfig
+
+    K = Ellipsoid([1.0, 1.7])
+    base = SolveConfig(modes=4, starts=2)
+    other = base.replace(**{field: value})
+    cache = _Cache()
+    first = cache.capacity(K, base)
+    assert cache.capacity(K, base) is first
+    assert cache.capacity(Ellipsoid([1.0, 1.7]), base) is first
+    assert cache.capacity(K, other) is not first
+    assert len(cache.store) == 2

@@ -155,6 +155,22 @@ def test_smoothed_brackets_polytope_support():
         assert h_max <= h_s <= m ** (1.0 / s) * h_max + 1e-12
 
 
+@pytest.mark.parametrize("half, sharpness", [(384, 1024.0), (12, 64.0)])
+def test_smoothed_rows_independent_of_batch_size(half, sharpness):
+    # a row's support value and point must not depend on how many rows share
+    # the call: the solver evaluates all its starts in one call and must get
+    # what one call per start (a few hundred rows each) gives
+    rng = np.random.default_rng(5)
+    V = rng.normal(size=(half, 4))
+    K = Smoothed(Polytope(np.vstack([V, -V])), sharpness)
+    U = rng.normal(size=(9 * 96, 4))
+    vals, grads = K.support_batch(U)
+    for rows in (96, 32):
+        for i in range(0, len(U), rows):
+            v, g = K.support_batch(U[i:i + rows])
+            assert np.array_equal(v, vals[i:i + rows]) and np.array_equal(g, grads[i:i + rows])
+
+
 def test_polytope_tie_breaking_lowest_index():
     square = Polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]])
     ev = square.support(np.array([1.0, 0.0]))  # vertices 0 and 1 tie

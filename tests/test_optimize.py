@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ehz.optimize import batched_descent, lbfgs
+from ehz.optimize import batched_descent, lbfgs, lbfgs_batch
 
 
 def test_lbfgs_quadratic():
@@ -49,6 +49,76 @@ def test_lbfgs_stalls_out_quickly_at_roundoff_floor():
     assert res.status in ("stall", "line_search")
     assert res.iterations < 500
     assert res.x[0] == pytest.approx(0.3, abs=1e-6)
+
+
+# Six objectives behind one batched fg: rows 0-2 are Rosenbrock valleys of
+# growing steepness, rows 3-5 quadratics of growing condition number.  The
+# last coordinate of a point names its objective; its gradient is zero, so
+# no step ever moves it and each row keeps its objective in any batch.
+ROSEN = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+STEEP = np.array([10.0, 100.0, 300.0, 0.0, 0.0, 0.0])
+CURV = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                 [1.0, 1.0], [1.0, 50.0], [1.0, 2000.0]])
+MIXED_X0 = np.array([[-1.2, 1.0, 0], [-1.5, 2.0, 1], [0.5, -0.7, 2],
+                     [1.0, 1.0, 3], [-2.0, 0.3, 4], [0.4, 1.1, 5]], dtype=float)
+
+
+def mixed_fg(X):
+    k = X[:, 2].astype(int)
+    r, s, c = ROSEN[k], STEEP[k], CURV[k]
+    x, y = X[:, 0], X[:, 1]
+    u = 1.0 - x
+    v = y - x * x
+    f = r * u * u + s * v * v + 0.5 * (c[:, 0] * x * x + c[:, 1] * y * y)
+    g = np.stack([-2.0 * r * u - 4.0 * s * x * v + c[:, 0] * x,
+                  2.0 * s * v + c[:, 1] * y,
+                  np.zeros_like(x)], axis=1)
+    return f, g
+
+
+def test_lbfgs_batch_matches_separate_runs():
+    sizes = []
+
+    def fg_batch(X):
+        sizes.append(X.shape[0])
+        return mixed_fg(X)
+
+    batched = lbfgs_batch(fg_batch, MIXED_X0, grad_tol=1e-10)
+    for x0, res in zip(MIXED_X0, batched):
+        calls = []
+
+        def fg(x):
+            calls.append(x)
+            f, g = mixed_fg(x[None, :])
+            return f[0], g[0]
+
+        alone = lbfgs(fg, x0, grad_tol=1e-10)
+        assert np.array_equal(res.x, alone.x)
+        assert (res.f, res.grad_norm, res.iterations, res.converged, res.status) == \
+            (alone.f, alone.grad_norm, alone.iterations, alone.converged, alone.status)
+        assert res.evaluations == alone.evaluations == len(calls)
+        assert res.converged and res.x[2] == x0[2]
+    # the rows need different iteration counts, so finished rows leave the
+    # batch: one call per round, each no larger than the last
+    assert len({r.iterations for r in batched}) == len(batched)
+    assert sizes[0] == len(MIXED_X0) and sizes[-1] == 1
+    assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+    assert len(sizes) == max(r.evaluations for r in batched)
+
+
+def test_lbfgs_batch_domain_guard_and_bad_start():
+    # objective defined only on x > 0, as in the single-run domain guard test
+    def fg(X):
+        x = X[:, 0]
+        inside = x > 0
+        safe = np.where(inside, x, 1.0)
+        f = np.where(inside, safe - np.log(safe), np.inf)
+        return f, np.where(inside, 1 - 1 / safe, 0.0)[:, None]
+
+    res = lbfgs_batch(fg, np.array([[3.0], [0.2], [40.0]]), grad_tol=1e-12)
+    assert [r.x[0] for r in res] == pytest.approx([1.0] * 3, rel=1e-10)
+    with pytest.raises(ValueError, match="outside the objective domain"):
+        lbfgs_batch(fg, np.array([[3.0], [-1.0]]))
 
 
 def test_batched_descent_independent_quadratics():

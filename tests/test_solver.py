@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from ehz.bodies import (Ball, Ellipsoid, GeneralEllipsoid, LinearImage, Polytope,
                         PSum, Scale, Smoothed, Translate)
 from ehz.loops import CarrierLoop, FourierLoop, action, normalize_action, random_loop
-from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, capacity,
-                        capacity_from_lambda, certify, euler_residual, from_carrier,
-                        lambda_from_capacity, minimize, objective, to_carrier)
-from ehz.symplectic import random_symplectic
+from ehz.optimize import lbfgs
+from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, _Discretization,
+                        _default_grid, _quotient_fg, _starts, capacity, capacity_from_lambda,
+                        certify, euler_residual, from_carrier, lambda_from_capacity,
+                        minimize, objective, to_carrier)
+from ehz.symplectic import apply_J, random_symplectic
 
 BALL4 = Ball(1.0, 4)
 FAST = SolveConfig(modes=8, starts=4)
@@ -114,6 +118,116 @@ def test_minimize_nonsmooth_rejected():
     P = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
     with pytest.raises(SolverError):
         minimize(P, FAST)
+
+
+# -- batched quotient and lockstep multistarts ------------------------------------
+
+def _reference_quotient(K, disc, p, theta):
+    """The quotient of one coefficient vector, written out row by row."""
+    av, bv = disc.unpack(theta)
+    kinv = (1.0 / disc.k)[:, None]
+    a, b = kinv * av, kinv * bv
+    h, gh = K.support_batch(-disc.S @ av + disc.C @ bv)
+    A = np.pi * np.sum(disc.k * np.sum(apply_J(a) * b, axis=1))
+    if A <= 0 or np.any(h <= 0):
+        return np.inf, np.zeros_like(theta)
+    mean_hp = float(np.mean(h**p))
+    f = math.log(mean_hp) - 0.5 * p * math.log(A)
+    G = (p * h ** (p - 1.0))[:, None] * gh / (disc.N * mean_hp)
+    coeff = 0.5 * p * np.pi / A
+    da = -(disc.S.T @ G) + coeff * apply_J(b)
+    db = disc.C.T @ G + -coeff * apply_J(a)
+    return f, disc.pack(da, db)
+
+
+def _smoothed_hexagon_pair():
+    rng = np.random.default_rng(3)
+    V = rng.normal(size=(6, 4))
+    return Smoothed(Polytope(np.vstack([V, -V])), 16.0)
+
+
+QUOTIENT_BODIES = {
+    "ball": Ball(1.3, 4),
+    "general_ellipsoid": GeneralEllipsoid(np.diag([1.0, 2.0, 0.5, 3.0]) + 0.2),
+    "psum": PSum(1.5, [Ball(1.0, 4), Ellipsoid([0.5, 2.0])]),
+    "smoothed": _smoothed_hexagon_pair(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_BODIES))
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_quotient_batched_rows_match_single_rows_bitwise(name, p):
+    K = QUOTIENT_BODIES[name]
+    modes = 32     # large enough that reassociated matrix products change bits
+    disc = _Discretization(modes, K.dim, _default_grid(K, SolveConfig(modes=modes)))
+    fg = _quotient_fg(K, disc, p)
+    rng = np.random.default_rng(7)
+    kcol = disc.k[:, None]
+    circle = action_one_circle(K.dim, modes=modes)
+    Theta = np.stack([disc.pack(kcol * circle.a + 0.1 * rng.normal(size=circle.a.shape) / kcol,
+                                kcol * circle.b + 0.1 * rng.normal(size=circle.b.shape) / kcol)
+                      for _ in range(9)])
+    Theta[2] = 0.0                                         # zero loop
+    Theta[4] = disc.pack(kcol * circle.b, kcol * circle.a)  # clockwise: negative action
+    F, G = fg(Theta)
+    assert F.shape == (9,) and G.shape == Theta.shape
+    assert np.all(np.isfinite(np.delete(F, [2, 4])))
+    for i in (2, 4):
+        assert F[i] == np.inf and not np.any(G[i])
+    for i in range(len(Theta)):
+        f1, g1 = fg(Theta[i:i + 1])
+        assert f1[0] == F[i] and np.array_equal(g1[0], G[i])
+        f_ref, g_ref = _reference_quotient(K, disc, p, Theta[i].copy())
+        assert f_ref == F[i] and np.array_equal(g_ref, G[i])
+
+
+def _minimize_one_start_at_a_time(K, cfg, initial=None):
+    """Each start minimized alone with `lbfgs` on the one-row quotient."""
+    disc = _Discretization(cfg.modes, K.dim, _default_grid(K, cfg))
+    fg = _quotient_fg(K, disc, cfg.p)
+
+    def fg_row(theta):
+        F, G = fg(theta[None, :])
+        return F[0], G[0]
+
+    kcol = np.arange(1, cfg.modes + 1, dtype=float)[:, None]
+    starts = _starts(K, cfg)
+    if initial is not None:
+        starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
+    return disc, kcol, [lbfgs(fg_row, disc.pack(kcol * z.a, kcol * z.b), grad_tol=cfg.grad_tol,
+                              max_iter=cfg.max_iter, memory=cfg.memory, armijo=cfg.armijo)
+                        for z in starts]
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_minimize_lockstep_matches_one_start_at_a_time(warm):
+    K = _smoothed_hexagon_pair()
+    cfg = SolveConfig(modes=4, starts=4)
+    initial = minimize(K, cfg.replace(modes=3, starts=2))[1] if warm else None
+    lam, zstar, diags = minimize(K, cfg, initial=initial)
+    disc, kcol, alone = _minimize_one_start_at_a_time(K, cfg, initial)
+    assert len(diags) == len(alone) == cfg.starts + warm
+    for d, res in zip(diags, alone):
+        assert d.lam == 2 * np.pi * math.exp(res.f)
+        assert (d.grad_norm, d.iterations, d.converged, d.status, d.evaluations) == \
+            (res.grad_norm, res.iterations, res.converged, res.status, res.evaluations)
+    assert {"line_search", "stall"} & {d.status for d in diags}
+    winner = next(d for d in diags if d.winner)
+    assert lam == winner.lam
+    av, bv = disc.unpack(alone[winner.index].x)
+    expected = normalize_action(FourierLoop(av / kcol, bv / kcol))
+    assert np.array_equal(zstar.a, expected.a) and np.array_equal(zstar.b, expected.b)
+
+
+def test_per_start_diagnostics_reported():
+    res = capacity(BALL4, FAST)
+    rows = res.to_dict()["per_start"]
+    assert len(rows) == FAST.starts
+    for row, diag in zip(rows, res.per_start):
+        assert row["status"] == diag.status
+        assert diag.status in ("gradient", "stall", "line_search", "max_iter")
+        assert row["evaluations"] == diag.evaluations > diag.iterations
+    assert any(diag.status == "gradient" for diag in res.per_start)
 
 
 # -- capacity and properties -------------------------------------------------------
