@@ -61,8 +61,18 @@ class GaugeEval:
     tol: float
 
 
+def _finite_array(x, name: str) -> np.ndarray:
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise BodyError(f"{name} must be numeric") from None
+    if not np.all(np.isfinite(a)):
+        raise BodyError(f"{name} must be finite")
+    return a
+
+
 def _as_matrix(x, name: str) -> np.ndarray:
-    m = np.asarray(x, dtype=float)
+    m = _finite_array(x, name)
     if m.ndim != 2:
         raise BodyError(f"{name} must be a 2-d array, got shape {m.shape}")
     return m
@@ -155,8 +165,8 @@ class Ball(ConvexBody):
     """Euclidean ball of given radius centered at the origin."""
 
     def __init__(self, radius: float, dim: int):
-        if radius <= 0:
-            raise BodyError(f"ball radius must be positive, got {radius}")
+        if not 0 < radius < math.inf:
+            raise BodyError(f"ball radius must be positive and finite, got {radius}")
         _even_dim(dim)
         self.radius = float(radius)
         self.dim = int(dim)
@@ -179,7 +189,7 @@ class Ellipsoid(ConvexBody):
     """Symplectic ellipsoid sum_i (x_i^2 + y_i^2) / r_i^2 <= 1, radii ascending."""
 
     def __init__(self, radii):
-        radii = np.asarray(radii, dtype=float)
+        radii = _finite_array(radii, "radii")
         if radii.ndim != 1 or radii.size == 0:
             raise BodyError("radii must be a non-empty 1-d sequence")
         if np.any(radii <= 0):
@@ -289,8 +299,8 @@ class PSum(ConvexBody):
     """Firey p-sum: support function (sum_i h_i^p)^{1/p}, p >= 1."""
 
     def __init__(self, p: float, terms):
-        if p < 1:
-            raise BodyError(f"p-sum exponent must be >= 1, got {p}")
+        if not 1 <= p < math.inf:
+            raise BodyError(f"p-sum exponent must be finite and >= 1, got {p}")
         terms = tuple(terms)
         if len(terms) < 2:
             raise BodyError("p-sum needs at least two terms")
@@ -345,7 +355,7 @@ class MinkowskiSum(ConvexBody):
             raise BodyError(f"Minkowski terms have inconsistent dimensions {sorted(dims)}")
         if weights is None:
             weights = np.ones(len(terms))
-        weights = np.asarray(weights, dtype=float)
+        weights = _finite_array(weights, "weights")
         if weights.shape != (len(terms),):
             raise BodyError("need exactly one weight per term")
         if np.any(weights < 0) or not np.any(weights > 0):
@@ -415,7 +425,7 @@ class Translate(ConvexBody):
     """Translated body K + x0: h(u) = h_K(u) + <x0, u>."""
 
     def __init__(self, vector, body: ConvexBody):
-        x0 = np.asarray(vector, dtype=float)
+        x0 = _finite_array(vector, "translation vector")
         if x0.shape != (body.dim,):
             raise BodyError(f"translation vector has shape {x0.shape}, body dimension {body.dim}")
         self.vector = _freeze(x0)
@@ -441,8 +451,8 @@ class Scale(ConvexBody):
     """Dilated body s K for s > 0."""
 
     def __init__(self, factor: float, body: ConvexBody):
-        if factor <= 0:
-            raise BodyError(f"scale factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise BodyError(f"scale factor must be positive and finite, got {factor}")
         self.factor = float(factor)
         self.body = body
         self.dim = body.dim
@@ -481,8 +491,8 @@ class Smoothed(ConvexBody):
     """
 
     def __init__(self, body: ConvexBody, sharpness: float = 64.0):
-        if sharpness <= 1:
-            raise BodyError(f"sharpness must exceed 1, got {sharpness}")
+        if not 1 < sharpness < math.inf:
+            raise BodyError(f"sharpness must be finite and exceed 1, got {sharpness}")
         if not isinstance(body, Polytope):
             raise BodyError("Smoothed wraps a Polytope")
         self.body = body
@@ -498,32 +508,47 @@ class Smoothed(ConvexBody):
         # BLAS's small-matrix path, where each row's result does not depend
         # on how many rows share the call; the batched solver relies on that.
         step = max(1, _SMOOTHED_BLOCK // self.body.vertices.shape[0])
-        if U.shape[0] <= step:
+        n = U.shape[0]
+        if n <= step:
             return self._support_block(U)
-        parts = [self._support_block(U[i:i + step]) for i in range(0, U.shape[0], step)]
-        return (np.concatenate([v for v, _ in parts]),
-                np.concatenate([g for _, g in parts]))
+        vals = np.empty(n)
+        grads = np.empty((n, self.dim))
+        for i in range(0, n, step):
+            vals[i:i + step], grads[i:i + step] = self._support_block(U[i:i + step])
+        return vals, grads
 
     def _support_block(self, U):
+        # Bit-identity rules.  Support values and points must match the dense
+        # form that tests/test_bodies.py keeps as reference bit for bit, so:
+        # R = U @ V.T and the final (rows, m) @ V stay BLAS calls at the
+        # block shapes support_batch makes (the block size is part of the
+        # result), and S stays a dense pairwise sum over each row (a sparse
+        # sum, reduceat or bincount groups the terms differently once a row
+        # has three or more of them).  R is scaled in place and then, zeroed,
+        # holds first the P terms and then the W weights: both are zero off
+        # the same flat positions, so each equals a fresh dense array.
         s = self.sharpness
         V = self.body.vertices
-        R = np.maximum(U @ V.T, 0.0)  # (B, m)
+        m = V.shape[0]
+        R = U @ V.T  # (B, m)
+        np.maximum(R, 0.0, out=R)
         rmax = np.max(R, axis=1)
         safe = np.where(rmax > 0, rmax, 1.0)
-        ratio = R / safe[:, None]
+        R /= safe[:, None]
         # ratios below cut contribute < 1e-19 relative to the l^s sum; the
         # masked exp/log evaluation skips the (dominant) power cost on them
         cut = math.exp(-46.0 / s)
-        rows, cols = np.nonzero(ratio > cut)
-        logr = np.log(ratio[rows, cols])
-        P = np.zeros_like(R)
-        P[rows, cols] = np.exp(s * logr)
-        S = np.sum(P, axis=1)
+        flat = np.flatnonzero(R > cut)
+        rows = flat // m
+        logr = np.log(R.ravel()[flat])
+        R.fill(0.0)  # from here on R is the term buffer
+        terms = R.ravel()
+        terms[flat] = np.exp(s * logr)
+        S = np.sum(R, axis=1)
         logS = np.log(np.where(S > 0, S, 1.0))
         vals = np.where(rmax > 0, safe * np.exp(logS / s), 0.0)
-        W = np.zeros_like(R)
-        W[rows, cols] = np.exp((s - 1.0) * logr - ((s - 1.0) / s) * logS[rows])
-        grads = W @ V
+        terms[flat] = np.exp((s - 1.0) * logr - ((s - 1.0) / s) * logS[rows])
+        grads = R @ V
         return vals, grads
 
     def recipe(self):
@@ -691,9 +716,16 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
             raise BodyError(f"{path}: '{kind}' requires field '{field}'")
         return document[field]
 
+    def number(field, convert=float, default=None):
+        value = need(field) if default is None else document.get(field, default)
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            raise BodyError(f"{path}.{field}: expected a number, got {value!r}") from None
+
     try:
         if kind == "ball":
-            return Ball(float(need("r")), int(need("dim")))
+            return Ball(number("r"), number("dim", int))
         if kind == "ellipsoid":
             return Ellipsoid(need("radii"))
         if kind == "general_ellipsoid":
@@ -702,7 +734,7 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
             return Polytope(need("vertices"))
         if kind == "psum":
             terms = [build_body(t, f"{path}.terms[{i}]") for i, t in enumerate(need("terms"))]
-            return PSum(float(need("p")), terms)
+            return PSum(number("p"), terms)
         if kind == "minkowski":
             terms = [build_body(t, f"{path}.terms[{i}]") for i, t in enumerate(need("terms"))]
             weights = document.get("weights")
@@ -712,10 +744,10 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
         if kind == "translate":
             return Translate(need("vector"), build_body(need("body"), f"{path}.body"))
         if kind == "scale":
-            return Scale(float(need("factor")), build_body(need("body"), f"{path}.body"))
+            return Scale(number("factor"), build_body(need("body"), f"{path}.body"))
         if kind == "smoothed":
             return Smoothed(build_body(need("body"), f"{path}.body"),
-                            float(document.get("sharpness", 64.0)))
+                            number("sharpness", default=64.0))
     except BodyError as e:
         msg = str(e)
         if not msg.startswith(path):

@@ -22,15 +22,17 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 
 import numpy as np
 
+from . import __version__
 from .bodies import BodyError, ConvexBody, build_body
-from .harness import (AsymmetricBodyError, bm_check, directional_derivative,
-                      isoperimetric_check, mean_width, mean_width_bound_check)
+from .harness import (HarnessError, bm_check, directional_derivative, isoperimetric_check,
+                      mean_width, mean_width_bound_check)
 from .intersections import intersection_concavity_check
 from .loops import write_loop_csv
 from .solver import SolveConfig, SolverError, capacity
@@ -56,20 +58,27 @@ def parse_body_file(path: str) -> ConvexBody:
         raise UsageError(f"{path}: {e}") from None
 
 
-def _vector(text: str, dim: int, flag: str) -> np.ndarray:
+def _numbers(text: str, flag: str, convert=float) -> list:
     try:
-        vec = np.array([float(x) for x in text.split(",")], dtype=float)
+        return [convert(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"{flag}: expected comma-separated numbers, got '{text}'") from None
+
+
+def _vector(text: str, dim: int, flag: str) -> np.ndarray:
+    vec = np.array(_numbers(text, flag), dtype=float)
+    if not np.all(np.isfinite(vec)):
+        raise UsageError(f"{flag}: components must be finite, got '{text}'")
     if vec.size != dim:
         raise UsageError(f"{flag}: expected {dim} components, got {vec.size}")
     return vec
 
 
-def _config(args) -> SolveConfig:
+def _config(args, **overrides) -> SolveConfig:
+    fields = dict(p=args.p, modes=args.modes, starts=args.starts, seed=args.seed,
+                  grad_tol=args.tol) | overrides
     try:
-        return SolveConfig(p=args.p, modes=args.modes, starts=args.starts,
-                           seed=args.seed, grad_tol=args.tol)
+        return SolveConfig(**fields)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -126,8 +135,8 @@ def _cache_lookup(args, bodies: list[ConvexBody]):
     if not getattr(args, "cache", None):
         return None, None
     os.makedirs(args.cache, exist_ok=True)
-    key_src = json.dumps([b.recipe() for b in bodies], sort_keys=True) + json.dumps(
-        _resolved(args), sort_keys=True)
+    key_src = json.dumps([__version__, [b.recipe() for b in bodies], _resolved(args)],
+                         sort_keys=True)
     key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
     path = os.path.join(args.cache, f"capacity-{key}.json")
     if os.path.exists(path):
@@ -140,6 +149,7 @@ def cmd_capacity(args) -> int:
     body = parse_body_file(args.body)
     cached, cache_path = _cache_lookup(args, [body])
     if cached is not None:
+        cached["body"] = _body_meta(args.body, body)
         _emit(args, cached)
         return 0 if cached.get("converged", False) else 1
     cfg = _config(args)
@@ -194,11 +204,9 @@ def cmd_bm(args) -> int:
     # for this check --p selects the p-sum exponent (>= 1); the capacities
     # themselves are always solved at the default dual exponent 2
     K, T = _pair(args)
-    if args.p < 1:
-        raise UsageError(f"--p must be >= 1 for the p-sum check, got {args.p}")
-    cfg = SolveConfig(p=2.0, modes=args.modes, starts=args.starts,
-                      seed=args.seed, grad_tol=args.tol)
-    return _report_exit(args, bm_check(K, T, args.p, cfg))
+    if not 1 <= args.p < math.inf:
+        raise UsageError(f"--p must be finite and >= 1 for the p-sum check, got {args.p}")
+    return _report_exit(args, bm_check(K, T, args.p, _config(args, p=2.0)))
 
 
 def cmd_isoperimetric(args) -> int:
@@ -209,13 +217,10 @@ def cmd_isoperimetric(args) -> int:
 def cmd_meanwidth(args) -> int:
     K = parse_body_file(args.body)
     cfg = _config(args)
-    try:
-        if args.bound:
-            report = mean_width_bound_check(K, cfg, samples=args.samples, seed=args.seed)
-            return _report_exit(args, report)
-        est = mean_width(K, samples=args.samples, seed=args.seed)
-    except AsymmetricBodyError as e:
-        raise UsageError(str(e)) from None
+    if args.bound:
+        report = mean_width_bound_check(K, cfg, samples=args.samples, seed=args.seed)
+        return _report_exit(args, report)
+    est = mean_width(K, samples=args.samples, seed=args.seed)
     payload = est.to_dict()
     payload["config"] = _resolved(args, {"samples": args.samples})
     payload["body"] = _body_meta(args.body, K)
@@ -234,13 +239,13 @@ def cmd_intersect(args) -> int:
 
 def cmd_derivative(args) -> int:
     K, T = _pair(args)
-    schedule = tuple(float(e) for e in args.eps.split(","))
+    schedule = tuple(_numbers(args.eps, "--eps"))
     report = directional_derivative(K, T, _config(args), schedule)
     return _report_exit(args, report)
 
 
 def cmd_suite(args) -> int:
-    only = [int(n) for n in args.only.split(",")] if args.only else None
+    only = _numbers(args.only, "--only", int) if args.only else None
     results = run_suite(only)
     if args.out:
         with open(args.out, "w") as fh:
@@ -327,6 +332,11 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverError, BodyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except (ValueError, HarnessError) as e:
+        # out-of-range input caught by the library itself (an interpolation
+        # weight outside [0, 1], an unknown criterion, an empty intersection)
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -356,6 +356,8 @@ def mean_width(K: ConvexBody, samples: int = 200_000, seed: int = 0) -> MeanWidt
     Directions are normalized Gaussian vectors; the body must be centrally
     symmetric (verified on sampled antipodal pairs).
     """
+    if samples < 1:
+        raise HarnessError(f"samples must be at least 1, got {samples}")
     _check_symmetry(K, seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x3E4)))
     total = 0.0

@@ -70,11 +70,17 @@ class SolveConfig:
     sharpness_extrapolate: bool = False
 
     def __post_init__(self):
-        if self.p <= 1:
-            raise ValueError(f"exponent p must exceed 1, got {self.p}")
+        if not 1 < self.p < math.inf:
+            raise ValueError(f"exponent p must be finite and exceed 1, got {self.p}")
+        if self.modes < 1:
+            raise ValueError(f"modes must be at least 1, got {self.modes}")
+        if self.grid is not None and self.grid < 1:
+            raise ValueError(f"grid must be at least 1, got {self.grid}")
         if self.starts < 1:
             raise ValueError("need at least one start")
-        if self.grad_tol <= 0 or self.max_iter < 1:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not self.grad_tol > 0 or self.max_iter < 1:
             raise ValueError("tolerances and iteration caps must be positive")
 
     @property

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehz.bodies import (Ball, BodyError, Ellipsoid, GeneralEllipsoid, LinearImage,
                         MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate,
@@ -61,6 +65,27 @@ def test_psum_validation():
         PSum(2.0, [Ball(1, 2)])
     with pytest.raises(BodyError, match="dimension"):
         PSum(2.0, [Ball(1, 2), Ball(1, 4)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=st.one_of(st.floats(-1e6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf])),
+       kind=st.sampled_from(["ball", "scale", "translate", "vertices"]))
+def test_build_body_rejects_non_finite_numbers(value, kind):
+    ball = {"type": "ball", "r": 1.0, "dim": 2}
+    square = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+    doc, ok = {
+        "ball": ({"type": "ball", "r": value, "dim": 2}, 0 < value < math.inf),
+        "scale": ({"type": "scale", "factor": value, "body": ball}, 0 < value < math.inf),
+        "translate": ({"type": "translate", "vector": [value, 0.0], "body": ball},
+                      math.isfinite(value)),
+        "vertices": ({"type": "polytope", "vertices": square + [[0.0, value]]},
+                     math.isfinite(value)),
+    }[kind]
+    if ok:
+        assert build_body(doc).dim == 2
+    else:
+        with pytest.raises(BodyError):
+            build_body(doc)
 
 
 def test_scale_and_smoothed_validation():
@@ -169,6 +194,85 @@ def test_smoothed_rows_independent_of_batch_size(half, sharpness):
         for i in range(0, len(U), rows):
             v, g = K.support_batch(U[i:i + rows])
             assert np.array_equal(v, vals[i:i + rows]) and np.array_equal(g, grads[i:i + rows])
+
+
+_SMOOTHED_BLOCK_REF = 1 << 15
+
+
+def _smoothed_reference_batch(K, U):
+    # the dense form of the Smoothed kernel (ratio array, 2-D index gather,
+    # fresh P and W arrays), kept verbatim: the kernel must match it bit for bit
+    step = max(1, _SMOOTHED_BLOCK_REF // K.body.vertices.shape[0])
+    if U.shape[0] <= step:
+        return _smoothed_reference_block(K, U)
+    parts = [_smoothed_reference_block(K, U[i:i + step]) for i in range(0, U.shape[0], step)]
+    return (np.concatenate([v for v, _ in parts]),
+            np.concatenate([g for _, g in parts]))
+
+
+def _smoothed_reference_block(K, U):
+    s = K.sharpness
+    V = K.body.vertices
+    R = np.maximum(U @ V.T, 0.0)  # (B, m)
+    rmax = np.max(R, axis=1)
+    safe = np.where(rmax > 0, rmax, 1.0)
+    ratio = R / safe[:, None]
+    cut = math.exp(-46.0 / s)
+    rows, cols = np.nonzero(ratio > cut)
+    logr = np.log(ratio[rows, cols])
+    P = np.zeros_like(R)
+    P[rows, cols] = np.exp(s * logr)
+    S = np.sum(P, axis=1)
+    logS = np.log(np.where(S > 0, S, 1.0))
+    vals = np.where(rmax > 0, safe * np.exp(logS / s), 0.0)
+    W = np.zeros_like(R)
+    W[rows, cols] = np.exp((s - 1.0) * logr - ((s - 1.0) / s) * logS[rows])
+    grads = W @ V
+    return vals, grads
+
+
+def _tied_polytope(m, rng):
+    # vertices 0 and 1 share the largest first coordinate, so u = c e_1 ties
+    V = rng.normal(size=(m, 4))
+    V[:2, 0] = np.max(V[:, 0]) + 0.5
+    V[-1] = -np.sum(V[:-1], axis=0)  # centroid at the origin
+    assert np.argmax(V[:, 0]) == 0 and V[0, 0] == V[1, 0]
+    return Polytope(V)
+
+
+def _special_rows(d):
+    e1 = np.eye(d)[0]
+    return np.vstack([np.zeros((3, d)), e1, 3.0 * e1, -0.0 * e1])
+
+
+@pytest.mark.parametrize("m", [5, 24, 768])
+@pytest.mark.parametrize("sharpness", [16.0, 64.0, 1024.0])
+def test_smoothed_kernel_matches_dense_reference_bitwise(m, sharpness):
+    rng = np.random.default_rng(m + int(sharpness))
+    K = Smoothed(_tied_polytope(m, rng), sharpness)
+    sizes = (1, 96, 1000, 60000) if m < 768 else (1, 96, 1000)
+    for n in sizes:
+        U = rng.normal(size=(n, 4))
+        U[:min(n, 6)] = _special_rows(4)[:min(n, 6)]
+        for A in (U, U[::-1]):
+            vals, grads = K.support_batch(A)
+            ref_vals, ref_grads = _smoothed_reference_batch(K, A)
+            assert np.array_equal(vals, ref_vals) and np.array_equal(grads, ref_grads)
+
+
+def test_smoothed_kernel_rows_with_no_positive_product():
+    # outside the constructor's checks: a vertex set in the positive orthant,
+    # so rows in the negative orthant have every vertex product <= 0
+    V = np.abs(np.random.default_rng(9).normal(size=(24, 4))) + 0.1
+    P = object.__new__(Polytope)
+    P.vertices, P.dim = V, 4
+    K = Smoothed(P, 64.0)
+    U = np.vstack([-np.abs(np.random.default_rng(10).normal(size=(50, 4))),
+                   np.random.default_rng(11).normal(size=(50, 4))])
+    vals, grads = K.support_batch(U)
+    ref_vals, ref_grads = _smoothed_reference_batch(K, U)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(grads, ref_grads)
+    assert np.all(vals[:50] == 0.0) and np.all(grads[:50] == 0.0)
 
 
 def test_polytope_tie_breaking_lowest_index():

@@ -144,3 +144,74 @@ def test_suite_single_criterion(capsys):
     assert code == 0
     assert "ACCEPTANCE  1 [PASS]" in out
     assert "SUITE: 1/1" in out
+
+
+def test_cache_hit_reports_the_current_body_path(bodies, tmp_path):
+    # the same recipe at two paths: the second call is a cache hit and its
+    # artifact differs from the first only in body.path
+    cache = str(tmp_path / "cache")
+    other = tmp_path / "copy" / "ball4.json"
+    other.parent.mkdir()
+    other.write_text((tmp_path / "ball4.json").read_text())
+    arts = []
+    for path in (bodies["ball4"], str(other)):
+        out = tmp_path / f"art{len(arts)}.json"
+        assert main(["capacity", path, "--modes", "8", "--starts", "2", "--cache", cache,
+                     "--out", str(out)]) == 0
+        arts.append(json.loads(out.read_text()))
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+    assert [a["body"].pop("path") for a in arts] == [bodies["ball4"], str(other)]
+    assert arts[0] == arts[1]
+
+
+def test_cache_key_includes_package_version(bodies, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    argv = ["capacity", bodies["ball4"], "--modes", "8", "--starts", "2", "--cache", str(cache)]
+    assert main(argv) == 0
+    monkeypatch.setattr("ehz.cli.__version__", "0.0.0-other")
+    assert main(argv) == 0
+    assert len(list(cache.iterdir())) == 2
+
+
+def _write(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    return str(p)
+
+
+BAD_INPUTS = {
+    "modes-zero": (lambda b, t: ["capacity", b["ball4"], "--modes", "0"], "modes"),
+    "modes-negative": (lambda b, t: ["capacity", b["ball4"], "--modes", "-3"], "modes"),
+    "p-nan": (lambda b, t: ["capacity", b["ball4"], "--p", "nan"], "exponent p"),
+    "bm-p-nan": (lambda b, t: ["bm", b["ball4"], b["ball4_2"], "--p", "nan"], "--p"),
+    "samples-zero": (lambda b, t: ["meanwidth", b["ball4"], "--samples", "0"], "samples"),
+    "eps-not-numbers": (lambda b, t: ["derivative", b["ball4"], b["ball4"], "--eps", "a,b"],
+                        "--eps"),
+    "only-unknown": (lambda b, t: ["suite", "--only", "99"], "criteria"),
+    "only-not-numbers": (lambda b, t: ["suite", "--only", "x"], "--only"),
+    "x-not-finite": (lambda b, t: ["intersect", b["ball4"], b["ball4"], "--x", "nan,0,0,0"],
+                     "--x"),
+    "seed-negative": (lambda b, t: ["capacity", b["ball4"], "--seed", "-1"], "seed"),
+    "lam-outside": (lambda b, t: ["intersect", b["ball4"], b["ball4"], "--x", "0.1,0,0,0",
+                                  "--lam", "2"], "lambda"),
+    "radius-nan": (lambda b, t: ["capacity", _write(t, "r.json",
+                                                    '{"type": "ball", "r": NaN, "dim": 4}')],
+                   "radius"),
+    "factor-infinite": (lambda b, t: ["capacity", _write(
+        t, "f.json", '{"type": "scale", "factor": Infinity, '
+                     '"body": {"type": "ball", "r": 1, "dim": 4}}')], "factor"),
+    "vertices-nan": (lambda b, t: ["capacity", _write(
+        t, "v.json", '{"type": "polytope", "vertices": [[1, 0], [0, 1], [-1, NaN]]}')],
+        "vertices"),
+    "dim-not-number": (lambda b, t: ["capacity", _write(t, "d.json",
+                                                        '{"type": "ball", "r": 1, "dim": "x"}')],
+                       "dim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two_naming_the_field(case, bodies, tmp_path, capsys):
+    argv, field = BAD_INPUTS[case]
+    assert main(argv(bodies, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err

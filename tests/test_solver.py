@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehz.bodies import (Ball, Ellipsoid, GeneralEllipsoid, LinearImage, Polytope,
                         PSum, Scale, Smoothed, Translate)
@@ -466,3 +468,15 @@ def test_capacity_polytope_raw_smoothed_upper_bound():
     assert r.smoothing == 64.0
     assert r.capacity > 4.0
     assert r.capacity == pytest.approx(4.0, rel=0.03)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.floats(allow_nan=True, allow_infinity=True),
+       modes=st.integers(-5, 40), grid=st.one_of(st.none(), st.integers(-3, 200)))
+def test_solve_config_rejects_out_of_range_fields(p, modes, grid):
+    valid = 1 < p < math.inf and modes >= 1 and (grid is None or grid >= 1)
+    if valid:
+        SolveConfig(p=p, modes=modes, grid=grid)
+    else:
+        with pytest.raises(ValueError):
+            SolveConfig(p=p, modes=modes, grid=grid)
