@@ -24,7 +24,7 @@ from .solver import (CapacityResult, CertificateBundle, SolveConfig, SolverError
                      capacity, certify, euler_residual, from_carrier, minimize,
                      objective, to_carrier)
 from .suite import run_suite
-from .symplectic import SymplecticSpace, apply_J, apply_J_inverse, random_symplectic, symplectic_form
+from .symplectic import apply_J, apply_J_inverse, random_symplectic, symplectic_form
 
 __all__ = [
     "Ball", "BodyError", "ConvexBody", "Ellipsoid", "GaugeEval", "GeneralEllipsoid",
@@ -40,7 +40,7 @@ __all__ = [
     "capacity", "certify", "euler_residual", "from_carrier", "minimize",
     "objective", "to_carrier",
     "run_suite",
-    "SymplecticSpace", "apply_J", "apply_J_inverse", "random_symplectic", "symplectic_form",
+    "apply_J", "apply_J_inverse", "random_symplectic", "symplectic_form",
 ]
 
 __version__ = "0.1.0"

@@ -230,6 +230,8 @@ def cmd_meanwidth(args) -> int:
 
 def cmd_intersect(args) -> int:
     K, T = _pair(args)
+    if args.design < 2 * K.dim:
+        raise UsageError(f"--design must be at least 2*dim = {2 * K.dim}, got {args.design}")
     x = _vector(args.x, K.dim, "--x")
     y = _vector(args.y, K.dim, "--y") if args.y else -x
     report = intersection_concavity_check(K, T, x, y, args.lam, _config(args),

@@ -21,7 +21,7 @@ from scipy.optimize import linprog
 
 from .bodies import ConvexBody, Polytope, Scale, Smoothed, Translate, intersection_support_batch
 from .harness import HarnessError, InequalityReport, _meta, _report
-from .solver import SolveConfig
+from .solver import SolveConfig, _mode_pair
 
 
 class DegenerateIntersectionError(HarnessError):
@@ -85,6 +85,8 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
     if K.dim != T.dim:
         raise HarnessError(f"dimension mismatch: {K.dim} vs {T.dim}")
     d = K.dim
+    if design_size < 2 * d:
+        raise HarnessError(f"design_size must be at least 2*dim = {2 * d}, got {design_size}")
     U = direction_design(d, design_size, seed)
     vals, splits, _, _ = intersection_support_batch(K, T, U)
     x0, depth = deep_point(U, vals)
@@ -142,14 +144,8 @@ def intersection_capacity(K: ConvexBody, T: ConvexBody, shift: np.ndarray,
     cfg = cfg or SolveConfig()
     body, audit = build_intersection_body(K, Translate(np.asarray(shift, dtype=float), T),
                                           design_size, sharpness, seed)
-    from .solver import capacity_from_lambda, minimize
-    warm = None
-    caps = []
-    for modes in (cfg.modes, 2 * cfg.modes):
-        lam, warm, _ = minimize(body, cfg.replace(modes=modes, stability_check=False),
-                                initial=warm)
-        caps.append(capacity_from_lambda(lam, cfg.p))
-    return (4.0 * caps[1] - caps[0]) / 3.0, audit
+    _, c, _ = _mode_pair(body, cfg)
+    return c, audit
 
 
 def intersection_concavity_check(K: ConvexBody, T: ConvexBody, x: np.ndarray,

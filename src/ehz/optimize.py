@@ -6,7 +6,10 @@ bracketing line search; `lbfgs` is its one-row case.  The objective may
 return +inf outside its domain; the line search treats that as a rejected
 step, which is how scale-invariant quotients with an open domain
 (positive loop action, positive support values) are kept feasible without
-explicit constraints.
+explicit constraints.  The quasi-Newton constants are fixed: MEMORY
+curvature pairs, the Wolfe parameters ARMIJO (sufficient decrease) and
+CURVATURE, and a stall exit after STALL_PATIENCE iterations without
+progress; callers set only the gradient tolerance and the iteration cap.
 
 `batched_descent` runs many small gradient descents in lockstep with per-row
 adaptive steps.  It is deliberately simple: the callers (directional gauge
@@ -21,6 +24,11 @@ from typing import Callable
 
 import numpy as np
 
+MEMORY = 10
+ARMIJO = 1e-4
+CURVATURE = 0.9
+STALL_PATIENCE = 30
+
 
 @dataclass
 class MinimizeResult:
@@ -33,12 +41,12 @@ class MinimizeResult:
     evaluations: int = 0
 
 
-def _wolfe_search(x, f, g, d, slope, armijo, curvature, max_evals=60):
+def _wolfe_search(x, f, g, d, slope, max_evals=60):
     """Strong-Wolfe line search by bracketing and bisection.
 
     A generator: it yields each trial point and is sent back its (f, g).
-    Accepts a step t with sufficient decrease (Armijo, parameter `armijo`)
-    and |directional derivative| reduced below `curvature` * |slope|, which
+    Accepts a step t with sufficient decrease (parameter ARMIJO) and
+    |directional derivative| reduced below CURVATURE * |slope|, which
     guarantees s.y > 0 for the quasi-Newton update and expands along long
     valleys instead of creeping.  Non-finite trial values (domain guard)
     count as Armijo failures.  Returns (t, f_t, g_t), falling back to the
@@ -51,15 +59,15 @@ def _wolfe_search(x, f, g, d, slope, armijo, curvature, max_evals=60):
     for _ in range(max_evals):
         x_t = x + t * d
         f_t, g_t = yield x_t
-        if not np.isfinite(f_t) or f_t > f + armijo * t * slope:
+        if not np.isfinite(f_t) or f_t > f + ARMIJO * t * slope:
             hi = t  # overshot: no sufficient decrease
         else:
             if f_t < best[1]:
                 best = (t, f_t, g_t)
             dd = np.dot(g_t, d)
-            if dd < curvature * slope:
+            if dd < CURVATURE * slope:
                 lo = t  # still descending steeply: the minimum lies farther out
-            elif dd > -curvature * slope:
+            elif dd > -CURVATURE * slope:
                 hi = t  # slope already turned positive: overshot the minimum
             else:
                 return t, f_t, g_t
@@ -69,7 +77,7 @@ def _wolfe_search(x, f, g, d, slope, armijo, curvature, max_evals=60):
     return best
 
 
-def _lbfgs_run(x0, grad_tol, max_iter, memory, armijo, curvature, stall_patience):
+def _lbfgs_run(x0, grad_tol, max_iter):
     """One L-BFGS run as a generator: yields every point it needs evaluated,
     is sent back (f, g), and returns its MinimizeResult."""
     x = np.asarray(x0, dtype=float).copy()
@@ -111,7 +119,7 @@ def _lbfgs_run(x0, grad_tol, max_iter, memory, armijo, curvature, stall_patience
             d = -g
             slope = -np.dot(g, g)
 
-        step, f_new, g_new = yield from _wolfe_search(x, f, g, d, slope, armijo, curvature)
+        step, f_new, g_new = yield from _wolfe_search(x, f, g, d, slope)
         if step == 0.0:
             status = "line_search"
             break
@@ -124,7 +132,7 @@ def _lbfgs_run(x0, grad_tol, max_iter, memory, armijo, curvature, stall_patience
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > memory:
+            if len(s_hist) > MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
@@ -135,7 +143,7 @@ def _lbfgs_run(x0, grad_tol, max_iter, memory, armijo, curvature, stall_patience
             stalled = 0
         else:
             stalled += 1
-            if stalled >= stall_patience:
+            if stalled >= STALL_PATIENCE:
                 status = "stall"
                 break
 
@@ -148,10 +156,6 @@ def lbfgs_batch(
     X0: np.ndarray,
     grad_tol: float = 1e-10,
     max_iter: int = 500,
-    memory: int = 10,
-    armijo: float = 1e-4,
-    curvature: float = 0.9,
-    stall_patience: int = 30,
 ) -> list[MinimizeResult]:
     """Run one independent L-BFGS minimization from each row of X0, in lockstep.
 
@@ -166,8 +170,7 @@ def lbfgs_batch(
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2:
         raise ValueError(f"X0 must be a 2-d array of start points, got shape {X0.shape}")
-    runs = [_lbfgs_run(x0, grad_tol, max_iter, memory, armijo, curvature, stall_patience)
-            for x0 in X0]
+    runs = [_lbfgs_run(x0, grad_tol, max_iter) for x0 in X0]
     results: list[MinimizeResult | None] = [None] * len(runs)
     evaluations = [0] * len(runs)
     pending = {i: next(run) for i, run in enumerate(runs)}
@@ -190,10 +193,6 @@ def lbfgs(
     x0: np.ndarray,
     grad_tol: float = 1e-10,
     max_iter: int = 500,
-    memory: int = 10,
-    armijo: float = 1e-4,
-    curvature: float = 0.9,
-    stall_patience: int = 30,
 ) -> MinimizeResult:
     """Minimize fg = (value, gradient) from x0: the one-row case of `lbfgs_batch`.
 
@@ -201,7 +200,7 @@ def lbfgs(
     grad_tol.  The strong-Wolfe line search keeps the curvature pairs
     usable; pairs with non-positive s.y (possible only on fallback
     acceptances) are skipped.  A run that makes no measurable function
-    progress for `stall_patience` consecutive iterations returns early with
+    progress for STALL_PATIENCE consecutive iterations returns early with
     status "stall": grinding at the roundoff floor costs many line-search
     evaluations per step and cannot improve the iterate.  Other exits are
     "gradient" (converged), "line_search" (no acceptable step) and
@@ -212,9 +211,7 @@ def lbfgs(
         return np.array([f], dtype=float), np.asarray(g, dtype=float)[None, :]
 
     x0 = np.asarray(x0, dtype=float)
-    return lbfgs_batch(fg_batch, x0[None, :], grad_tol=grad_tol, max_iter=max_iter,
-                       memory=memory, armijo=armijo, curvature=curvature,
-                       stall_patience=stall_patience)[0]
+    return lbfgs_batch(fg_batch, x0[None, :], grad_tol=grad_tol, max_iter=max_iter)[0]
 
 
 def batched_descent(

@@ -54,18 +54,28 @@ class CharacteristicFitError(SolverError):
 
 @dataclass
 class SolveConfig:
-    """Solver knobs; the defaults are tuned for desk-scale bodies in R^4/R^6."""
+    """Solver settings; the defaults are tuned for desk-scale bodies in R^4/R^6.
+
+    p                      dual-action exponent, finite and > 1
+    modes                  Fourier modes M of the truncated loop space
+    starts                 multistart count: planar circles, then perturbed ones
+    seed                   seed of the perturbed starts and the origin check
+    grad_tol, max_iter     L-BFGS gradient tolerance and iteration cap
+    stability_check        re-solve at 2M modes and report the relative drift
+    polytope_sharpness     sharpness s of the Smoothed wrapper of a raw polytope
+    sharpness_extrapolate  solve raw polytopes on the ladder s/4, s/2, s
+
+    The quadrature grid is not a setting: it has 4M nodes, or 8M for a
+    Smoothed body, whose integrand carries features on the 1/s scale.
+    """
 
     p: float = 2.0
     modes: int = 16
-    grid: int | None = None        # quadrature nodes, default 4 * modes
     starts: int = 8
     seed: int = 0
     grad_tol: float = 1e-10
     max_iter: int = 500
-    memory: int = 10
-    armijo: float = 1e-4
-    stability_check: bool = False  # re-solve at 2 * modes and report drift
+    stability_check: bool = False
     polytope_sharpness: float = 64.0
     sharpness_extrapolate: bool = False
 
@@ -74,22 +84,12 @@ class SolveConfig:
             raise ValueError(f"exponent p must be finite and exceed 1, got {self.p}")
         if self.modes < 1:
             raise ValueError(f"modes must be at least 1, got {self.modes}")
-        if self.grid is not None and self.grid < 1:
-            raise ValueError(f"grid must be at least 1, got {self.grid}")
         if self.starts < 1:
             raise ValueError("need at least one start")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.grad_tol > 0 or self.max_iter < 1:
             raise ValueError("tolerances and iteration caps must be positive")
-
-    @property
-    def q(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    def resolved_grid(self, modes: int | None = None) -> int:
-        m = self.modes if modes is None else modes
-        return self.grid if self.grid is not None else 4 * m
 
     def replace(self, **kw) -> "SolveConfig":
         data = self.__dict__ | kw
@@ -197,7 +197,11 @@ def lambda_from_capacity(c: float, p: float) -> float:
 
 
 class _Discretization:
-    """Trig tables and coefficient packing for a fixed (modes, grid) pair."""
+    """Trig tables and coefficient packing for a fixed (modes, grid) pair.
+
+    `support` is the one evaluation of a loop on the grid: h_K and grad h_K
+    at its velocity samples z'(t_j), t_j = 2 pi j / N.
+    """
 
     def __init__(self, modes: int, dim: int, N: int):
         self.modes, self.dim, self.N = modes, dim, N
@@ -223,6 +227,9 @@ class _Discretization:
     def position(self, a, b) -> np.ndarray:
         return self.C @ a + self.S @ b
 
+    def support(self, K: ConvexBody, z: FourierLoop) -> tuple[np.ndarray, np.ndarray]:
+        return K.support_batch(self.velocity(z.a, z.b))
+
 
 def objective(K: ConvexBody, loop: FourierLoop, p: float,
               N: int | None = None) -> tuple[float, np.ndarray]:
@@ -236,8 +243,7 @@ def objective(K: ConvexBody, loop: FourierLoop, p: float,
     if not K.is_smooth:
         raise SolverError("support gradient unavailable for non-smooth bodies; wrap in Smoothed")
     disc = _Discretization(loop.modes, loop.dim, N or 4 * loop.modes)
-    dz = disc.velocity(loop.a, loop.b)
-    h, gh = K.support_batch(dz)
+    h, gh = disc.support(K, loop)
     if np.any(h < 0):
         raise SolverError("support is negative in some direction; origin must be interior")
     w = TWO_PI / disc.N
@@ -326,13 +332,10 @@ def _starts(K: ConvexBody, cfg: SolveConfig) -> list[FourierLoop]:
     return out
 
 
-def _default_grid(K: ConvexBody, cfg: SolveConfig, modes: int | None = None) -> int:
+def _default_grid(K: ConvexBody, cfg: SolveConfig) -> int:
     """Smoothed polytopes get a denser quadrature: their integrands carry
     features on the 1/sharpness scale that 4M nodes underresolve."""
-    m = cfg.modes if modes is None else modes
-    if cfg.grid is not None:
-        return cfg.grid
-    return 8 * m if isinstance(K, Smoothed) else 4 * m
+    return 8 * cfg.modes if isinstance(K, Smoothed) else 4 * cfg.modes
 
 
 def minimize(K: ConvexBody, cfg: SolveConfig,
@@ -358,8 +361,7 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
     theta0 = np.stack([disc.pack(kcol * start.a, kcol * start.b) for start in starts])
-    results = lbfgs_batch(fg, theta0, grad_tol=cfg.grad_tol,
-                          max_iter=cfg.max_iter, memory=cfg.memory, armijo=cfg.armijo)
+    results = lbfgs_batch(fg, theta0, grad_tol=cfg.grad_tol, max_iter=cfg.max_iter)
     for i, res in enumerate(results):
         lam_i = TWO_PI * math.exp(res.f)
         diagnostics.append(StartDiagnostics(i, lam_i, res.grad_norm, res.iterations,
@@ -385,24 +387,36 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     return lam, normalize_action(zstar), diagnostics
 
 
+# exponents p' of the capacity cross-check c = pi^2 [mean h_K^{p'}(z')]^{2/p'}
+P_CROSS = (1.0, 1.5, 3.0)
+
+
+def _evaluate(K: ConvexBody, z: FourierLoop, lam: float, p: float,
+              N: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """alpha, the Euler residual and the support values h_K(z'(t_j)), all
+    from one support evaluation of z on N nodes."""
+    disc = _Discretization(z.modes, z.dim, N)
+    h, gh = disc.support(K, z)
+    W = (p * h ** (p - 1.0))[:, None] * gh
+    alpha = W.mean(axis=0)
+    drive = 0.5 * p * lam * apply_J(disc.position(z.a, z.b))
+    R = W - drive - alpha
+    scale = float(np.max(np.linalg.norm(drive, axis=1)))
+    return alpha, float(np.max(np.linalg.norm(R, axis=1)) / max(scale, 1e-300)), h
+
+
 def euler_residual(K: ConvexBody, z: FourierLoop, lam: float, p: float,
                    N: int | None = None) -> tuple[np.ndarray, float]:
     """Euler-equation residual of grad h_K^p(z') = (p/2) lam J z + alpha.
 
     alpha is the time average of grad h_K^p(z'), the unique constant making
     the residual mean-free.  The residual is reported relative to the scale
-    max_t |(p/2) lam J z(t)|.
+    max_t |(p/2) lam J z(t)|.  Both come from the same single support
+    evaluation at the velocity samples that `certify` and the finishing step
+    of `capacity` read, so on a result's grid they equal its `alpha` and its
+    certificate bit for bit.
     """
-    disc = _Discretization(z.modes, z.dim, N or 4 * z.modes)
-    dz = disc.velocity(z.a, z.b)
-    zz = disc.position(z.a, z.b)
-    h, gh = K.support_batch(dz)
-    W = (p * h ** (p - 1.0))[:, None] * gh
-    alpha = W.mean(axis=0)
-    drive = 0.5 * p * lam * apply_J(zz)
-    R = W - drive - alpha
-    scale = float(np.max(np.linalg.norm(drive, axis=1)))
-    residual = float(np.max(np.linalg.norm(R, axis=1)) / max(scale, 1e-300))
+    alpha, residual, _ = _evaluate(K, z, lam, p, N or 4 * z.modes)
     return alpha, residual
 
 
@@ -419,16 +433,18 @@ def to_carrier(K: ConvexBody, z: FourierLoop, lam: float, alpha: np.ndarray,
     osc = FourierLoop(kappa * (lam / 2.0) * apply_J(z.a), kappa * (lam / 2.0) * apply_J(z.b))
     carrier = CarrierLoop(kappa * np.asarray(alpha, dtype=float) / p, osc)
     if boundary_tol is not None:
-        res = boundary_residual(K, carrier)
+        res, _ = boundary_residual(K, carrier)
         if res > boundary_tol:
             raise SolverError(f"carrier misses the boundary by {res:.3g} (> {boundary_tol:g})")
     return carrier
 
 
-def boundary_residual(K: ConvexBody, carrier: CarrierLoop, N: int | None = None) -> float:
+def boundary_residual(K: ConvexBody, carrier: CarrierLoop,
+                      N: int | None = None) -> tuple[float, float]:
+    """max_t |gauge_K(l(t)) - 1| on N samples, and the gauge's own tolerance."""
     g = carrier.sample(N or 4 * carrier.loop.modes)
-    vals, _, _, _ = K.gauge_batch(g.z)
-    return float(np.max(np.abs(vals - 1.0)))
+    vals, _, _, gtol = K.gauge_batch(g.z)
+    return float(np.max(np.abs(vals - 1.0))), float(gtol)
 
 
 def from_carrier(K: ConvexBody, carrier: CarrierLoop, p: float,
@@ -498,48 +514,43 @@ def _reparametrize(carrier: CarrierLoop, g, Jw: np.ndarray, N: int) -> CarrierLo
     return resample_by_clock(carrier, speed)
 
 
-def certify(K: ConvexBody, result: "CapacityResult", tol: float = 1e-5,
-            p_values: tuple[float, ...] = (1.0, 1.5, 3.0)) -> CertificateBundle:
+def certify(K: ConvexBody, result: "CapacityResult") -> CertificateBundle:
     """Recompute the optimality certificates for a capacity result.
 
     Beyond the four residuals, cross-checks that the same minimizer yields
     the same capacity when the support integrand is raised to other powers
-    p' (the minimum is attained on the same loops for every exponent):
-    c = pi^2 * [(1/2pi) int h_K^{p'}(z') dt]^{2/p'}.
+    p' in P_CROSS (the minimum is attained on the same loops for every
+    exponent): c = pi^2 * [(1/2pi) int h_K^{p'}(z') dt]^{2/p'}.
 
     The support values h_K(z'(t)) of an exact minimizer are the constant
     sqrt(c)/pi (consistent with p_cross at p' = 1: c^{1/2} = pi * mean h);
     `paper_constant_matched` records whether the alternative normalization
     c/pi fits the data better (it should not).
+
+    Everything but the boundary residual comes from one support evaluation
+    at the minimizer's velocity samples on the result's grid, the same one
+    `euler_residual` and the finishing step of `capacity` make, so a
+    recomputation reproduces `result.certificates` bit for bit.
     """
-    z = result.minimizer
-    N = max(result.grid, 4 * z.modes)
-    disc = _Discretization(z.modes, z.dim, N)
-    dz = disc.velocity(z.a, z.b)
-    h, _ = K.support_batch(dz)
+    _, residual, h = _evaluate(K, result.minimizer, result.lam, result.p, result.grid)
+    return _certificates(K, h, residual, result.carrier, result.capacity, result.grid)
+
+
+def _certificates(K: ConvexBody, h: np.ndarray, residual: float, carrier: CarrierLoop,
+                  cap: float, N: int) -> CertificateBundle:
     mean_h = float(np.mean(h))
-    cv = float(np.std(h) / max(mean_h, 1e-300))
-    alpha, eres = euler_residual(K, z, result.lam, result.p, N)
-    g = result.carrier.sample(N)
-    gvals, _, _, gtol = K.gauge_batch(g.z)
-    bres = float(np.max(np.abs(gvals - 1.0)))
-    amis = float(abs(result.carrier.action() - result.capacity) / result.capacity)
-    expected = math.sqrt(result.capacity) / math.pi
-    p_cross = {}
-    for pv in p_values:
-        m = float(np.mean(h**pv))
-        p_cross[pv] = math.pi**2 * m ** (2.0 / pv)
+    bres, gtol = boundary_residual(K, carrier, N)
+    expected = math.sqrt(cap) / math.pi
     return CertificateBundle(
-        euler_residual_rel=eres,
-        support_const_cv=cv,
+        euler_residual_rel=residual,
+        support_const_cv=float(np.std(h) / max(mean_h, 1e-300)),
         boundary_residual=bres,
-        action_mismatch_rel=amis,
+        action_mismatch_rel=float(abs(carrier.action() - cap) / cap),
         support_const_mean=mean_h,
         support_const_expected=expected,
-        paper_constant_matched=bool(abs(mean_h - result.capacity / math.pi)
-                                    < abs(mean_h - expected)),
-        gauge_tol=float(gtol),
-        p_cross=p_cross,
+        paper_constant_matched=bool(abs(mean_h - cap / math.pi) < abs(mean_h - expected)),
+        gauge_tol=gtol,
+        p_cross={pv: math.pi**2 * float(np.mean(h**pv)) ** (2.0 / pv) for pv in P_CROSS},
     )
 
 
@@ -565,31 +576,52 @@ def _aitken(caps: list[float]) -> float:
     return (4.0 * caps[0] - caps[1]) / 3.0
 
 
+def _finish(K: ConvexBody, cfg: SolveConfig, lam: float, zstar: FourierLoop,
+            diagnostics: list[StartDiagnostics], smoothing: float | None) -> CapacityResult:
+    """Capacity, alpha, carrier and certificates of one `minimize` result.
+
+    h_K and grad h_K are evaluated once at the winner's velocity samples;
+    alpha, the Euler residual, the support constancy and p_cross all come
+    from that evaluation.
+    """
+    cap = capacity_from_lambda(lam, cfg.p)
+    grid = _default_grid(K, cfg)
+    alpha, residual, h = _evaluate(K, zstar, lam, cfg.p, grid)
+    carrier = to_carrier(K, zstar, lam, alpha, cfg.p)
+    certificates = _certificates(K, h, residual, carrier, cap, grid)
+    winner = next(s for s in diagnostics if s.winner)
+    solver_ok = winner.converged or winner.grad_norm <= max(1e2 * cfg.grad_tol, 1e-8)
+    return CapacityResult(
+        capacity=cap, lam=lam, p=cfg.p, modes=cfg.modes, grid=grid,
+        seed=cfg.seed, minimizer=zstar, alpha=alpha, carrier=carrier,
+        certificates=certificates, per_start=diagnostics,
+        converged=solver_ok and certificates.worst() < 1e-2, smoothing=smoothing,
+    )
+
+
+def _mode_pair(K: ConvexBody, cfg: SolveConfig, initial: FourierLoop | None = None):
+    """Solves at M = cfg.modes and 2M modes, the second warm-started from the first.
+
+    Returns (c_M, c_2M), the Richardson value (4 c_2M - c_M)/3, which removes
+    the leading mode-truncation error, and the 2M `minimize` result.
+    """
+    lam, z, _ = minimize(K, cfg, initial=initial)
+    fine = minimize(K, cfg.replace(modes=2 * cfg.modes), initial=z)
+    caps = (capacity_from_lambda(lam, cfg.p), capacity_from_lambda(fine[0], cfg.p))
+    return caps, (4.0 * caps[1] - caps[0]) / 3.0, fine
+
+
 def _capacity_single(K_solve: ConvexBody, cfg: SolveConfig, smoothing: float | None,
                      initial: FourierLoop | None = None) -> CapacityResult:
     _origin_interior_check(K_solve, cfg.seed)
     lam, zstar, diagnostics = minimize(K_solve, cfg, initial=initial)
-    cap = capacity_from_lambda(lam, cfg.p)
-    grid = _default_grid(K_solve, cfg)
-    alpha, _ = euler_residual(K_solve, zstar, lam, cfg.p, grid)
-    carrier = to_carrier(K_solve, zstar, lam, alpha, cfg.p)
-
-    result = CapacityResult(
-        capacity=cap, lam=lam, p=cfg.p, modes=cfg.modes, grid=grid,
-        seed=cfg.seed, minimizer=zstar, alpha=alpha, carrier=carrier,
-        certificates=CertificateBundle(0, 0, 0, 0), per_start=diagnostics,
-        converged=True, smoothing=smoothing,
-    )
-    result.certificates = certify(K_solve, result)
-    winner = next(s for s in diagnostics if s.winner)
-    solver_ok = winner.converged or winner.grad_norm <= max(1e2 * cfg.grad_tol, 1e-8)
-    result.converged = solver_ok and result.certificates.worst() < 1e-2
+    result = _finish(K_solve, cfg, lam, zstar, diagnostics, smoothing)
 
     if cfg.stability_check:
         cfg2 = cfg.replace(modes=2 * cfg.modes, stability_check=False)
         lam2, _, _ = minimize(K_solve, cfg2, initial=zstar)
         cap2 = capacity_from_lambda(lam2, cfg2.p)
-        result.stability_drift = float(abs(cap2 - cap) / cap)
+        result.stability_drift = float(abs(cap2 - result.capacity) / result.capacity)
     return result
 
 
@@ -605,25 +637,16 @@ def _capacity_polytope_extrapolated(P: Polytope, cfg: SolveConfig) -> CapacityRe
     s_top = cfg.polytope_sharpness
     rungs = [s_top / 4.0, s_top / 2.0, s_top]
     mode_pair = (cfg.modes, 2 * cfg.modes)
+    bodies = [Smoothed(P, s) for s in rungs]
+    _origin_interior_check(bodies[-1], cfg.seed)
     warm: FourierLoop | None = None
     raw: dict[tuple[float, int], float] = {}
-    final: CapacityResult | None = None
-    for s in rungs:
-        K_s = Smoothed(P, s)
-        for modes in mode_pair:
-            cfg_run = cfg.replace(modes=modes, polytope_sharpness=s,
-                                  sharpness_extrapolate=False, stability_check=False)
-            if s == rungs[-1] and modes == mode_pair[-1]:
-                final = _capacity_single(K_s, cfg_run, smoothing=s, initial=warm)
-                warm = final.minimizer
-                raw[(s, modes)] = final.capacity
-            else:
-                lam, z, _ = minimize(K_s, cfg_run, initial=warm)
-                warm = z
-                raw[(s, modes)] = capacity_from_lambda(lam, cfg.p)
-    assert final is not None
-    rich = {s: (4.0 * raw[(s, mode_pair[1])] - raw[(s, mode_pair[0])]) / 3.0
-            for s in rungs}
+    rich: dict[float, float] = {}
+    for s, K_s in zip(rungs, bodies):
+        caps, rich[s], fine = _mode_pair(K_s, cfg, initial=warm)
+        raw[(s, mode_pair[0])], raw[(s, mode_pair[1])] = caps
+        warm = fine[1]
+    final = _finish(bodies[-1], cfg.replace(modes=mode_pair[1]), *fine, smoothing=s_top)
     c_inf = _aitken([rich[rungs[2]], rich[rungs[1]], rich[rungs[0]]])
     final.extrapolation = {
         "sharpness": rungs,

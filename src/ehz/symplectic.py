@@ -9,8 +9,6 @@ inherits its sign conventions from here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 
@@ -77,29 +75,3 @@ def random_symplectic(dim: int, seed: int = 0, magnitude: float = 0.5) -> np.nda
     A = rng.normal(scale=magnitude, size=(dim, dim))
     S = 0.5 * (A + A.T)
     return expm(J_matrix(dim) @ S)
-
-
-@dataclass(frozen=True)
-class SymplecticSpace:
-    """Fixes n and the coordinate convention for one ambient space R^{2n}."""
-
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-    def J(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1] != self.dim:
-            raise DimensionError(f"expected dimension {self.dim}, got {v.shape[-1]}")
-        return apply_J(v)
-
-    def form(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape[-1] != self.dim:
-            raise DimensionError(f"expected dimension {self.dim}, got {u.shape[-1]}")
-        return symplectic_form(u, v)
-
-    def random_symplectic(self, seed: int = 0, magnitude: float = 0.5) -> np.ndarray:
-        return random_symplectic(self.dim, seed=seed, magnitude=magnitude)

@@ -52,7 +52,7 @@ def test_acceptance_13_smoothed_polytopes(cache):
     assert rough and all(line.ok for line in rough), result.render()
 
 
-@pytest.mark.parametrize("field, value", [("memory", 3), ("armijo", 1e-2)])
+@pytest.mark.parametrize("field, value", [("max_iter", 400), ("polytope_sharpness", 32.0)])
 def test_cache_keys_on_every_config_field(field, value):
     # configs that differ in a single field must not share a cached solve
     from ehz.bodies import Ellipsoid

@@ -192,6 +192,12 @@ BAD_INPUTS = {
     "x-not-finite": (lambda b, t: ["intersect", b["ball4"], b["ball4"], "--x", "nan,0,0,0"],
                      "--x"),
     "seed-negative": (lambda b, t: ["capacity", b["ball4"], "--seed", "-1"], "seed"),
+    "design-negative": (lambda b, t: ["intersect", b["ball4"], b["ball4"], "--x", "0.1,0,0,0",
+                                      "--design", "-5"], "--design"),
+    "design-zero": (lambda b, t: ["intersect", b["ball4"], b["ball4"], "--x", "0.1,0,0,0",
+                                  "--design", "0"], "--design"),
+    "design-below-2dim": (lambda b, t: ["intersect", b["ball4"], b["ball4"], "--x",
+                                        "0.1,0,0,0", "--design", "4"], "--design"),
     "lam-outside": (lambda b, t: ["intersect", b["ball4"], b["ball4"], "--x", "0.1,0,0,0",
                                   "--lam", "2"], "lambda"),
     "radius-nan": (lambda b, t: ["capacity", _write(t, "r.json",

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ehz.bodies import Ball, Translate
+from ehz.bodies import Ball, Ellipsoid, Translate
+from ehz.harness import HarnessError
 from ehz.intersections import (DegenerateIntersectionError, build_intersection_body,
                                deep_point, direction_design, intersection_capacity,
                                intersection_concavity_check)
 from ehz.randbodies import random_general_ellipsoid
-from ehz.solver import SolveConfig
+from ehz.solver import SolveConfig, capacity_from_lambda, minimize
 
 LENS_AREA = 2 * math.pi / 3 - math.sqrt(3) / 2
 CFG2 = SolveConfig(modes=16, starts=2, grad_tol=1e-9, max_iter=2500)
@@ -52,6 +53,23 @@ def test_degenerate_intersection_rejected():
     with pytest.raises(DegenerateIntersectionError):
         build_intersection_body(disc, Translate(np.array([2.1, 0.0]), disc),
                                 design_size=256)
+
+
+@pytest.mark.parametrize("design_size", [-5, 0, 1, 7])
+def test_design_below_twice_the_dimension_rejected(design_size):
+    with pytest.raises(HarnessError, match="design_size"):
+        intersection_capacity(Ball(1.0, 4), Ball(1.0, 4), np.zeros(4), CFG4,
+                              design_size=design_size)
+
+
+def test_intersection_capacity_is_richardson_of_warm_mode_pair():
+    K, T, shift = Ball(1.0, 2), Ellipsoid([0.8]), np.array([0.3, -0.1])
+    cfg = SolveConfig(modes=6, starts=2)
+    body, _ = build_intersection_body(K, Translate(shift, T), design_size=64)
+    lam, z, _ = minimize(body, cfg)
+    lam2, _, _ = minimize(body, cfg.replace(modes=12), initial=z)
+    c, c2 = capacity_from_lambda(lam, cfg.p), capacity_from_lambda(lam2, cfg.p)
+    assert intersection_capacity(K, T, shift, cfg, design_size=64)[0] == (4.0 * c2 - c) / 3.0
 
 
 def test_lens_capacity_matches_analytic_area():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -197,8 +198,7 @@ def _minimize_one_start_at_a_time(K, cfg, initial=None):
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
     return disc, kcol, [lbfgs(fg_row, disc.pack(kcol * z.a, kcol * z.b), grad_tol=cfg.grad_tol,
-                              max_iter=cfg.max_iter, memory=cfg.memory, armijo=cfg.armijo)
-                        for z in starts]
+                              max_iter=cfg.max_iter) for z in starts]
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -448,6 +448,60 @@ def test_certify_flags_non_minimizer():
     assert c.support_const_cv > 0.05
 
 
+FINISH_BODIES = {
+    "ball": Ball(1.3, 4),
+    "psum": PSum(1.5, [Ball(1.0, 4), Ellipsoid([0.5, 2.0])]),
+    "smoothed": _smoothed_hexagon_pair(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINISH_BODIES))
+def test_finished_solve_evaluates_winner_samples_once(name, monkeypatch):
+    K = FINISH_BODIES[name]
+    seen = []
+    original = type(K).support_batch
+
+    def counting(self, U):
+        if self is K:
+            seen.append(np.array(U, copy=True))
+        return original(self, U)
+
+    monkeypatch.setattr(type(K), "support_batch", counting)
+    r = capacity(K, SolveConfig(modes=4, starts=4))
+    z = r.minimizer
+    dz = _Discretization(z.modes, z.dim, r.grid).velocity(z.a, z.b)
+    assert sum(U.shape == dz.shape and np.array_equal(U, dz) for U in seen) == 1
+
+
+def _pentagon():
+    angles = 2 * np.pi * np.arange(5) / 5 + 0.3
+    return Polytope(np.column_stack([np.cos(angles), 1.2 * np.sin(angles)]))
+
+
+def _finished(name):
+    """(body, result) with the result's lam and capacity those of its finishing solve."""
+    if name == "ladder":
+        cfg = SolveConfig(modes=6, starts=2, grad_tol=1e-9, max_iter=600,
+                          polytope_sharpness=32.0, sharpness_extrapolate=True)
+        r = capacity(_pentagon(), cfg)
+        # the certificates belong to the sharpest, finest solve, before the
+        # capacity is replaced by its extrapolation
+        winner = next(s for s in r.per_start if s.winner)
+        raw = dataclasses.replace(r, lam=winner.lam, capacity=r.extrapolation["capacity_raw"])
+        return Smoothed(_pentagon(), 32.0), raw
+    K = {"ellipsoid": Ellipsoid([1.0, 1.7]), **FINISH_BODIES}[name]
+    return K, capacity(K, SolveConfig(modes=4, starts=4))
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "psum", "smoothed", "ladder"])
+def test_certify_and_euler_residual_reproduce_the_finish_bitwise(name):
+    K, r = _finished(name)
+    assert certify(K, r).to_dict() == r.certificates.to_dict()
+    alpha, residual = euler_residual(K, r.minimizer, r.lam, r.p, r.grid)
+    assert np.array_equal(alpha, r.alpha)
+    assert residual == r.certificates.euler_residual_rel
+
+
 # -- smoothed polytope pipeline ----------------------------------------------------------
 
 def test_capacity_square_extrapolated_matches_area():
@@ -472,11 +526,11 @@ def test_capacity_polytope_raw_smoothed_upper_bound():
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.floats(allow_nan=True, allow_infinity=True),
-       modes=st.integers(-5, 40), grid=st.one_of(st.none(), st.integers(-3, 200)))
-def test_solve_config_rejects_out_of_range_fields(p, modes, grid):
-    valid = 1 < p < math.inf and modes >= 1 and (grid is None or grid >= 1)
+       modes=st.integers(-5, 40))
+def test_solve_config_rejects_out_of_range_fields(p, modes):
+    valid = 1 < p < math.inf and modes >= 1
     if valid:
-        SolveConfig(p=p, modes=modes, grid=grid)
+        SolveConfig(p=p, modes=modes)
     else:
         with pytest.raises(ValueError):
-            SolveConfig(p=p, modes=modes, grid=grid)
+            SolveConfig(p=p, modes=modes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ehz.symplectic import (DimensionError, J_matrix, SymplecticSpace, apply_J,
+from ehz.symplectic import (DimensionError, J_matrix, apply_J,
                             apply_J_inverse, random_symplectic, symplectic_form)
 
 
@@ -69,13 +69,3 @@ def test_random_symplectic_inverse_is_symplectic():
     J = J_matrix(6)
     assert np.max(np.abs(Minv.T @ J @ Minv - J)) <= 1e-10
     assert np.max(np.abs(M @ Minv - np.eye(6))) <= 1e-12
-
-
-def test_space_wrapper():
-    sp = SymplecticSpace(2)
-    assert sp.dim == 4
-    v = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(sp.J(v), apply_J(v))
-    assert sp.form(v, sp.J(v)) == pytest.approx(np.dot(v, v))
-    with pytest.raises(DimensionError):
-        sp.J(np.ones(6))
