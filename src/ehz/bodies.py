@@ -10,8 +10,16 @@ where the supremum is attained.
 
 Gauges ||x||_K = inf{r > 0 : x/r in K} are served analytically whenever a
 polar descriptor exists (ellipsoidal families and their linear images and
-scalings) and otherwise by maximizing <x, u>/h_K(u) over directions, which
-equals the gauge by polarity.
+scalings).  Otherwise the gauge is max_u <x, u>/h_K(u) by polarity, found by
+one L-BFGS run per point, and one start suffices: every local maximum of the
+ratio is global.  The ratio is quasi-concave on {<x, u> > 0}, since its
+superlevel sets {u : t h_K(u) <= <x, u>} are convex cones, so a local maximum
+that is not global could only sit on a plateau.  But at any local maximum u,
+stationarity puts x/ratio(u) in the face of K that u exposes, a boundary
+point, so ratio(u) is the gauge: on a plateau h_K(u) = <v, u> for a vertex v,
+and x/ratio(u) = v.  The maximizer is the outer normal of K at x/||x||_K;
+callers that know it (a closed characteristic knows it from its velocity)
+pass it as a warm start, and the run then stops within a few iterations.
 
 All evaluation entry points are batched over rows so that samplers and the
 capacity solver can amortize the tree walk.
@@ -27,12 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .optimize import batched_descent
+from .optimize import batched_descent, lbfgs_batch
 from .symplectic import DimensionError, check_even_dim
 
 
 class BodyError(ValueError):
     """Invalid body construction (dimension mismatch, origin not interior, ...)."""
+
+
+# Gradient sup-norm at which the iterative gauge's L-BFGS stops.  The value
+# error is second order in it, about 1e-14; a tighter stop grinds at the
+# roundoff floor and a looser one leaves errors near 1e-12.
+GAUGE_GRAD_TOL = 1e-7
 
 
 def _even_dim(dim: int) -> int:
@@ -111,26 +125,33 @@ class ConvexBody:
         """Analytic polar body, or None when only iterative gauges exist."""
         return None
 
-    def gauge_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, float]:
-        """Gauge values and gradients for points X; returns (vals, grads, analytic, tol)."""
+    def gauge_batch(self, X: np.ndarray, directions: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, bool, float]:
+        """Gauge values and gradients for points X; returns (vals, grads, analytic, tol).
+
+        `directions` optionally gives each row a warm start for the iterative
+        gauge: a guess of the outer normal of K at the boundary point on the
+        ray through x, up to a positive factor.  Bodies with an analytic polar
+        ignore it.  `tol` estimates the relative gauge error left (0 when
+        analytic).
+        """
         X = np.asarray(X, dtype=float)
+        if directions is not None:
+            directions = np.asarray(directions, dtype=float)
+            if directions.shape != X.shape:
+                raise BodyError(f"directions have shape {directions.shape}, "
+                                f"points have shape {X.shape}")
         polar = self.polar()
-        norms = np.linalg.norm(X, axis=1)
-        nz = norms > 0
+        nz = np.linalg.norm(X, axis=1) > 0
         vals = np.zeros(X.shape[0])
         grads = np.zeros_like(X)
-        if polar is not None:
-            if np.any(nz):
-                v, g = polar.support_batch(X[nz])
-                vals[nz] = v
-                grads[nz] = g
-            return vals, grads, True, 0.0
         tol = 0.0
-        if np.any(nz):
-            v, g, tol = _gauge_by_dual_ascent(self, X[nz])
-            vals[nz] = v
-            grads[nz] = g
-        return vals, grads, False, tol
+        if np.any(nz) and polar is not None:
+            vals[nz], grads[nz] = polar.support_batch(X[nz])
+        elif np.any(nz):
+            vals[nz], grads[nz], tol = _gauge_by_lbfgs(
+                self, X[nz], None if directions is None else directions[nz])
+        return vals, grads, polar is not None, tol
 
     def gauge(self, x: np.ndarray) -> float:
         return self.gauge_eval(x).value
@@ -560,59 +581,53 @@ class Smoothed(ConvexBody):
 # ---------------------------------------------------------------------------
 
 
-def _gauge_by_dual_ascent(body: ConvexBody, X: np.ndarray, restarts: int = 3,
-                          max_iter: int = 300) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gauge by maximizing <x, u>/h(u) over the direction sphere.
+def _gauge_by_lbfgs(body: ConvexBody, X: np.ndarray, U0: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gauge by maximizing <x, u>/h(u) over directions u, one L-BFGS run per row.
 
     By polarity the maximum equals ||x||_K and the maximizer u* yields the
-    gauge gradient u*/h(u*).  Multiple deterministic starts guard against
-    flat ridges on composite bodies.
-    """
-    B, d = X.shape
-    norms = np.linalg.norm(X, axis=1)
-    base = X / norms[:, None]
-    rng = np.random.default_rng(12345)
-    starts = [base]
-    for _ in range(restarts - 1):
-        jitter = rng.normal(size=(B, d))
-        cand = base + 0.3 * jitter
-        cand /= np.linalg.norm(cand, axis=1)[:, None]
-        flip = np.sum(cand * base, axis=1) < 0
-        cand[flip] = -cand[flip]
-        starts.append(cand)
-    U0 = np.vstack(starts)
-    Xrep = np.tile(X, (restarts, 1))
+    gauge gradient u*/h(u*); one start per row suffices (module docstring).
+    L-BFGS minimizes f(u) = log h(u) - log <x, u>, which is 0-homogeneous in
+    u and so needs no projection; directions with <x, u> <= 0 or h(u) <= 0
+    lie outside the domain and get +inf.  Each row carries its x as frozen
+    trailing coordinates with zero gradient, which L-BFGS never moves.
 
-    def neg_log_ratio(U):
-        dots = np.sum(Xrep * U, axis=1)
+    A row starts from its U0 row, normalized, when that is inside the
+    domain, and otherwise from x/|x|, which is inside whenever the origin is
+    interior to K.  The returned tolerance is the largest decrease of f (the
+    relative change of the gauge) made by a row's last iteration, floored at
+    1e-14.
+    """
+    d = X.shape[1]
+
+    def fg(Z):
+        U, Xz = Z[:, :d], Z[:, d:]
+        dots = np.sum(Xz * U, axis=1)
         h, grad_h = body.support_batch(U)
         bad = (dots <= 0) | (h <= 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            f = -(np.log(dots) - np.log(h))
-            g = -(Xrep / dots[:, None] - grad_h / h[:, None])
-        f = np.where(bad, np.inf, f)
-        g = np.where(bad[:, None], 0.0, g)
-        return f, g
+            f = np.log(h) - np.log(dots)
+            g = grad_h / h[:, None] - Xz / dots[:, None]
+        f[bad] = np.inf
+        g[bad] = 0.0
+        return f, np.hstack([g, np.zeros_like(Xz)])
 
-    def renorm(U):
-        n = np.linalg.norm(U, axis=1)
-        return U / np.where(n > 0, n, 1.0)[:, None]
-
-    u1, f1 = batched_descent(neg_log_ratio, U0, max_iter=max_iter // 2,
-                             grad_tol=1e-13, project=renorm)
-    best_u, best_f = batched_descent(neg_log_ratio, u1, max_iter=max_iter // 2,
-                                     grad_tol=1e-13, step0=0.02, project=renorm)
-    F = best_f.reshape(restarts, B)
-    Ustar = best_u.reshape(restarts, B, d)
-    pick = np.argmin(F, axis=0)
-    ustar = Ustar[pick, np.arange(B)]
-    h, _ = body.support_batch(ustar)
-    vals = np.sum(X * ustar, axis=1) / h
-    grads = ustar / h[:, None]
-    # achieved tolerance: relative improvement still seen in the second phase
-    improve = (f1 - best_f).reshape(restarts, B)[pick, np.arange(B)]
-    tol = float(max(np.max(improve, initial=0.0), 1e-14))
-    return vals, grads, tol
+    Z = np.hstack([X / np.linalg.norm(X, axis=1)[:, None], X])
+    cold = np.ones(X.shape[0], dtype=bool)
+    if U0 is not None:
+        norms = np.linalg.norm(U0, axis=1)
+        usable = np.isfinite(norms) & (norms > 0)
+        warm = Z.copy()
+        warm[usable, :d] = U0[usable] / norms[usable, None]
+        cold = ~np.isfinite(fg(warm)[0])
+        Z[~cold] = warm[~cold]
+    if np.any(cold) and not np.all(np.isfinite(fg(Z[cold])[0])):
+        raise BodyError("gauge undefined: the origin is not interior to the body")
+    runs = lbfgs_batch(fg, Z, grad_tol=GAUGE_GRAD_TOL)
+    ustar = np.array([r.x[:d] for r in runs])
+    vals = np.exp(-np.array([r.f for r in runs]))
+    grads = ustar * (vals / np.sum(X * ustar, axis=1))[:, None]
+    return vals, grads, max(max(r.decrease for r in runs), 1e-14)
 
 
 @dataclass

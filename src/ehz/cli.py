@@ -36,11 +36,17 @@ from .harness import (HarnessError, bm_check, directional_derivative, isoperimet
 from .intersections import intersection_concavity_check
 from .loops import write_loop_csv
 from .solver import SolveConfig, SolverError, capacity
-from .suite import run_suite
+from .suite import CRITERIA, run_suite
 
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one "error: ..." line naming the argument, like every other exit-2 path
+        self.exit(2, f"error: {message} (see '{self.prog} --help')\n")
 
 
 def parse_body_file(path: str) -> ConvexBody:
@@ -74,13 +80,21 @@ def _vector(text: str, dim: int, flag: str) -> np.ndarray:
     return vec
 
 
+# the SolveConfig field each solver flag sets
+_CONFIG_FLAGS = {"p": "--p", "modes": "--modes", "starts": "--starts", "seed": "--seed",
+                 "grad_tol": "--tol"}
+
+
 def _config(args, **overrides) -> SolveConfig:
     fields = dict(p=args.p, modes=args.modes, starts=args.starts, seed=args.seed,
                   grad_tol=args.tol) | overrides
-    try:
-        return SolveConfig(**fields)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    # each field is validated alone, so that the message can name its flag
+    for name, flag in _CONFIG_FLAGS.items():
+        try:
+            SolveConfig(**{name: fields[name]})
+        except ValueError as e:
+            raise UsageError(f"{flag}: {e}") from None
+    return SolveConfig(**fields)
 
 
 def _emit(args, payload: dict, csv_rows: list[list] | None = None) -> None:
@@ -217,6 +231,8 @@ def cmd_isoperimetric(args) -> int:
 def cmd_meanwidth(args) -> int:
     K = parse_body_file(args.body)
     cfg = _config(args)
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     if args.bound:
         report = mean_width_bound_check(K, cfg, samples=args.samples, seed=args.seed)
         return _report_exit(args, report)
@@ -232,6 +248,8 @@ def cmd_intersect(args) -> int:
     K, T = _pair(args)
     if args.design < 2 * K.dim:
         raise UsageError(f"--design must be at least 2*dim = {2 * K.dim}, got {args.design}")
+    if not 0 <= args.lam <= 1:
+        raise UsageError(f"--lam: the weight lambda must lie in [0, 1], got {args.lam}")
     x = _vector(args.x, K.dim, "--x")
     y = _vector(args.y, K.dim, "--y") if args.y else -x
     report = intersection_concavity_check(K, T, x, y, args.lam, _config(args),
@@ -242,12 +260,19 @@ def cmd_intersect(args) -> int:
 def cmd_derivative(args) -> int:
     K, T = _pair(args)
     schedule = tuple(_numbers(args.eps, "--eps"))
+    if not (all(0 < e < math.inf for e in schedule)
+            and all(a > b for a, b in zip(schedule, schedule[1:]))):
+        raise UsageError(f"--eps must be finite, positive and strictly decreasing, "
+                         f"got '{args.eps}'")
     report = directional_derivative(K, T, _config(args), schedule)
     return _report_exit(args, report)
 
 
 def cmd_suite(args) -> int:
     only = _numbers(args.only, "--only", int) if args.only else None
+    unknown = [n for n in only or () if n not in CRITERIA]
+    if unknown:
+        raise UsageError(f"--only: unknown criteria {unknown}; valid range is 1..{len(CRITERIA)}")
     results = run_suite(only)
     if args.out:
         with open(args.out, "w") as fh:
@@ -256,7 +281,7 @@ def cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ehz",
         description="EHZ capacity of convex bodies and its inequality harness")
     sub = parser.add_subparsers(dest="command", required=True)

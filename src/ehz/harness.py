@@ -286,8 +286,9 @@ def directional_derivative(K: ConvexBody, T: ConvexBody,
     one-sided derivative.
     """
     cfg = cfg or SolveConfig()
-    if any(e <= 0 for e in eps_schedule) or list(eps_schedule) != sorted(eps_schedule, reverse=True):
-        raise HarnessError("eps schedule must be positive and strictly decreasing")
+    if not (all(0 < e < math.inf for e in eps_schedule)
+            and all(a > b for a, b in zip(eps_schedule, eps_schedule[1:]))):
+        raise HarnessError("eps schedule must be finite, positive and strictly decreasing")
     r_K = capacity(K, cfg)
     r_T = capacity(T, cfg)
     sqrt_cK = math.sqrt(r_K.capacity)

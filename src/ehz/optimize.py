@@ -12,9 +12,9 @@ CURVATURE, and a stall exit after STALL_PATIENCE iterations without
 progress; callers set only the gradient tolerance and the iteration cap.
 
 `batched_descent` runs many small gradient descents in lockstep with per-row
-adaptive steps.  It is deliberately simple: the callers (directional gauge
-maximization, infimal convolution of support functions) have convex or
-benign landscapes and need throughput over asymptotic rate.
+adaptive steps.  It is deliberately simple; its one caller, the infimal
+convolution of support functions, has a convex landscape and needs
+throughput over asymptotic rate.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ class MinimizeResult:
     converged: bool
     status: str
     evaluations: int = 0
+    decrease: float = 0.0    # decrease of f made by the last iteration
 
 
 def _wolfe_search(x, f, g, d, slope, max_evals=60):
@@ -92,11 +93,12 @@ def _lbfgs_run(x0, grad_tol, max_iter):
     it = 0
     f_best = f
     stalled = 0
+    decrease = 0.0
 
     for it in range(1, max_iter + 1):
         gnorm = float(np.max(np.abs(g)))
         if gnorm <= grad_tol:
-            return MinimizeResult(x, f, gnorm, it - 1, True, "gradient")
+            return MinimizeResult(x, f, gnorm, it - 1, True, "gradient", decrease=decrease)
 
         # two-loop recursion
         q = g.copy()
@@ -137,6 +139,7 @@ def _lbfgs_run(x0, grad_tol, max_iter):
                 y_hist.pop(0)
                 rho_hist.pop(0)
 
+        decrease = f - f_new
         x, f, g = x_new, f_new, g_new
         if f < f_best - 1e-14 * (1.0 + abs(f_best)):
             f_best = f
@@ -148,7 +151,7 @@ def _lbfgs_run(x0, grad_tol, max_iter):
                 break
 
     gnorm = float(np.max(np.abs(g)))
-    return MinimizeResult(x, f, gnorm, it, gnorm <= grad_tol, status)
+    return MinimizeResult(x, f, gnorm, it, gnorm <= grad_tol, status, decrease=decrease)
 
 
 def lbfgs_batch(
@@ -165,7 +168,9 @@ def lbfgs_batch(
     takes exactly the steps it would take alone (see `lbfgs`), so the
     results do not depend on which other rows share the batch, provided
     fg_batch evaluates each row independently of the others.  Each result
-    records the number of objective evaluations its run made.
+    records the number of objective evaluations its run made and the
+    decrease of f made by its last iteration (0 for a run that stops at its
+    start).
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2:
@@ -222,16 +227,13 @@ def batched_descent(
     step0: float = 0.5,
     grow: float = 1.3,
     shrink: float = 0.5,
-    project: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize B independent objectives in lockstep.
 
     fg maps an (B, d) array to per-row values (B,) and gradients (B, d).
     Rows whose trial step fails (Armijo-free: any increase or non-finite
     value counts as failure) keep their old iterate and halve their step;
-    successful rows grow theirs.  If `project` is given, trial points are
-    projected before evaluation (used for sphere-constrained ascent).
-    Returns the best (x, f) seen per row.
+    successful rows grow theirs.  Returns the best (x, f) seen per row.
     """
     x = np.array(x0, dtype=float)
     f, g = fg(x)
@@ -244,8 +246,6 @@ def batched_descent(
         if not np.any(active):
             break
         trial = x - steps[:, None] * g
-        if project is not None:
-            trial = project(trial)
         f_t, g_t = fg(trial)
         ok = np.isfinite(f_t) & (f_t < f) & active
         x = np.where(ok[:, None], trial, x)

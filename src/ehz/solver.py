@@ -85,11 +85,13 @@ class SolveConfig:
         if self.modes < 1:
             raise ValueError(f"modes must be at least 1, got {self.modes}")
         if self.starts < 1:
-            raise ValueError("need at least one start")
+            raise ValueError(f"starts must be at least 1, got {self.starts}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.grad_tol > 0 or self.max_iter < 1:
-            raise ValueError("tolerances and iteration caps must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
     def replace(self, **kw) -> "SolveConfig":
         data = self.__dict__ | kw
@@ -98,7 +100,13 @@ class SolveConfig:
 
 @dataclass
 class CertificateBundle:
-    """How well a computed minimizer satisfies the optimality identities."""
+    """How well a computed minimizer satisfies the optimality identities.
+
+    `gauge_tol` estimates the relative error left in the gauge values behind
+    `boundary_residual`: 0 for bodies with an analytic polar, otherwise the
+    largest relative change that the last L-BFGS iteration of the gauge made
+    at any carrier sample, floored at 1e-14.
+    """
 
     euler_residual_rel: float
     support_const_cv: float
@@ -441,9 +449,13 @@ def to_carrier(K: ConvexBody, z: FourierLoop, lam: float, alpha: np.ndarray,
 
 def boundary_residual(K: ConvexBody, carrier: CarrierLoop,
                       N: int | None = None) -> tuple[float, float]:
-    """max_t |gauge_K(l(t)) - 1| on N samples, and the gauge's own tolerance."""
+    """max_t |gauge_K(l(t)) - 1| on N samples, and the gauge's own tolerance.
+
+    The carrier's velocity gives each sample's warm start for the gauge:
+    J^{-1} l'(t) is a positive multiple of z'(t), the outer normal at l(t).
+    """
     g = carrier.sample(N or 4 * carrier.loop.modes)
-    vals, _, _, gtol = K.gauge_batch(g.z)
+    vals, _, _, gtol = K.gauge_batch(g.z, apply_J_inverse(g.dz))
     return float(np.max(np.abs(vals - 1.0))), float(gtol)
 
 
@@ -460,13 +472,13 @@ def from_carrier(K: ConvexBody, carrier: CarrierLoop, p: float,
     N = N or max(4 * carrier.loop.modes, 32)
 
     def char_field(samples):
-        vals, grads, _, gtol = K.gauge_batch(samples.z)
-        W = (q * vals ** (q - 1.0))[:, None] * grads
-        return apply_J(W), gtol
+        # J^{-1} l' is the outer normal along a characteristic: the gauge's warm start
+        vals, grads, _, _ = K.gauge_batch(samples.z, apply_J_inverse(samples.dz))
+        return apply_J((q * vals ** (q - 1.0))[:, None] * grads)
 
     def fit(cand: CarrierLoop):
         g = cand.sample(N)
-        Jw, _ = char_field(g)
+        Jw = char_field(g)
         d = float(np.sum(g.dz * Jw) / np.sum(Jw * Jw))
         res = float(np.linalg.norm(g.dz - d * Jw) / max(np.linalg.norm(g.dz), 1e-300))
         return d, res, g, Jw

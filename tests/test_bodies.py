@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import minimize
+
 from ehz.bodies import (Ball, BodyError, Ellipsoid, GeneralEllipsoid, LinearImage,
                         MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate,
                         build_body, intersection_support)
+from ehz.randbodies import random_symmetric_polytope
 
 RNG = np.random.default_rng(2024)
 
@@ -372,7 +375,7 @@ def test_psum_gauge_iterative_matches_analytic_value():
     x = np.array([1.0, 0.0, 0.0, 0.0])
     ev = K.gauge_eval(x)
     assert not ev.analytic
-    assert ev.value == pytest.approx(1.0 / np.sqrt(2), abs=1e-6)
+    assert ev.value == pytest.approx(1.0 / np.sqrt(2), abs=1e-13)
     # sampled lower bound: sup over directions of <x,u>/h(u) cannot exceed the gauge
     U = random_directions(4, 2000)
     h, _ = K.support_batch(U)
@@ -387,6 +390,87 @@ def test_gauge_duality_roundtrip(K):
     for u in random_directions(4, 5):
         g = K.support(u).gradient
         assert K.gauge(g) == pytest.approx(1.0, abs=5e-7)
+
+
+def test_translated_ellipsoid_gauge_is_the_quadratic_root():
+    # x/r lies on the boundary of c + E = {y : (y - c)^T A (y - c) <= 1}, so
+    # r is the positive root of (x - r c)^T A (x - r c) = r^2
+    E = Ellipsoid([0.8, 1.5])
+    c = np.array([0.2, -0.1, 0.3, 0.25])
+    K = Translate(c, E)
+    A = np.diag(1.0 / np.repeat(E.radii**2, 2))
+    X = np.random.default_rng(5).normal(size=(12, 4))
+    vals, _, analytic, tol = K.gauge_batch(X)
+    assert not analytic and 1e-14 <= tol < 1e-9
+    for x, value in zip(X, vals):
+        roots = np.roots([c @ A @ c - 1.0, -2.0 * (x @ A @ c), x @ A @ x])
+        assert value == pytest.approx(max(roots.real), rel=1e-12)
+
+
+def _sampled_gauge(K, x, samples=20000, seed=0):
+    """max_u <x, u>/h(u): the best of sampled directions, polished by BFGS."""
+    U = random_directions(K.dim, samples, np.random.default_rng(seed))
+    h, _ = K.support_batch(U)
+    u0 = U[np.argmax(U @ x / h)]
+
+    def neg_log_ratio(u):
+        hu, gu = K.support_batch(u[None, :])
+        return np.log(hu[0]) - np.log(u @ x), gu[0] / hu[0] - x / (u @ x)
+
+    res = minimize(neg_log_ratio, u0, jac=True, method="BFGS", options={"gtol": 1e-12})
+    return max(float(np.max(U @ x / h)), math.exp(-res.fun))
+
+
+def test_smoothed_polytope_gauge_matches_sampled_polished_maximum():
+    K = random_symmetric_polytope(4, 3)
+    X = np.random.default_rng(11).normal(size=(4, 4))
+    vals = K.gauge_batch(X)[0]
+    for x, value in zip(X, vals):
+        reference = _sampled_gauge(K, x)
+        # the reference is a ratio at one direction, so it cannot exceed the gauge
+        assert value >= reference - 1e-12
+        assert value == pytest.approx(reference, rel=1e-9)
+
+
+GAUGE_BODIES = {
+    "psum": PSum(1.7, [Ball(1.0, 4), Ellipsoid([0.5, 2.0])]),
+    "minkowski": MinkowskiSum([Ellipsoid([1.0, 1.5]), Ball(0.5, 4)], [1.0, 0.7]),
+    "translate": Translate([0.1, 0.2, -0.1, 0.0], Ellipsoid([1.0, 2.0])),
+    "smoothed": random_symmetric_polytope(4, 7, sharpness=16.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_BODIES))
+def test_gauge_warm_and_cold_starts_agree(name):
+    K = GAUGE_BODIES[name]
+    X = np.random.default_rng(4).normal(size=(10, 4))
+    cold = K.gauge_batch(X)
+    # a warm start near the maximizing normal (the support direction of x/gauge)
+    normals = cold[1] + 0.05 * np.random.default_rng(6).normal(size=X.shape)
+    warm = K.gauge_batch(X, normals)
+    assert np.max(np.abs(warm[0] - cold[0]) / cold[0]) <= 1e-12
+    # negated rows leave the domain (<x, u> < 0) and fall back to x/|x|
+    flipped = K.gauge_batch(X, -cold[1])
+    assert np.max(np.abs(flipped[0] - cold[0]) / cold[0]) <= 1e-12
+
+
+def test_gauge_warm_start_at_the_normal_stops_at_once():
+    K = GAUGE_BODIES["minkowski"]
+    U = random_directions(4, 8, np.random.default_rng(2))
+    h, points = K.support_batch(U)
+    vals, grads, _, tol = K.gauge_batch(points, U)
+    assert np.max(np.abs(vals - 1.0)) <= 1e-14
+    assert tol == 1e-14  # no row moved, so the estimate sits at its floor
+    # the gauge gradient at a boundary point is its normal scaled by 1/h
+    assert np.allclose(grads, U / h[:, None], rtol=1e-13, atol=0.0)
+
+
+def test_gauge_rejects_a_body_without_interior_origin():
+    K = Translate([3.0, 0.0, 0.0, 0.0], PSum(2.0, [Ball(1.0, 4), Ball(1.0, 4)]))
+    with pytest.raises(BodyError, match="origin"):
+        K.gauge_batch(np.array([[-1.0, 0.0, 0.0, 0.0]]))
+    with pytest.raises(BodyError, match="shape"):
+        K.gauge_batch(np.ones((2, 4)), np.ones((3, 4)))
 
 
 def test_linear_image_gauge_analytic():

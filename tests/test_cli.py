@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehz.cli import main
 
@@ -221,3 +225,63 @@ def test_bad_input_exits_two_naming_the_field(case, bodies, tmp_path, capsys):
     assert main(argv(bodies, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+# -- the exit-code contract over generated command lines ---------------------------
+#
+# Each subcommand gets all its numeric flags; at most two of them take one of
+# the usual bad values and the rest a valid one, so that a bad value also
+# reaches the checks behind the argument parser.  Valid values keep a run
+# cheap (1 mode, 1 start, small sample and design counts); `suite --only` gets
+# no valid value, since a valid one runs a whole criterion.
+
+UNUSUAL = ("0", "-1", "nan", "inf", "-inf", "abc")
+SOLVER_FLAGS = {"--p": "2", "--modes": "1", "--starts": "1", "--seed": "3", "--tol": "1e-9"}
+GRAMMAR = {
+    "capacity": (("ball",), SOLVER_FLAGS),
+    "carrier": (("ball",), SOLVER_FLAGS),
+    "bm": (("ball", "ellipsoid"), SOLVER_FLAGS),
+    "isoperimetric": (("ellipsoid", "ball"), SOLVER_FLAGS),
+    "meanwidth": (("ball",), SOLVER_FLAGS | {"--samples": "500"}),
+    "intersect": (("ball", "ellipsoid"),
+                  SOLVER_FLAGS | {"--x": "0.1,0,0,0", "--y": "-0.1,0,0.05,0",
+                                  "--lam": "0.5", "--design": "8"}),
+    "derivative": (("ball", "ellipsoid"), SOLVER_FLAGS | {"--eps": "0.5,0.2"}),
+    "suite": ((), {"--only": None}),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    paths = {"out": str(d / "artifact")}
+    for name, doc in (("ball", {"type": "ball", "r": 1.0, "dim": 4}),
+                      ("ellipsoid", {"type": "ellipsoid", "radii": [0.9, 1.3]})):
+        paths[name] = str(d / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump(doc, fh)
+    return paths
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_exit_code_contract(contract_files, data):
+    command = data.draw(st.sampled_from(sorted(GRAMMAR)))
+    positional, flags = GRAMMAR[command]
+    argv = [command] + [contract_files[name] for name in positional]
+    if command != "suite":
+        argv.append(f"--out={contract_files['out']}")
+    unusual = {flag for flag, valid in flags.items() if valid is None}
+    unusual |= data.draw(st.sets(st.sampled_from(sorted(flags)), max_size=2), label="bad flags")
+    for flag, valid in flags.items():
+        value = data.draw(st.sampled_from(UNUSUAL), label=flag) if flag in unusual else valid
+        argv.append(f"{flag}={value}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        message = err.getvalue()
+        assert message.startswith("error: "), message
+        assert any(flag in message for flag in unusual), message
+

@@ -132,20 +132,3 @@ def test_batched_descent_independent_quadratics():
     x, f = batched_descent(fg, np.zeros((50, 3)), max_iter=300)
     assert np.max(np.abs(x - targets)) <= 1e-6
     assert np.max(f) <= 1e-10
-
-
-def test_batched_descent_with_projection():
-    # maximize <x, u> over the unit sphere per row: minimum of -<x, u>
-    rng = np.random.default_rng(1)
-    targets = rng.normal(size=(20, 4))
-
-    def fg(U):
-        return -np.sum(U * targets, axis=1), -targets * np.ones((20, 1))
-
-    def renorm(U):
-        return U / np.linalg.norm(U, axis=1)[:, None]
-
-    U0 = renorm(rng.normal(size=(20, 4)))
-    u, f = batched_descent(fg, U0, max_iter=400, project=renorm)
-    expected = renorm(targets)
-    assert np.max(np.linalg.norm(u - expected, axis=1)) <= 1e-5

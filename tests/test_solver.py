@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehz.bodies import (Ball, Ellipsoid, GeneralEllipsoid, LinearImage, Polytope,
-                        PSum, Scale, Smoothed, Translate)
+from ehz import bodies, optimize
+from ehz.bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
+                        MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
 from ehz.loops import CarrierLoop, FourierLoop, action, normalize_action, random_loop
 from ehz.optimize import lbfgs
 from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, _Discretization,
@@ -500,6 +501,35 @@ def test_certify_and_euler_residual_reproduce_the_finish_bitwise(name):
     alpha, residual = euler_residual(K, r.minimizer, r.lam, r.p, r.grid)
     assert np.array_equal(alpha, r.alpha)
     assert residual == r.certificates.euler_residual_rel
+
+
+WARM_GAUGE_BODIES = {
+    "psum": FINISH_BODIES["psum"],
+    "minkowski": MinkowskiSum([Ellipsoid([1.0, 1.5]), Ball(0.5, 4)], [1.0, 0.7]),
+    "translate": Translate([0.1, -0.2, 0.05, 0.1], Ellipsoid([1.0, 1.4])),
+    "smoothed": FINISH_BODIES["smoothed"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARM_GAUGE_BODIES))
+def test_carrier_gauges_start_from_the_carrier_normals(name, monkeypatch):
+    K = WARM_GAUGE_BODIES[name]
+    descents, warm = [], []
+    original = ConvexBody.gauge_batch
+
+    def spy(self, X, directions=None):
+        warm.append(directions is not None)
+        return original(self, X, directions)
+
+    monkeypatch.setattr(ConvexBody, "gauge_batch", spy)
+    for module in (bodies, optimize):
+        monkeypatch.setattr(module, "batched_descent",
+                            lambda *a, **k: descents.append(a) or (None, None))
+    r = capacity(K, SolveConfig(modes=4, starts=4))
+    assert r.certificates.gauge_tol > 0  # no analytic polar: the iterative gauge ran
+    from_carrier(K, r.carrier, r.p, fit_tol=1.0)
+    assert descents == []
+    assert warm and all(warm)
 
 
 # -- smoothed polytope pipeline ----------------------------------------------------------
