@@ -22,7 +22,7 @@ from .intersections import (SurrogateAudit, build_intersection_body,
 from .loops import CarrierLoop, FourierLoop, action, length_in_gauge, normalize_action, sample
 from .solver import (CapacityResult, CertificateBundle, SolveConfig, SolverError,
                      capacity, certify, euler_residual, from_carrier, minimize,
-                     objective, to_carrier)
+                     to_carrier)
 from .suite import run_suite
 from .symplectic import apply_J, apply_J_inverse, random_symplectic, symplectic_form
 
@@ -38,7 +38,7 @@ __all__ = [
     "CarrierLoop", "FourierLoop", "action", "length_in_gauge", "normalize_action", "sample",
     "CapacityResult", "CertificateBundle", "SolveConfig", "SolverError",
     "capacity", "certify", "euler_residual", "from_carrier", "minimize",
-    "objective", "to_carrier",
+    "to_carrier",
     "run_suite",
     "apply_J", "apply_J_inverse", "random_symplectic", "symplectic_form",
 ]

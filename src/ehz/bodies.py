@@ -58,11 +58,10 @@ def _even_dim(dim: int) -> int:
 
 @dataclass
 class SupportEval:
-    """Support value h_K(u), a support point, and whether it is a true gradient."""
+    """Support value h_K(u) and a support point (its gradient where h_K is smooth)."""
 
     value: float
     gradient: np.ndarray
-    smooth: bool
 
 
 @dataclass
@@ -110,10 +109,7 @@ class ConvexBody:
         if not np.any(u):
             raise BodyError("support direction must be nonzero")
         vals, grads = self.support_batch(u[None, :])
-        return SupportEval(float(vals[0]), grads[0], self._smooth_at(u))
-
-    def _smooth_at(self, u: np.ndarray) -> bool:
-        return self.is_smooth
+        return SupportEval(float(vals[0]), grads[0])
 
     @property
     def is_smooth(self) -> bool:
@@ -307,11 +303,6 @@ class Polytope(ConvexBody):
     def is_smooth(self) -> bool:
         return False
 
-    def _smooth_at(self, u) -> bool:
-        R = self.vertices @ u
-        top = np.max(R)
-        return int(np.sum(R >= top - 1e-12 * max(abs(top), 1.0))) == 1
-
     def recipe(self):
         return {"type": "polytope", "vertices": self.vertices.tolist()}
 
@@ -357,9 +348,6 @@ class PSum(ConvexBody):
     def is_smooth(self) -> bool:
         return all(t.is_smooth for t in self.terms)
 
-    def _smooth_at(self, u) -> bool:
-        return all(t._smooth_at(u) for t in self.terms)
-
     def recipe(self):
         return {"type": "psum", "p": self.p, "terms": [t.recipe() for t in self.terms]}
 
@@ -400,9 +388,6 @@ class MinkowskiSum(ConvexBody):
     def is_smooth(self) -> bool:
         return all(t.is_smooth for w, t in zip(self.weights, self.terms) if w > 0)
 
-    def _smooth_at(self, u) -> bool:
-        return all(t._smooth_at(u) for w, t in zip(self.weights, self.terms) if w > 0)
-
     def recipe(self):
         return {"type": "minkowski", "terms": [t.recipe() for t in self.terms],
                 "weights": self.weights.tolist()}
@@ -428,9 +413,6 @@ class LinearImage(ConvexBody):
     @property
     def is_smooth(self) -> bool:
         return self.body.is_smooth
-
-    def _smooth_at(self, u) -> bool:
-        return self.body._smooth_at(self.matrix.T @ u)
 
     def polar(self):
         inner = self.body.polar()
@@ -461,9 +443,6 @@ class Translate(ConvexBody):
     def is_smooth(self) -> bool:
         return self.body.is_smooth
 
-    def _smooth_at(self, u) -> bool:
-        return self.body._smooth_at(u)
-
     def recipe(self):
         return {"type": "translate", "vector": self.vector.tolist(), "body": self.body.recipe()}
 
@@ -485,9 +464,6 @@ class Scale(ConvexBody):
     @property
     def is_smooth(self) -> bool:
         return self.body.is_smooth
-
-    def _smooth_at(self, u) -> bool:
-        return self.body._smooth_at(u)
 
     def polar(self):
         inner = self.body.polar()
@@ -706,14 +682,6 @@ def intersection_support(K: ConvexBody, T: ConvexBody, u: np.ndarray,
 # ---------------------------------------------------------------------------
 # recipe documents
 # ---------------------------------------------------------------------------
-
-_LEAF_KEYS = {
-    "ball": {"r", "dim"},
-    "ellipsoid": {"radii"},
-    "general_ellipsoid": {"Q"},
-    "polytope": {"vertices"},
-}
-
 
 def build_body(document: dict, path: str = "body") -> ConvexBody:
     """Validate a recipe document and build the immutable descriptor tree.

@@ -202,7 +202,7 @@ def _report_exit(args, report) -> int:
     payload["config"] = _resolved(args)
     _emit(args, payload, csv_rows=[["name", "lhs", "rhs", "deficit", "pass"],
                                    report.csv_row()])
-    return 0 if report.passed else 1
+    return 0 if report.all_ok() else 1
 
 
 def _pair(args) -> tuple[ConvexBody, ConvexBody]:

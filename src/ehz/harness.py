@@ -241,7 +241,7 @@ def isoperimetric_check(K: ConvexBody, T: ConvexBody, cfg: SolveConfig | None = 
     r_K = capacity(K, cfg)
     r_T = capacity(T, cfg)
     N = max(4 * r_K.carrier.loop.modes, 64)
-    length = length_in_gauge(r_K.carrier, T, N, mode="J_inverse")
+    length = length_in_gauge(r_K.carrier, T, N)
     lhs = length**2
     rhs = 4.0 * r_K.capacity * r_T.capacity
     slack = slack_rel * abs(rhs)
@@ -294,7 +294,7 @@ def directional_derivative(K: ConvexBody, T: ConvexBody,
     sqrt_cK = math.sqrt(r_K.capacity)
     bound = 2.0 * math.sqrt(r_K.capacity * r_T.capacity)
     N = max(4 * r_K.carrier.loop.modes, 64)
-    length = length_in_gauge(r_K.carrier, T, N, mode="J_inverse")
+    length = length_in_gauge(r_K.carrier, T, N)
     upper_sqrt = length / (2.0 * sqrt_cK)
 
     rows = []

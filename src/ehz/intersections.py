@@ -21,11 +21,19 @@ from scipy.optimize import linprog
 
 from .bodies import ConvexBody, Polytope, Scale, Smoothed, Translate, intersection_support_batch
 from .harness import HarnessError, InequalityReport, _meta, _report
-from .solver import SolveConfig, _mode_pair
+from .solver import SolveConfig, _mode_chain, _richardson, capacity_from_lambda
 
 
 class DegenerateIntersectionError(HarnessError):
     """The intersection is empty or has (numerically) no interior."""
+
+
+# Sharpness of the surrogate's Smoothed hull, size of the accuracy audit's
+# direction design, and the inradius below which an intersection counts as
+# degenerate.
+SURROGATE_SHARPNESS = 1024.0
+AUDIT_SIZE = 128
+MIN_DEPTH = 1e-6
 
 
 def direction_design(dim: int, count: int, seed: int = 0) -> np.ndarray:
@@ -68,9 +76,7 @@ class SurrogateAudit:
 
 
 def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 1024,
-                            sharpness: float = 1024.0, seed: int = 0,
-                            audit_size: int = 128,
-                            min_depth: float = 1e-6) -> tuple[ConvexBody, SurrogateAudit]:
+                            seed: int = 0) -> tuple[ConvexBody, SurrogateAudit]:
     """Smoothed inner-hull surrogate for K cap T, recentred at a deep point.
 
     The support points of the intersection are the common support points of
@@ -90,9 +96,9 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
     U = direction_design(d, design_size, seed)
     vals, splits, _, _ = intersection_support_batch(K, T, U)
     x0, depth = deep_point(U, vals)
-    if depth <= min_depth:
+    if depth <= MIN_DEPTH:
         raise DegenerateIntersectionError(
-            f"intersection depth {depth:.3g} below {min_depth:g}")
+            f"intersection depth {depth:.3g} below {MIN_DEPTH:g}")
 
     # support point of the intersection: gradient of the active split side
     _, grad_K = K.support_batch(splits)
@@ -110,14 +116,14 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
     scale = float(np.median(np.linalg.norm(vertices, axis=1)))
     grid = max(1e-4 * scale, 1e-12)
     vertices = np.unique(np.round(vertices / grid).astype(np.int64), axis=0) * grid
-    surrogate = Smoothed(Polytope(vertices), sharpness)
+    surrogate = Smoothed(Polytope(vertices), SURROGATE_SHARPNESS)
 
     centered_true = vals - U @ x0
     h_s, _ = surrogate.support_batch(U)
     rho = float(np.mean(h_s / centered_true))
     body = Scale(1.0 / rho, surrogate)
 
-    W = direction_design(d, audit_size, seed + 1)
+    W = direction_design(d, AUDIT_SIZE, seed + 1)
     true_vals, _, _, _ = intersection_support_batch(K, T, W)
     true_centered = true_vals - W @ x0
     approx, _ = body.support_batch(W)
@@ -125,7 +131,7 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
     audit = SurrogateAudit(
         max_rel_error=float(np.max(rel)),
         mean_rel_error=float(np.mean(rel)),
-        directions=audit_size, design_size=U.shape[0],
+        directions=AUDIT_SIZE, design_size=U.shape[0],
         vertex_count=int(vertices.shape[0]), depth=depth, calibration=rho,
     )
     return body, audit
@@ -133,8 +139,7 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
 
 def intersection_capacity(K: ConvexBody, T: ConvexBody, shift: np.ndarray,
                           cfg: SolveConfig | None = None, design_size: int = 1024,
-                          sharpness: float = 1024.0, seed: int = 0
-                          ) -> tuple[float, SurrogateAudit]:
+                          seed: int = 0) -> tuple[float, SurrogateAudit]:
     """Capacity of K cap (shift + T) through the smoothed surrogate.
 
     The sharp surrogate needs modes beyond the configured count to resolve;
@@ -143,16 +148,15 @@ def intersection_capacity(K: ConvexBody, T: ConvexBody, shift: np.ndarray,
     """
     cfg = cfg or SolveConfig()
     body, audit = build_intersection_body(K, Translate(np.asarray(shift, dtype=float), T),
-                                          design_size, sharpness, seed)
-    _, c, _ = _mode_pair(body, cfg)
-    return c, audit
+                                          design_size, seed)
+    c, c2 = (capacity_from_lambda(lam, cfg.p) for lam, _, _ in _mode_chain(body, cfg, None, 2))
+    return _richardson(c, c2), audit
 
 
 def intersection_concavity_check(K: ConvexBody, T: ConvexBody, x: np.ndarray,
                                  y: np.ndarray, lam: float,
                                  cfg: SolveConfig | None = None,
                                  design_size: int = 1024,
-                                 sharpness: float = 1024.0,
                                  slack_rel: float = 1e-3,
                                  seed: int = 0) -> InequalityReport:
     """Concavity of sqrt-capacity along translated intersections:
@@ -174,8 +178,7 @@ def intersection_concavity_check(K: ConvexBody, T: ConvexBody, x: np.ndarray,
     caps = {}
     audits = {}
     for label, shift in (("A", x), ("B", y), ("C", mid)):
-        caps[label], audit = intersection_capacity(K, T, shift, cfg, design_size,
-                                                   sharpness, seed)
+        caps[label], audit = intersection_capacity(K, T, shift, cfg, design_size, seed)
         audits[label] = audit.to_dict()
 
     sA, sB, sC = (math.sqrt(caps[k]) for k in "ABC")
@@ -195,4 +198,4 @@ def intersection_concavity_check(K: ConvexBody, T: ConvexBody, x: np.ndarray,
             "ok": bool(caps["A"] <= caps["C"] * (1 + slack_rel) + slack),
         }
     return _report("intersection-concavity", lhs, rhs, lhs - rhs, slack,
-                   witnesses, _meta(cfg, design=design_size, sharpness=sharpness))
+                   witnesses, _meta(cfg, design=design_size, sharpness=SURROGATE_SHARPNESS))

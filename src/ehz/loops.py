@@ -207,34 +207,24 @@ def resample_by_clock(carrier: CarrierLoop, speed: np.ndarray, modes: int | None
     return CarrierLoop(offset, FourierLoop(a, b))
 
 
-def length_in_gauge(loop: FourierLoop | CarrierLoop, T: ConvexBody, N: int,
-                    mode: str = "plain", rel_tol: float = 1e-6) -> float:
-    """Length of the loop measured against the body T.
-
-    mode "plain"      : int ||z'(t)||_T dt  (gauge of the velocity)
-    mode "J_inverse"  : int h_T(J^{-1} z'(t)) dt, the length in the gauge of
-                        J T polar; this is the integrand of the isoperimetric
-                        bound.
+def length_in_gauge(loop: FourierLoop | CarrierLoop, T: ConvexBody, N: int) -> float:
+    """int h_T(J^{-1} z'(t)) dt: the length of the loop in the gauge of J T
+    polar, the integrand of the isoperimetric bound.
 
     Trapezoidal quadrature at N nodes, accepted only if doubling the grid
-    moves the value by less than rel_tol (the integrand of a smooth loop on
-    a smooth body is smooth and periodic, so agreement is fast).
+    moves the value by less than 1e-6 relative (the integrand of a smooth
+    loop on a smooth body is smooth and periodic, so agreement is fast).
     """
     if loop.dim != T.dim:
         raise LoopError(f"loop dimension {loop.dim} does not match body dimension {T.dim}")
 
     def quad(n: int) -> float:
         g = loop.sample(n) if isinstance(loop, CarrierLoop) else sample(loop, n)
-        if mode == "plain":
-            vals, _, _, _ = T.gauge_batch(g.dz)
-        elif mode == "J_inverse":
-            vals, _ = T.support_batch(apply_J_inverse(g.dz))
-        else:
-            raise ValueError(f"unknown mode '{mode}'")
+        vals, _ = T.support_batch(apply_J_inverse(g.dz))
         return float(np.mean(vals) * 2 * np.pi)
 
     coarse, fine = quad(N), quad(2 * N)
-    if abs(fine - coarse) > rel_tol * max(abs(fine), 1e-30):
+    if abs(fine - coarse) > 1e-6 * max(abs(fine), 1e-30):
         raise LoopError(
             f"quadrature did not settle (N={N}: {coarse:.12g}, 2N: {fine:.12g}); "
             "the integrand may be non-smooth, increase N")

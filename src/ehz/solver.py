@@ -61,7 +61,7 @@ class SolveConfig:
     starts                 multistart count: planar circles, then perturbed ones
     seed                   seed of the perturbed starts and the origin check
     grad_tol, max_iter     L-BFGS gradient tolerance and iteration cap
-    stability_check        re-solve at 2M modes and report the relative drift
+    stability_check        solve one mode doubling further; report the relative drift
     polytope_sharpness     sharpness s of the Smoothed wrapper of a raw polytope
     sharpness_extrapolate  solve raw polytopes on the ladder s/4, s/2, s
 
@@ -239,29 +239,6 @@ class _Discretization:
         return K.support_batch(self.velocity(z.a, z.b))
 
 
-def objective(K: ConvexBody, loop: FourierLoop, p: float,
-              N: int | None = None) -> tuple[float, np.ndarray]:
-    """I_p(z) = int h_K^p(z') dt by trapezoid, with its coefficient gradient.
-
-    The gradient is packed as (a.ravel, b.ravel); it is exact for the
-    discretized integral (chain rule through the velocity samples).
-    """
-    if K.dim != loop.dim:
-        raise SolverError(f"body dimension {K.dim} does not match loop dimension {loop.dim}")
-    if not K.is_smooth:
-        raise SolverError("support gradient unavailable for non-smooth bodies; wrap in Smoothed")
-    disc = _Discretization(loop.modes, loop.dim, N or 4 * loop.modes)
-    h, gh = disc.support(K, loop)
-    if np.any(h < 0):
-        raise SolverError("support is negative in some direction; origin must be interior")
-    w = TWO_PI / disc.N
-    value = float(w * np.sum(h**p))
-    G = (p * h ** (p - 1.0))[:, None] * gh
-    da = -w * (disc.KS.T @ G)
-    db = w * (disc.KC.T @ G)
-    return value, disc.pack(da, db)
-
-
 def _quotient_fg(K: ConvexBody, disc: _Discretization, p: float):
     """log of the scale-invariant quotient and its gradient, batched over rows.
 
@@ -353,8 +330,10 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
 
     lambda is 2 pi times the minimal quotient; the minimizer is returned with
     action exactly 1 (up to roundoff).  The winning start is the lowest
-    quotient, ties broken by start index.  An `initial` loop (e.g. a warm
-    start from a nearby body) is prepended to the standard starts.
+    quotient among the usable starts, ties broken by start index; when no
+    start is usable the lowest quotient of all wins, and the finishing step
+    reports the result unconverged.  An `initial` loop (e.g. a warm start
+    from a nearby body) is prepended to the standard starts.
     """
     if isinstance(K, Polytope):
         raise SolverError("raw polytopes are not smooth; wrap in Smoothed or use capacity()")
@@ -362,37 +341,31 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
         raise SolverError("body support is not differentiable; capacity needs a smooth body")
     disc = _Discretization(cfg.modes, K.dim, _default_grid(K, cfg))
     fg = _quotient_fg(K, disc, cfg.p)
-    diagnostics: list[StartDiagnostics] = []
-    best: tuple[float, FourierLoop, int] | None = None
     kcol = np.arange(1, cfg.modes + 1, dtype=float)[:, None]
     starts = _starts(K, cfg)
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
     theta0 = np.stack([disc.pack(kcol * start.a, kcol * start.b) for start in starts])
     results = lbfgs_batch(fg, theta0, grad_tol=cfg.grad_tol, max_iter=cfg.max_iter)
-    for i, res in enumerate(results):
-        lam_i = TWO_PI * math.exp(res.f)
-        diagnostics.append(StartDiagnostics(i, lam_i, res.grad_norm, res.iterations,
-                                            res.converged, res.status, res.evaluations))
-        # a stall at the roundoff floor or a small-gradient iteration cap is
-        # the numerical floor of a stationary point; the certificates grade
-        # the winner's quality downstream
-        usable = (res.converged or res.status in ("line_search", "stall")
-                  or res.grad_norm <= max(1e3 * cfg.grad_tol, 1e-6))
-        av, bv = disc.unpack(res.x)
+    diagnostics = [StartDiagnostics(i, TWO_PI * math.exp(res.f), res.grad_norm, res.iterations,
+                                    res.converged, res.status, res.evaluations)
+                   for i, res in enumerate(results)]
+    # a stall at the roundoff floor or a small-gradient iteration cap is the
+    # numerical floor of a stationary point; the certificates grade the
+    # winner's quality downstream
+    usable = [i for i, res in enumerate(results)
+              if res.converged or res.status in ("line_search", "stall")
+              or res.grad_norm <= max(1e3 * cfg.grad_tol, 1e-6)]
+    winner = None
+    for i in usable or range(len(results)):
         # quotients within a relative 1e-9 band count as ties, which the
         # earliest start wins (degenerate minimizers, e.g. every plane of a
         # ball, would otherwise be picked by roundoff noise)
-        if usable and (best is None or lam_i < best[0] * (1.0 - 1e-9)):
-            best = (lam_i, FourierLoop(av / kcol, bv / kcol), i)
-    if best is None:
-        lead = min(diagnostics, key=lambda s: s.lam)
-        raise SolverError(
-            f"no start converged (best quotient lambda={lead.lam:.6g}, "
-            f"gradient norm {lead.grad_norm:.3g})")
-    lam, zstar, winner = best
+        if winner is None or diagnostics[i].lam < diagnostics[winner].lam * (1.0 - 1e-9):
+            winner = i
     diagnostics[winner].winner = True
-    return lam, normalize_action(zstar), diagnostics
+    av, bv = disc.unpack(results[winner].x)
+    return diagnostics[winner].lam, normalize_action(FourierLoop(av / kcol, bv / kcol)), diagnostics
 
 
 # exponents p' of the capacity cross-check c = pi^2 [mean h_K^{p'}(z')]^{2/p'}
@@ -585,7 +558,7 @@ def _aitken(caps: list[float]) -> float:
     r = d1 / d0 if d0 != 0 else 0.0
     if 0.0 < r < 0.9:
         return caps[0] - d1 * r / (1.0 - r)
-    return (4.0 * caps[0] - caps[1]) / 3.0
+    return _richardson(caps[1], caps[0])
 
 
 def _finish(K: ConvexBody, cfg: SolveConfig, lam: float, zstar: FourierLoop,
@@ -611,28 +584,35 @@ def _finish(K: ConvexBody, cfg: SolveConfig, lam: float, zstar: FourierLoop,
     )
 
 
-def _mode_pair(K: ConvexBody, cfg: SolveConfig, initial: FourierLoop | None = None):
-    """Solves at M = cfg.modes and 2M modes, the second warm-started from the first.
+def _mode_chain(K: ConvexBody, cfg: SolveConfig, initial: FourierLoop | None,
+                levels: int) -> list[tuple[float, FourierLoop, list[StartDiagnostics]]]:
+    """`minimize` results at M = cfg.modes, 2M, 4M, ... (`levels` of them).
 
-    Returns (c_M, c_2M), the Richardson value (4 c_2M - c_M)/3, which removes
-    the leading mode-truncation error, and the 2M `minimize` result.
+    Each level is warm-started from the previous level's minimizer, the
+    first from `initial`.  Every mode refinement of a capacity comes from
+    this one chain: the (M, 2M) Richardson value, and the drift of
+    `stability_check`, which compares each value with its chain's next level.
     """
-    lam, z, _ = minimize(K, cfg, initial=initial)
-    fine = minimize(K, cfg.replace(modes=2 * cfg.modes), initial=z)
-    caps = (capacity_from_lambda(lam, cfg.p), capacity_from_lambda(fine[0], cfg.p))
-    return caps, (4.0 * caps[1] - caps[0]) / 3.0, fine
+    chain = []
+    for level in range(levels):
+        chain.append(minimize(K, cfg.replace(modes=cfg.modes << level), initial=initial))
+        initial = chain[-1][1]
+    return chain
+
+
+def _richardson(coarse: float, fine: float) -> float:
+    """(4 fine - coarse)/3: removes the leading error of a second-order
+    method from values at h and h/2 (M and 2M modes)."""
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _capacity_single(K_solve: ConvexBody, cfg: SolveConfig, smoothing: float | None,
                      initial: FourierLoop | None = None) -> CapacityResult:
     _origin_interior_check(K_solve, cfg.seed)
-    lam, zstar, diagnostics = minimize(K_solve, cfg, initial=initial)
-    result = _finish(K_solve, cfg, lam, zstar, diagnostics, smoothing)
-
+    chain = _mode_chain(K_solve, cfg, initial, 2 if cfg.stability_check else 1)
+    result = _finish(K_solve, cfg, *chain[0], smoothing)
     if cfg.stability_check:
-        cfg2 = cfg.replace(modes=2 * cfg.modes, stability_check=False)
-        lam2, _, _ = minimize(K_solve, cfg2, initial=zstar)
-        cap2 = capacity_from_lambda(lam2, cfg2.p)
+        cap2 = capacity_from_lambda(chain[1][0], cfg.p)
         result.stability_drift = float(abs(cap2 - result.capacity) / result.capacity)
     return result
 
@@ -640,41 +620,43 @@ def _capacity_single(K_solve: ConvexBody, cfg: SolveConfig, smoothing: float | N
 def _capacity_polytope_extrapolated(P: Polytope, cfg: SolveConfig) -> CapacityResult:
     """Sharpness-ladder solve with per-rung mode Richardson.
 
-    Rungs s/4, s/2, s are solved at modes M and 2M each (warm-started along
-    the ladder); (4 c_{2M} - c_M)/3 removes the leading mode-truncation
-    error, and Aitken extrapolation across the rungs removes the O(1/s)
-    smoothing bias.  The reported carrier and certificates come from the
-    sharpest, finest solve; the reported capacity is the extrapolated one.
+    Rungs s/4, s/2, s are solved at modes M and 2M each (the ladder warm
+    starts each rung from the previous rung's 2M minimizer); Richardson
+    removes the leading mode-truncation error, and Aitken extrapolation
+    across the rungs removes the O(1/s) smoothing bias.  The reported
+    carrier and certificates come from the sharpest, finest solve; the
+    reported capacity is the extrapolated one.  With `stability_check` each
+    rung's chain goes on to 4M, and the drift compares the same
+    extrapolation from the (2M, 4M) pairs.
     """
     s_top = cfg.polytope_sharpness
     rungs = [s_top / 4.0, s_top / 2.0, s_top]
-    mode_pair = (cfg.modes, 2 * cfg.modes)
+    mode_pair = [cfg.modes, 2 * cfg.modes]
     bodies = [Smoothed(P, s) for s in rungs]
     _origin_interior_check(bodies[-1], cfg.seed)
     warm: FourierLoop | None = None
-    raw: dict[tuple[float, int], float] = {}
-    rich: dict[float, float] = {}
-    for s, K_s in zip(rungs, bodies):
-        caps, rich[s], fine = _mode_pair(K_s, cfg, initial=warm)
-        raw[(s, mode_pair[0])], raw[(s, mode_pair[1])] = caps
-        warm = fine[1]
-    final = _finish(bodies[-1], cfg.replace(modes=mode_pair[1]), *fine, smoothing=s_top)
-    c_inf = _aitken([rich[rungs[2]], rich[rungs[1]], rich[rungs[0]]])
+    caps: list[list[float]] = []   # per rung, the capacities at M, 2M (, 4M)
+    for K_s in bodies:
+        chain = _mode_chain(K_s, cfg, warm, 3 if cfg.stability_check else 2)
+        caps.append([capacity_from_lambda(lam, cfg.p) for lam, _, _ in chain])
+        warm = chain[1][1]
+    final = _finish(bodies[-1], cfg.replace(modes=mode_pair[1]), *chain[1], smoothing=s_top)
+    rich = [_richardson(c[0], c[1]) for c in caps]
+    c_inf = _aitken(rich[::-1])
     final.extrapolation = {
         "sharpness": rungs,
-        "modes": list(mode_pair),
-        "raw": {f"s={s:g},M={m}": c for (s, m), c in raw.items()},
-        "mode_richardson": {f"s={s:g}": c for s, c in rich.items()},
-        "capacity_raw": raw[(s_top, mode_pair[1])],
+        "modes": mode_pair,
+        "raw": {f"s={s:g},M={m}": c for s, c_s in zip(rungs, caps)
+                for m, c in zip(mode_pair, c_s)},
+        "mode_richardson": {f"s={s:g}": r for s, r in zip(rungs, rich)},
+        "capacity_raw": caps[-1][1],
     }
     final.capacity = c_inf
     final.lam = lambda_from_capacity(c_inf, cfg.p)
     final.modes = cfg.modes
-
     if cfg.stability_check:
-        cfg2 = cfg.replace(modes=2 * cfg.modes, stability_check=False)
-        again = _capacity_polytope_extrapolated(P, cfg2)
-        final.stability_drift = float(abs(again.capacity - c_inf) / c_inf)
+        again = _aitken([_richardson(c[1], c[2]) for c in caps][::-1])
+        final.stability_drift = float(abs(again - c_inf) / c_inf)
     return final
 
 
@@ -686,8 +668,9 @@ def capacity(K: ConvexBody, cfg: SolveConfig | None = None,
     config); with `sharpness_extrapolate` the sharpness ladder {s/4, s/2, s}
     is solved with mode Richardson per rung and the capacity extrapolated,
     which removes most of the smoothing bias.  With `stability_check` the
-    solve is repeated at twice the mode count and the relative drift
-    recorded.  An `initial` loop warm-starts the minimization.
+    mode chain goes one level further (2M, or 4M on the ladder) and the
+    relative drift of the capacity against that level is recorded.  An
+    `initial` loop warm-starts the minimization.
     """
     cfg = cfg or SolveConfig()
     if isinstance(K, Polytope):

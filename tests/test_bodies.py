@@ -107,7 +107,6 @@ def test_ball_support_example():
     ev = K.support(np.array([1.0, 0.0, 0.0, 0.0]))
     assert ev.value == pytest.approx(2.0)
     assert np.allclose(ev.gradient, [2.0, 0.0, 0.0, 0.0])
-    assert ev.smooth
 
 
 def test_ellipsoid_axis_support():
@@ -281,7 +280,6 @@ def test_smoothed_kernel_rows_with_no_positive_product():
 def test_polytope_tie_breaking_lowest_index():
     square = Polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]])
     ev = square.support(np.array([1.0, 0.0]))  # vertices 0 and 1 tie
-    assert not ev.smooth
     assert np.allclose(ev.gradient, [1, 1])
 
 

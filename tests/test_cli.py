@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehz.cli import main
+from ehz.harness import InequalityReport
 
 
 @pytest.fixture
@@ -140,6 +141,20 @@ def test_derivative_command(bodies, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["passed"]
+
+
+@pytest.mark.parametrize("command, check, witness", [
+    ("isoperimetric", "isoperimetric_check", "chain_ok"),
+    ("derivative", "directional_derivative", "monotone"),
+    ("derivative", "directional_derivative", "sqrt_upper_ok"),
+])
+def test_report_exit_judges_the_auxiliary_witnesses(command, check, witness, bodies,
+                                                    monkeypatch, capsys):
+    # the deficit test passes but an auxiliary witness fails: exit 1
+    report = InequalityReport("stub", 1.0, 1.0, 0.0, 1e-3, True, {witness: False})
+    monkeypatch.setattr(f"ehz.cli.{check}", lambda *a, **k: report)
+    assert main([command, bodies["ball4"], bodies["ball4"]]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"]
 
 
 def test_suite_single_criterion(capsys):

@@ -118,19 +118,17 @@ def test_phase_shift_preserves_image_and_action():
 
 def test_length_in_gauge_unit_circle():
     gamma = unit_circle()
-    assert length_in_gauge(gamma, Ball(1.0, 2), 16, "J_inverse") == pytest.approx(2 * np.pi, rel=1e-12)
-    # support of the radius-2 ball doubles the J_inverse length; the gauge halves it
-    assert length_in_gauge(gamma, Ball(2.0, 2), 16, "J_inverse") == pytest.approx(4 * np.pi, rel=1e-12)
-    assert length_in_gauge(gamma, Ball(2.0, 2), 16, "plain") == pytest.approx(np.pi, rel=1e-10)
+    assert length_in_gauge(gamma, Ball(1.0, 2), 16) == pytest.approx(2 * np.pi, rel=1e-12)
+    # the support of the radius-2 ball doubles the length
+    assert length_in_gauge(gamma, Ball(2.0, 2), 16) == pytest.approx(4 * np.pi, rel=1e-12)
 
 
 def test_length_scales_linearly_in_the_loop():
     gamma = unit_circle(dim=4)
     s = 2.3
-    for mode in ("plain", "J_inverse"):
-        l1 = length_in_gauge(gamma, Ball(1.0, 4), 32, mode)
-        l2 = length_in_gauge(gamma.scaled(s), Ball(1.0, 4), 32, mode)
-        assert l2 == pytest.approx(s * l1, rel=1e-10)
+    l1 = length_in_gauge(gamma, Ball(1.0, 4), 32)
+    l2 = length_in_gauge(gamma.scaled(s), Ball(1.0, 4), 32)
+    assert l2 == pytest.approx(s * l1, rel=1e-10)
 
 
 def test_carrier_loop_offset_does_not_change_action():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehz import bodies, optimize
+from ehz import bodies, optimize, solver
 from ehz.bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
                         MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
 from ehz.loops import CarrierLoop, FourierLoop, action, normalize_action, random_loop
@@ -14,7 +14,7 @@ from ehz.optimize import lbfgs
 from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, _Discretization,
                         _default_grid, _quotient_fg, _starts, capacity, capacity_from_lambda,
                         certify, euler_residual, from_carrier, lambda_from_capacity,
-                        minimize, objective, to_carrier)
+                        minimize, to_carrier)
 from ehz.symplectic import apply_J, random_symplectic
 
 BALL4 = Ball(1.0, 4)
@@ -47,19 +47,30 @@ def test_conversion_ball_values():
     assert lambda_from_capacity(np.pi, 3.0) == pytest.approx(2.0 / np.sqrt(np.pi), rel=1e-15)
 
 
-# -- objective -------------------------------------------------------------------
+# -- quotient objective -----------------------------------------------------------
+
+def _quotient_at(K, z, p):
+    """`_quotient_fg` on the 4M grid, and z as one of its rows: the velocity
+    coefficients (k a_k, k b_k)."""
+    disc = _Discretization(z.modes, z.dim, 4 * z.modes)
+    kcol = np.arange(1, z.modes + 1, dtype=float)[:, None]
+    return _quotient_fg(K, disc, p), disc.pack(kcol * z.a, kcol * z.b)
+
+
+def _quotient_lambda(K, z, p):
+    fg, theta = _quotient_at(K, z, p)
+    return 2 * np.pi * math.exp(fg(theta[None, :])[0][0])
+
 
 def test_objective_ball_analytic_value():
-    z = action_one_circle(dim=4)
-    value, grad = objective(BALL4, z, 2.0)
-    assert value == pytest.approx(2.0, rel=1e-12)
+    assert _quotient_lambda(BALL4, action_one_circle(dim=4), 2.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_objective_scales_with_radius():
+    # lambda = 2 r^2 at the action-1 circle
     z = action_one_circle(dim=4)
     for r in (0.5, 3.0):
-        value, _ = objective(Ball(r, 4), z, 2.0)
-        assert value == pytest.approx(2.0 * r * r, rel=1e-12)
+        assert _quotient_lambda(Ball(r, 4), z, 2.0) == pytest.approx(2.0 * r * r, rel=1e-12)
 
 
 @pytest.mark.parametrize("body,p", [
@@ -69,29 +80,14 @@ def test_objective_scales_with_radius():
     (Translate(np.array([0.1, 0.0, 0.2, 0.0]), Ball(1.0, 4)), 1.5),
 ])
 def test_objective_gradient_matches_finite_differences(body, p):
-    rng = np.random.default_range = np.random.default_rng(42)
-    z = random_loop(4, 4, rng, decay=1.5)
-    value, grad = objective(body, z, p)
-    theta = np.concatenate([z.a.ravel(), z.b.ravel()])
-    fd = np.zeros_like(theta)
+    z = normalize_action(random_loop(4, 4, np.random.default_rng(42), decay=1.5))
+    fg, theta = _quotient_at(body, z, p)
+    F, G = fg(theta[None, :])
+    assert np.isfinite(F[0])
     h = 1e-6
-    for i in range(theta.size):
-        tp, tm = theta.copy(), theta.copy()
-        tp[i] += h
-        tm[i] -= h
-        m = z.modes * z.dim
-        vp, _ = objective(body, FourierLoop(tp[:m].reshape(z.modes, z.dim),
-                                            tp[m:].reshape(z.modes, z.dim)), p)
-        vm, _ = objective(body, FourierLoop(tm[:m].reshape(z.modes, z.dim),
-                                            tm[m:].reshape(z.modes, z.dim)), p)
-        fd[i] = (vp - vm) / (2 * h)
-    assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
-
-
-def test_objective_rejects_raw_polytope():
-    P = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
-    with pytest.raises(SolverError, match="Smoothed"):
-        objective(P, circle_loop(), 2.0)
+    steps = h * np.eye(theta.size)
+    fd = (fg(theta + steps)[0] - fg(theta - steps)[0]) / (2 * h)
+    assert np.linalg.norm(fd - G[0]) <= 1e-5 * max(1.0, np.linalg.norm(G[0]))
 
 
 # -- minimize ---------------------------------------------------------------------
@@ -120,7 +116,7 @@ def test_minimize_ball_p3():
 
 def test_minimize_nonsmooth_rejected():
     P = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="Smoothed"):
         minimize(P, FAST)
 
 
@@ -291,6 +287,32 @@ def test_capacity_stability_check_ellipsoid():
     r = capacity(Ellipsoid([1.0, 2.0]), SolveConfig(modes=8, starts=2, stability_check=True))
     assert r.stability_drift is not None
     assert r.stability_drift <= 1e-6
+
+
+def test_single_body_drift_is_the_next_level_of_the_mode_chain():
+    K = PSum(2.5, [Ball(1.0, 4), Ellipsoid([1.0, 2.0])])
+    cfg = SolveConfig(modes=6, starts=2)
+    r = capacity(K, cfg.replace(stability_check=True))
+    lam, z, _ = minimize(K, cfg)
+    lam2, _, _ = minimize(K, cfg.replace(modes=12), initial=z)
+    c, c2 = capacity_from_lambda(lam, cfg.p), capacity_from_lambda(lam2, cfg.p)
+    assert r.capacity == c
+    assert r.stability_drift == abs(c2 - c) / c > 0
+
+
+def test_minimize_without_a_usable_start_returns_an_unconverged_winner():
+    V = np.random.default_rng(3).normal(size=(6, 4))
+    K = Smoothed(Polytope(np.vstack([V, -V])), 16.0)
+    cfg = SolveConfig(modes=8, starts=4)
+    lam, zstar, diags = minimize(K, cfg)
+    # every start hits the iteration cap short of the usable gradient norm
+    assert all(d.status == "max_iter" and d.grad_norm > 1e-6 for d in diags)
+    winner = next(d for d in diags if d.winner)
+    assert lam == winner.lam == pytest.approx(0.577612, rel=1e-6)
+    assert all(winner.lam <= d.lam * (1 + 1e-9) for d in diags)
+    assert action(zstar) == pytest.approx(1.0, rel=1e-12)
+    r = capacity(K, cfg)
+    assert r.lam == lam and not r.converged
 
 
 def test_capacity_origin_not_interior_rejected():
@@ -543,6 +565,47 @@ def test_capacity_square_extrapolated_matches_area():
     assert r.capacity == pytest.approx(4.0, rel=1.5e-3)
     # raw smoothed capacity overshoots the polygon area
     assert r.extrapolation["capacity_raw"] > 4.0
+
+
+def _spied_ladder(monkeypatch, stability_check):
+    """A small pentagon ladder, with the (modes, capacity) of every `minimize`
+    call and the number of finishing steps."""
+    solves, finishes = [], []
+    minimize_, finish_ = solver.minimize, solver._finish
+
+    def spy_minimize(K, cfg, initial=None):
+        out = minimize_(K, cfg, initial=initial)
+        solves.append((cfg.modes, capacity_from_lambda(out[0], cfg.p)))
+        return out
+
+    monkeypatch.setattr(solver, "minimize", spy_minimize)
+    monkeypatch.setattr(solver, "_finish", lambda *a, **k: finishes.append(1) or finish_(*a, **k))
+    cfg = SolveConfig(modes=6, starts=2, grad_tol=1e-9, max_iter=600, polytope_sharpness=32.0,
+                      sharpness_extrapolate=True, stability_check=stability_check)
+    return capacity(_pentagon(), cfg), solves, len(finishes)
+
+
+def test_ladder_stability_check_extends_the_same_mode_chain(monkeypatch):
+    plain, solves, finishes = _spied_ladder(monkeypatch, False)
+    assert ([m for m, _ in solves], finishes) == ([6, 12] * 3, 1)
+    checked, solves, finishes = _spied_ladder(monkeypatch, True)
+    assert ([m for m, _ in solves], finishes) == ([6, 12, 24] * 3, 1)
+    # the drift is the same extrapolation one level up each rung's chain
+    fine = [solver._richardson(solves[i + 1][1], solves[i + 2][1]) for i in (6, 3, 0)]
+    c = plain.capacity
+    assert plain.stability_drift is None
+    assert checked.stability_drift == abs(solver._aitken(fine) - c) / c
+    # and the check changes nothing else
+    assert (checked.capacity, checked.lam, checked.modes, checked.grid) == \
+        (plain.capacity, plain.lam, plain.modes, plain.grid)
+    assert checked.extrapolation == plain.extrapolation
+    assert checked.per_start == plain.per_start
+    assert checked.certificates.to_dict() == plain.certificates.to_dict()
+    assert np.array_equal(checked.alpha, plain.alpha)
+    assert np.array_equal(checked.carrier.offset, plain.carrier.offset)
+    for loop_a, loop_b in ((checked.minimizer, plain.minimizer),
+                           (checked.carrier.loop, plain.carrier.loop)):
+        assert np.array_equal(loop_a.a, loop_b.a) and np.array_equal(loop_a.b, loop_b.b)
 
 
 def test_capacity_polytope_raw_smoothed_upper_bound():
