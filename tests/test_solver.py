@@ -90,6 +90,14 @@ def test_objective_gradient_matches_finite_differences(body, p):
     assert np.linalg.norm(fd - G[0]) <= 1e-5 * max(1.0, np.linalg.norm(G[0]))
 
 
+def test_objective_rejects_raw_polytope():
+    # the quotient is only minimized on smooth bodies: a raw polytope is
+    # refused before any start, even a warm one, is evaluated
+    P = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+    with pytest.raises(SolverError, match="Smoothed"):
+        minimize(P, FAST, initial=circle_loop())
+
+
 # -- minimize ---------------------------------------------------------------------
 
 def test_minimize_ball_lambda_two():
@@ -116,8 +124,11 @@ def test_minimize_ball_p3():
 
 def test_minimize_nonsmooth_rejected():
     P = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
-    with pytest.raises(SolverError, match="Smoothed"):
+    with pytest.raises(SolverError):
         minimize(P, FAST)
+    # a non-smooth body that is not itself a raw polytope
+    with pytest.raises(SolverError, match="not differentiable"):
+        minimize(PSum(2.0, [Ball(1.0, 2), P]), FAST)
 
 
 # -- batched quotient and lockstep multistarts ------------------------------------
