@@ -19,7 +19,6 @@ wall-clock metadata goes to a sidecar file, never into the artifact.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math

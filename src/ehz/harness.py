@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
-                     MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
+                     MinkowskiSum, Polytope, PSum, Scale, Translate)
 from .loops import length_in_gauge
-from .solver import CapacityResult, SolveConfig, capacity
+from .solver import SolveConfig, capacity
 
 
 class HarnessError(RuntimeError):

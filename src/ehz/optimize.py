@@ -10,6 +10,12 @@ explicit constraints.  The quasi-Newton constants are fixed: MEMORY
 curvature pairs, the Wolfe parameters ARMIJO (sufficient decrease) and
 CURVATURE, and a stall exit after STALL_PATIENCE iterations without
 progress; callers set only the gradient tolerance and the iteration cap.
+The line search gives up once its bracket in t is narrower than the
+resolution of x along the search direction, EPS * |x|_inf / |d|_inf: a
+narrower step moves no coordinate by more than the roundoff of the largest,
+so Armijo would pass or fail on roundoff in f.  At the roundoff floor of a
+minimization, a hopeless search then ends after about
+log2(|d|_inf / (EPS |x|_inf)) trials instead of bisecting t down to 1e-16.
 
 `batched_descent` runs many small gradient descents in lockstep with per-row
 adaptive steps.  It is deliberately simple; its one caller, the infimal
@@ -19,6 +25,7 @@ throughput over asymptotic rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,6 +35,7 @@ MEMORY = 10
 ARMIJO = 1e-4
 CURVATURE = 0.9
 STALL_PATIENCE = 30
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -52,28 +60,32 @@ def _wolfe_search(x, f, g, d, slope, max_evals=60):
     valleys instead of creeping.  Non-finite trial values (domain guard)
     count as Armijo failures.  Returns (t, f_t, g_t), falling back to the
     best Armijo-feasible point seen when the bracket collapses; t = 0 means
-    total failure.
+    total failure.  The bracket [lo, hi] collapses at a width of
+    max(1e-16 * max(1, hi), EPS * |x|_inf / |d|_inf): below the second term
+    a trial moves x by less than the roundoff of its largest coordinate, so
+    no further trial can tell a real decrease from roundoff in f.
     """
-    lo, hi = 0.0, np.inf
+    lo, hi = 0.0, math.inf
     t = 1.0
     best = (0.0, f, g)
+    resolution = EPS * np.abs(x).max() / np.abs(d).max()
     for _ in range(max_evals):
         x_t = x + t * d
         f_t, g_t = yield x_t
-        if not np.isfinite(f_t) or f_t > f + ARMIJO * t * slope:
+        if not math.isfinite(f_t) or f_t > f + ARMIJO * t * slope:
             hi = t  # overshot: no sufficient decrease
         else:
             if f_t < best[1]:
                 best = (t, f_t, g_t)
-            dd = np.dot(g_t, d)
+            dd = g_t.dot(d)
             if dd < CURVATURE * slope:
                 lo = t  # still descending steeply: the minimum lies farther out
             elif dd > -CURVATURE * slope:
                 hi = t  # slope already turned positive: overshot the minimum
             else:
                 return t, f_t, g_t
-        t = 2.0 * lo if np.isinf(hi) else 0.5 * (lo + hi)
-        if np.isfinite(hi) and hi - lo <= 1e-16 * max(1.0, hi):
+        t = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        if hi < math.inf and hi - lo <= max(1e-16 * max(1.0, hi), resolution):
             break
     return best
 
@@ -83,7 +95,7 @@ def _lbfgs_run(x0, grad_tol, max_iter):
     is sent back (f, g), and returns its MinimizeResult."""
     x = np.asarray(x0, dtype=float).copy()
     f, g = yield x
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise ValueError("lbfgs started outside the objective domain")
 
     s_hist: list[np.ndarray] = []
@@ -96,7 +108,7 @@ def _lbfgs_run(x0, grad_tol, max_iter):
     decrease = 0.0
 
     for it in range(1, max_iter + 1):
-        gnorm = float(np.max(np.abs(g)))
+        gnorm = float(np.abs(g).max())
         if gnorm <= grad_tol:
             return MinimizeResult(x, f, gnorm, it - 1, True, "gradient", decrease=decrease)
 
@@ -104,22 +116,22 @@ def _lbfgs_run(x0, grad_tol, max_iter):
         q = g.copy()
         alphas = []
         for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * np.dot(s, q)
+            a = rho * s.dot(q)
             alphas.append(a)
             q -= a * y
         if y_hist:
             y_last = y_hist[-1]
-            gamma = np.dot(s_hist[-1], y_last) / np.dot(y_last, y_last)
+            gamma = s_hist[-1].dot(y_last) / y_last.dot(y_last)
             q *= gamma
         for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            b = rho * np.dot(y, q)
+            b = rho * y.dot(q)
             q += s * (a - b)
         d = -q
 
-        slope = np.dot(g, d)
+        slope = g.dot(d)
         if slope >= 0:  # bad direction, fall back to steepest descent
             d = -g
-            slope = -np.dot(g, g)
+            slope = -g.dot(g)
 
         step, f_new, g_new = yield from _wolfe_search(x, f, g, d, slope)
         if step == 0.0:
@@ -129,8 +141,8 @@ def _lbfgs_run(x0, grad_tol, max_iter):
 
         s = x_new - x
         y = g_new - g
-        sy = np.dot(s, y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        sy = s.dot(y)
+        if sy > 1e-12 * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
             s_hist.append(s)
             y_hist.append(y)
             rho_hist.append(1.0 / sy)
@@ -150,7 +162,7 @@ def _lbfgs_run(x0, grad_tol, max_iter):
                 status = "stall"
                 break
 
-    gnorm = float(np.max(np.abs(g)))
+    gnorm = float(np.abs(g).max())
     return MinimizeResult(x, f, gnorm, it, gnorm <= grad_tol, status, decrease=decrease)
 
 
@@ -209,7 +221,9 @@ def lbfgs(
     status "stall": grinding at the roundoff floor costs many line-search
     evaluations per step and cannot improve the iterate.  Other exits are
     "gradient" (converged), "line_search" (no acceptable step) and
-    "max_iter".
+    "max_iter".  A line search fails once its bracket is narrower than the
+    resolution of x along the direction (see `_wolfe_search`), so that a
+    "line_search" exit at the roundoff floor does not bisect t down to 1e-16.
     """
     def fg_batch(X):
         f, g = fg(X[0])

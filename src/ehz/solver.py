@@ -144,7 +144,10 @@ class StartDiagnostics:
     iterations: int
     converged: bool
     status: str              # L-BFGS exit: gradient, stall, line_search or max_iter
-    evaluations: int         # objective evaluations of this start
+    # objective evaluations of this start.  A line_search exit's last, failed
+    # search stops once its steps no longer move the coefficients by more
+    # than roundoff, so it costs fewer than a bisection of the step to 1e-16.
+    evaluations: int
     winner: bool = False
 
 

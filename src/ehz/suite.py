@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
-                     MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
-from .harness import (bm_check, capacity_area_2d, directional_derivative,
-                      equality_certificate, isoperimetric_check, mean_width,
-                      mean_width_bound_check, _phase_aligned_residual)
+                     MinkowskiSum, Polytope, PSum, Scale, Translate)
+from .harness import (bm_check, directional_derivative, equality_certificate,
+                      isoperimetric_check, mean_width, mean_width_bound_check,
+                      _phase_aligned_residual)
 from .intersections import intersection_capacity, intersection_concavity_check
 from .loops import FourierLoop, action
 from .randbodies import (random_body, random_ellipsoid, random_general_ellipsoid,

@@ -1,0 +1,44 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ehz"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module-level imports of tree, with their line."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _read(tree: ast.AST) -> set[str]:
+    """Names tree reads, including those inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                names |= _read(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = {name: line for name, line in _imported(tree).items() if name not in _read(tree)}
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_the_scan_sees_string_annotations_and_flags_dead_imports():
+    tree = ast.parse("import csv\nfrom .a import B, C\ndef f(x: 'B') -> None: pass\n")
+    assert {n for n in _imported(tree) if n not in _read(tree)} == {"csv", "C"}

@@ -51,6 +51,25 @@ def test_lbfgs_stalls_out_quickly_at_roundoff_floor():
     assert res.x[0] == pytest.approx(0.3, abs=1e-6)
 
 
+def test_line_search_stops_once_steps_no_longer_move_x():
+    # a kink at a large x0 with a small reported slope: every step that moves
+    # x raises f, so the search must fail, and it must give up once x + t*d
+    # stops moving x by an ulp instead of bisecting t down to 1e-16
+    x0 = np.array([1000.0, -1000.0])
+    slope = np.array([1e-8, 0.0])
+
+    def fg(x):
+        if np.array_equal(x, x0):
+            return 1.0, slope
+        return 1.0 + np.sum(np.abs(x - x0)), np.sign(x - x0)
+
+    res = lbfgs(fg, x0.copy(), grad_tol=1e-10)
+    ratio = np.max(np.abs(slope)) / (np.finfo(float).eps * np.max(np.abs(x0)))
+    assert res.status == "line_search"
+    assert res.evaluations <= int(np.ceil(np.log2(ratio))) + 4
+    assert np.array_equal(res.x, x0) and res.f == 1.0
+
+
 # Six objectives behind one batched fg: rows 0-2 are Rosenbrock valleys of
 # growing steepness, rows 3-5 quadratics of growing condition number.  The
 # last coordinate of a point names its objective; its gradient is zero, so
