@@ -9,10 +9,9 @@ isoperimetric, mean-width, directional-derivative and intersection
 corollaries.
 """
 
-from .bodies import (Ball, BodyError, ConvexBody, Ellipsoid, GaugeEval,
-                     GeneralEllipsoid, LinearImage, MinkowskiSum, Polytope, PSum,
-                     Scale, Smoothed, SupportEval, Translate, build_body,
-                     intersection_support)
+from .bodies import (Ball, BodyError, ConvexBody, Ellipsoid, GeneralEllipsoid,
+                     LinearImage, MinkowskiSum, Polytope, PSum, Scale, Smoothed,
+                     Translate, build_body)
 from .harness import (AsymmetricBodyError, HarnessError, InequalityReport,
                       MeanWidthEstimate, bm_check, capacity_area_2d,
                       directional_derivative, equality_certificate,
@@ -27,9 +26,9 @@ from .suite import run_suite
 from .symplectic import apply_J, apply_J_inverse, random_symplectic, symplectic_form
 
 __all__ = [
-    "Ball", "BodyError", "ConvexBody", "Ellipsoid", "GaugeEval", "GeneralEllipsoid",
+    "Ball", "BodyError", "ConvexBody", "Ellipsoid", "GeneralEllipsoid",
     "LinearImage", "MinkowskiSum", "Polytope", "PSum", "Scale", "Smoothed",
-    "SupportEval", "Translate", "build_body", "intersection_support",
+    "Translate", "build_body",
     "AsymmetricBodyError", "HarnessError", "InequalityReport", "MeanWidthEstimate",
     "bm_check", "capacity_area_2d", "directional_derivative", "equality_certificate",
     "isoperimetric_check", "mean_width", "mean_width_bound_check",

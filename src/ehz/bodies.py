@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import math
 import json
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -54,24 +53,6 @@ def _even_dim(dim: int) -> int:
         return check_even_dim(dim)
     except DimensionError as e:
         raise BodyError(str(e)) from None
-
-
-@dataclass
-class SupportEval:
-    """Support value h_K(u) and a support point (its gradient where h_K is smooth)."""
-
-    value: float
-    gradient: np.ndarray
-
-
-@dataclass
-class GaugeEval:
-    """Gauge value with its gradient and the evaluation route taken."""
-
-    value: float
-    gradient: np.ndarray
-    analytic: bool
-    tol: float
 
 
 def _finite_array(x, name: str) -> np.ndarray:
@@ -102,15 +83,6 @@ class ConvexBody:
         """Support values (B,) and support points (B, dim) for directions U."""
         raise NotImplementedError
 
-    def support(self, u: np.ndarray) -> SupportEval:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise BodyError(f"direction has shape {u.shape}, body dimension is {self.dim}")
-        if not np.any(u):
-            raise BodyError("support direction must be nonzero")
-        vals, grads = self.support_batch(u[None, :])
-        return SupportEval(float(vals[0]), grads[0])
-
     @property
     def is_smooth(self) -> bool:
         return True
@@ -122,8 +94,8 @@ class ConvexBody:
         return None
 
     def gauge_batch(self, X: np.ndarray, directions: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, bool, float]:
-        """Gauge values and gradients for points X; returns (vals, grads, analytic, tol).
+                    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """Gauge values and gradients for points X; returns (vals, grads, tol).
 
         `directions` optionally gives each row a warm start for the iterative
         gauge: a guess of the outer normal of K at the boundary point on the
@@ -147,17 +119,7 @@ class ConvexBody:
         elif np.any(nz):
             vals[nz], grads[nz], tol = _gauge_by_lbfgs(
                 self, X[nz], None if directions is None else directions[nz])
-        return vals, grads, polar is not None, tol
-
-    def gauge(self, x: np.ndarray) -> float:
-        return self.gauge_eval(x).value
-
-    def gauge_eval(self, x: np.ndarray) -> GaugeEval:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise BodyError(f"point has shape {x.shape}, body dimension is {self.dim}")
-        vals, grads, analytic, tol = self.gauge_batch(x[None, :])
-        return GaugeEval(float(vals[0]), grads[0], analytic, tol)
+        return vals, grads, tol
 
     # -- plumbing ------------------------------------------------------------
 
@@ -606,19 +568,13 @@ def _gauge_by_lbfgs(body: ConvexBody, X: np.ndarray, U0: np.ndarray | None = Non
     return vals, grads, max(max(r.decrease for r in runs), 1e-14)
 
 
-@dataclass
-class InfimalConvolution:
-    """Result of a directional support query on an intersection."""
-
-    value: float
-    split: np.ndarray
-    gap: float
-    converged: bool
+# Steps of each of the infimal convolution's two descent phases, a coarse one
+# from step 0.25 and a fine one from step 0.05.
+_INFCONV_PHASE_ITER = 200
 
 
-def intersection_support_batch(K: ConvexBody, T: ConvexBody, U: np.ndarray,
-                               tol: float = 1e-9, max_iter: int = 400
-                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def intersection_support_batch(K: ConvexBody, T: ConvexBody, U: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
     """Support of K cap T at each row of U via infimal convolution.
 
     h_{K cap T}(u) = inf_{w} h_K(w) + h_T(u - w).  The objective is convex
@@ -626,8 +582,7 @@ def intersection_support_batch(K: ConvexBody, T: ConvexBody, U: np.ndarray,
     (the endpoints are nudged off the support-function kinks at 0) and the
     exact endpoint values h_T(u), h_K(u) join the final minimum.
 
-    Returns (values, splits, gaps, converged) where `gaps` estimates the
-    residual decrease still available and `splits` the minimizing w.
+    Returns (values, splits): the support values and the minimizing splits w.
     """
     if K.dim != T.dim:
         raise BodyError(f"dimension mismatch: {K.dim} vs {T.dim}")
@@ -642,18 +597,13 @@ def intersection_support_batch(K: ConvexBody, T: ConvexBody, U: np.ndarray,
         vT, gT = T.support_batch(Urep - W)
         return vK + vT, gK - gT
 
-    scale = np.linalg.norm(U, axis=1)
-    w1, f1 = batched_descent(fg, W0, max_iter=max_iter // 2, grad_tol=1e-13,
-                             step0=0.25)
-    w2, f2 = batched_descent(fg, w1, max_iter=max_iter - max_iter // 2,
-                             grad_tol=1e-13, step0=0.05)
-    improve = (f1 - f2).reshape(3, B)
+    w1, _ = batched_descent(fg, W0, max_iter=_INFCONV_PHASE_ITER, grad_tol=1e-13, step0=0.25)
+    w2, f2 = batched_descent(fg, w1, max_iter=_INFCONV_PHASE_ITER, grad_tol=1e-13, step0=0.05)
     F = f2.reshape(3, B)
     Wopt = w2.reshape(3, B, d)
     pick = np.argmin(F, axis=0)
     vals = F[pick, np.arange(B)]
     splits = Wopt[pick, np.arange(B)]
-    gaps = improve[pick, np.arange(B)]
 
     # exact endpoint candidates: w = 0 gives h_T(u), w = u gives h_K(u)
     vK_end, _ = K.support_batch(U)
@@ -662,21 +612,7 @@ def intersection_support_batch(K: ConvexBody, T: ConvexBody, U: np.ndarray,
         better = v_end < vals
         vals = np.where(better, v_end, vals)
         splits = np.where(better[:, None], w_end, splits)
-        gaps = np.where(better, 0.0, gaps)
-
-    converged = gaps <= np.maximum(tol, 1e-12) * np.maximum(scale, 1.0)
-    return vals, splits, gaps, converged
-
-
-def intersection_support(K: ConvexBody, T: ConvexBody, u: np.ndarray,
-                         tol: float = 1e-9, max_iter: int = 400) -> InfimalConvolution:
-    """Single-direction wrapper around `intersection_support_batch`."""
-    u = np.asarray(u, dtype=float)
-    if not np.any(u):
-        raise BodyError("support direction must be nonzero")
-    vals, splits, gaps, conv = intersection_support_batch(K, T, u[None, :],
-                                                          tol=tol, max_iter=max_iter)
-    return InfimalConvolution(float(vals[0]), splits[0], float(gaps[0]), bool(conv[0]))
+    return vals, splits
 
 
 # ---------------------------------------------------------------------------
@@ -699,16 +635,19 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
             raise BodyError(f"{path}: '{kind}' requires field '{field}'")
         return document[field]
 
-    def number(field, convert=float, default=None):
+    def number(field, default=None):
         value = need(field) if default is None else document.get(field, default)
         try:
-            return convert(value)
+            return float(value)
         except (TypeError, ValueError):
             raise BodyError(f"{path}.{field}: expected a number, got {value!r}") from None
 
     try:
         if kind == "ball":
-            return Ball(number("r"), number("dim", int))
+            r, dim = number("r"), number("dim")
+            if not dim.is_integer():
+                raise BodyError(f"{path}.dim: expected an integer, got {document['dim']!r}")
+            return Ball(r, int(dim))
         if kind == "ellipsoid":
             return Ellipsoid(need("radii"))
         if kind == "general_ellipsoid":

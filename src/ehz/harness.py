@@ -25,8 +25,9 @@ import numpy as np
 
 from .bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
                      MinkowskiSum, Polytope, PSum, Scale, Translate)
-from .loops import length_in_gauge
+from .loops import length_in_gauge, resample_by_clock
 from .solver import SolveConfig, capacity
+from .symplectic import apply_J
 
 
 class HarnessError(RuntimeError):
@@ -123,8 +124,6 @@ def _area_clock(carrier, N: int = 256, iters: int = 40):
     translation-covariant.  Homothetic carriers become pointwise comparable
     after it.
     """
-    from .loops import resample_by_clock
-    from .symplectic import apply_J
     g = carrier.sample(N)
     center = g.z.mean(axis=0)
     clocked = carrier
@@ -228,14 +227,13 @@ def equality_certificate(K: ConvexBody, T: ConvexBody, p: float,
 
 
 def isoperimetric_check(K: ConvexBody, T: ConvexBody, cfg: SolveConfig | None = None,
-                        slack_rel: float = 1e-3,
-                        eps_list: tuple[float, ...] = (1.0, 0.5, 0.1)) -> InequalityReport:
+                        slack_rel: float = 1e-3) -> InequalityReport:
     """4 c(K) c(T) <= length of the K-carrier in the gauge of J T polar, squared.
 
     Also verifies the finite-epsilon chain
         sqrt(c(T)) <= (sqrt(c(K + eps T)) - sqrt(c(K))) / eps
                    <= length / (2 sqrt(c(K)))
-    at each epsilon in eps_list.
+    at eps = 1, 0.5 and 0.1.
     """
     cfg = cfg or SolveConfig()
     r_K = capacity(K, cfg)
@@ -251,7 +249,7 @@ def isoperimetric_check(K: ConvexBody, T: ConvexBody, cfg: SolveConfig | None = 
     sqrt_cK = math.sqrt(r_K.capacity)
     sqrt_cT = math.sqrt(r_T.capacity)
     upper = length / (2.0 * sqrt_cK)
-    for eps in eps_list:
+    for eps in (1.0, 0.5, 0.1):
         r_eps = capacity(MinkowskiSum([K, T], [1.0, eps]), cfg)
         quot = (math.sqrt(r_eps.capacity) - sqrt_cK) / eps
         lo_ok = quot >= sqrt_cT - slack_rel * sqrt_cT

@@ -94,7 +94,7 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
     if design_size < 2 * d:
         raise HarnessError(f"design_size must be at least 2*dim = {2 * d}, got {design_size}")
     U = direction_design(d, design_size, seed)
-    vals, splits, _, _ = intersection_support_batch(K, T, U)
+    vals, splits = intersection_support_batch(K, T, U)
     x0, depth = deep_point(U, vals)
     if depth <= MIN_DEPTH:
         raise DegenerateIntersectionError(
@@ -124,7 +124,7 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
     body = Scale(1.0 / rho, surrogate)
 
     W = direction_design(d, AUDIT_SIZE, seed + 1)
-    true_vals, _, _, _ = intersection_support_batch(K, T, W)
+    true_vals, _ = intersection_support_batch(K, T, W)
     true_centered = true_vals - W @ x0
     approx, _ = body.support_batch(W)
     rel = np.abs(approx - true_centered) / np.maximum(true_centered, 1e-300)

@@ -11,9 +11,10 @@ def _rng(seed, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, tag)))
 
 
-def random_ellipsoid(dim: int, seed: int, r_range=(0.7, 2.0)) -> Ellipsoid:
+def random_ellipsoid(dim: int, seed: int) -> Ellipsoid:
+    """Symplectic ellipsoid with radii drawn uniformly from [0.7, 2)."""
     rng = _rng(seed, 1)
-    return Ellipsoid(rng.uniform(*r_range, size=dim // 2))
+    return Ellipsoid(rng.uniform(0.7, 2.0, size=dim // 2))
 
 
 def random_general_ellipsoid(dim: int, seed: int, cond_max: float = 6.0) -> GeneralEllipsoid:

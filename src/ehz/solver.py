@@ -210,8 +210,7 @@ def lambda_from_capacity(c: float, p: float) -> float:
 class _Discretization:
     """Trig tables and coefficient packing for a fixed (modes, grid) pair.
 
-    `support` is the one evaluation of a loop on the grid: h_K and grad h_K
-    at its velocity samples z'(t_j), t_j = 2 pi j / N.
+    The grid nodes are t_j = 2 pi j / N.
     """
 
     def __init__(self, modes: int, dim: int, N: int):
@@ -237,9 +236,6 @@ class _Discretization:
 
     def position(self, a, b) -> np.ndarray:
         return self.C @ a + self.S @ b
-
-    def support(self, K: ConvexBody, z: FourierLoop) -> tuple[np.ndarray, np.ndarray]:
-        return K.support_batch(self.velocity(z.a, z.b))
 
 
 def _quotient_fg(K: ConvexBody, disc: _Discretization, p: float):
@@ -380,7 +376,7 @@ def _evaluate(K: ConvexBody, z: FourierLoop, lam: float, p: float,
     """alpha, the Euler residual and the support values h_K(z'(t_j)), all
     from one support evaluation of z on N nodes."""
     disc = _Discretization(z.modes, z.dim, N)
-    h, gh = disc.support(K, z)
+    h, gh = K.support_batch(disc.velocity(z.a, z.b))
     W = (p * h ** (p - 1.0))[:, None] * gh
     alpha = W.mean(axis=0)
     drive = 0.5 * p * lam * apply_J(disc.position(z.a, z.b))
@@ -431,7 +427,7 @@ def boundary_residual(K: ConvexBody, carrier: CarrierLoop,
     J^{-1} l'(t) is a positive multiple of z'(t), the outer normal at l(t).
     """
     g = carrier.sample(N or 4 * carrier.loop.modes)
-    vals, _, _, gtol = K.gauge_batch(g.z, apply_J_inverse(g.dz))
+    vals, _, gtol = K.gauge_batch(g.z, apply_J_inverse(g.dz))
     return float(np.max(np.abs(vals - 1.0))), float(gtol)
 
 
@@ -449,7 +445,7 @@ def from_carrier(K: ConvexBody, carrier: CarrierLoop, p: float,
 
     def char_field(samples):
         # J^{-1} l' is the outer normal along a characteristic: the gauge's warm start
-        vals, grads, _, _ = K.gauge_batch(samples.z, apply_J_inverse(samples.dz))
+        vals, grads, _ = K.gauge_batch(samples.z, apply_J_inverse(samples.dz))
         return apply_J((q * vals ** (q - 1.0))[:, None] * grads)
 
     def fit(cand: CarrierLoop):

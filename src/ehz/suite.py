@@ -22,11 +22,11 @@ import numpy as np
 
 from .bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
                      MinkowskiSum, Polytope, PSum, Scale, Translate)
-from .harness import (bm_check, directional_derivative, equality_certificate,
-                      isoperimetric_check, mean_width, mean_width_bound_check,
-                      _phase_aligned_residual)
+from .harness import (bm_check, capacity_area_2d, directional_derivative,
+                      equality_certificate, isoperimetric_check, mean_width,
+                      mean_width_bound_check, _phase_aligned_residual)
 from .intersections import intersection_capacity, intersection_concavity_check
-from .loops import FourierLoop, action
+from .loops import CarrierLoop, FourierLoop, action
 from .randbodies import (random_body, random_ellipsoid, random_general_ellipsoid,
                          random_symmetric_body, random_symmetric_polytope)
 from .solver import SolveConfig, capacity, from_carrier
@@ -113,11 +113,6 @@ def canonical_heptagon() -> Polytope:
         seed += 1
 
 
-def _shoelace(V: np.ndarray) -> float:
-    x, y = V[:, 0], V[:, 1]
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
-
-
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
@@ -140,7 +135,6 @@ def _carrier_vs_unit_circle(result) -> float:
     b = np.zeros((1, d))
     a[0, 0] = 1.0
     b[0, 1] = 1.0
-    from .loops import CarrierLoop
     circle = CarrierLoop(np.zeros(d), FourierLoop(a, b))
     _, phi = _phase_aligned_residual(circle, result.carrier, 1.0)
     t = 2 * np.pi * np.arange(512) / 512
@@ -165,7 +159,7 @@ def crit_03(cache: _Cache) -> CriterionResult:
     r = cache.capacity(ellipse, FAST8)
     _check(lines, "2D ellipse (1,2) vs area 2pi, rel", _rel(r.capacity, 2 * math.pi), 1e-4)
     hepta = canonical_heptagon()
-    area = _shoelace(hepta.vertices)
+    area = capacity_area_2d(hepta)
     cfg = SolveConfig(modes=24, starts=2, grad_tol=1e-9, max_iter=2500,
                       polytope_sharpness=128.0, sharpness_extrapolate=True)
     rh = cache.capacity(hepta, cfg)
@@ -233,7 +227,7 @@ def crit_07(cache: _Cache) -> CriterionResult:
         _check(lines, f"{label}: action mismatch", c.action_mismatch_rel, 1e-5)
     for label, body, cfg in bodies[:3]:
         r = cache.capacity(body, cfg)
-        z2 = from_carrier(body if not isinstance(body, Polytope) else body, r.carrier, cfg.p)
+        z2 = from_carrier(body, r.carrier, cfg.p)
         diff = math.sqrt(float(np.sum((z2.a - r.minimizer.a)**2)
                                + np.sum((z2.b - r.minimizer.b)**2)))
         _check(lines, f"{label}: carrier map round trip", diff, 1e-8)
@@ -398,7 +392,7 @@ CRITERIA = {
 }
 
 
-def run_suite(numbers: list[int] | None = None, echo=print) -> list[CriterionResult]:
+def run_suite(numbers: list[int] | None = None) -> list[CriterionResult]:
     """Run the selected acceptance criteria (all by default), in order.
 
     Criteria are independent and internally seeded; they run one after
@@ -421,7 +415,7 @@ def run_suite(numbers: list[int] | None = None, echo=print) -> list[CriterionRes
 
     results = [run_one(n) for n in numbers]
     for res in results:
-        echo(res.render())
+        print(res.render())
     passed = sum(r.passed for r in results)
-    echo(f"SUITE: {passed}/{len(results)} criteria passed")
+    print(f"SUITE: {passed}/{len(results)} criteria passed")
     return results

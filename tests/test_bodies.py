@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 
 from ehz.bodies import (Ball, BodyError, Ellipsoid, GeneralEllipsoid, LinearImage,
                         MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate,
-                        build_body, intersection_support)
+                        build_body, intersection_support_batch)
 from ehz.randbodies import random_symmetric_polytope
 
 RNG = np.random.default_rng(2024)
@@ -17,12 +17,9 @@ RNG = np.random.default_rng(2024)
 
 def fd_support_gradient(body, u, h=1e-6):
     """Central finite differences of the support value."""
-    g = np.zeros_like(u)
-    for i in range(u.size):
-        e = np.zeros_like(u)
-        e[i] = h
-        g[i] = (body.support(u + e).value - body.support(u - e).value) / (2 * h)
-    return g
+    E = h * np.eye(u.size)
+    vals, _ = body.support_batch(np.vstack([u + E, u - E]))
+    return (vals[:u.size] - vals[u.size:]) / (2 * h)
 
 
 def random_directions(dim, count, rng=RNG):
@@ -104,16 +101,16 @@ def test_scale_and_smoothed_validation():
 
 def test_ball_support_example():
     K = Ball(2.0, 4)
-    ev = K.support(np.array([1.0, 0.0, 0.0, 0.0]))
-    assert ev.value == pytest.approx(2.0)
-    assert np.allclose(ev.gradient, [2.0, 0.0, 0.0, 0.0])
+    vals, grads = K.support_batch(np.array([[1.0, 0.0, 0.0, 0.0]]))
+    assert vals[0] == pytest.approx(2.0)
+    assert np.allclose(grads[0], [2.0, 0.0, 0.0, 0.0])
 
 
 def test_ellipsoid_axis_support():
     K = Ellipsoid([1.0, 2.0])
-    ev = K.support(np.array([0.0, 0.0, 1.0, 0.0]))
-    assert ev.value == pytest.approx(2.0)
-    assert np.allclose(ev.gradient, [0.0, 0.0, 2.0, 0.0])
+    vals, grads = K.support_batch(np.array([[0.0, 0.0, 1.0, 0.0]]))
+    assert vals[0] == pytest.approx(2.0)
+    assert np.allclose(grads[0], [0.0, 0.0, 2.0, 0.0])
 
 
 def test_general_ellipsoid_gradient_fd_oracle():
@@ -121,24 +118,20 @@ def test_general_ellipsoid_gradient_fd_oracle():
     A = rng.normal(size=(4, 4))
     Q = A @ A.T + 4 * np.eye(4)
     K = GeneralEllipsoid(Q)
-    for _ in range(5):
-        u = rng.normal(size=4)
-        ev = K.support(u)
+    U = rng.normal(size=(5, 4))
+    _, grads = K.support_batch(U)
+    for u, g in zip(U, grads):
         expected = Q @ u / np.sqrt(u @ Q @ u)
-        assert np.allclose(ev.gradient, expected, rtol=1e-12)
+        assert np.allclose(g, expected, rtol=1e-12)
         fd = fd_support_gradient(K, u)
-        assert np.linalg.norm(fd - ev.gradient) <= 1e-6 * np.linalg.norm(ev.gradient)
-
-
-def test_support_zero_direction_rejected():
-    with pytest.raises(BodyError):
-        Ball(1, 2).support(np.zeros(2))
+        assert np.linalg.norm(fd - g) <= 1e-6 * np.linalg.norm(g)
 
 
 def test_psum_of_balls_is_scaled_ball():
     K = PSum(2.0, [Ball(1, 4), Ball(1, 4)])
     u = np.array([0.3, -0.2, 0.5, 0.1])
-    assert K.support(u).value == pytest.approx(np.sqrt(2) * np.linalg.norm(u), rel=1e-14)
+    vals, _ = K.support_batch(u[None, :])
+    assert vals[0] == pytest.approx(np.sqrt(2) * np.linalg.norm(u), rel=1e-14)
 
 
 def test_composite_gradients_match_finite_differences():
@@ -152,22 +145,21 @@ def test_composite_gradients_match_finite_differences():
         Scale(2.5, Ellipsoid([1.0, 1.5])),
     ]
     for K in bodies:
-        for _ in range(3):
-            u = rng.normal(size=4)
-            ev = K.support(u)
+        U = rng.normal(size=(3, 4))
+        _, grads = K.support_batch(U)
+        for u, g in zip(U, grads):
             fd = fd_support_gradient(K, u)
-            assert np.linalg.norm(fd - ev.gradient) <= 1e-5 * max(1.0, np.linalg.norm(ev.gradient))
+            assert np.linalg.norm(fd - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
 
 def test_smoothed_gradient_matches_finite_differences():
     V = np.array([[1.2, 1.0], [-0.9, 1.1], [-1.0, -1.0], [1.0, -1.3], [1.5, 0.1]])
     K = Smoothed(Polytope(V), 64.0)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        u = rng.normal(size=2)
-        ev = K.support(u)
+    U = np.random.default_rng(3).normal(size=(5, 2))
+    _, grads = K.support_batch(U)
+    for u, g in zip(U, grads):
         fd = fd_support_gradient(K, u, h=1e-7)
-        assert np.linalg.norm(fd - ev.gradient) <= 1e-4 * max(1.0, np.linalg.norm(ev.gradient))
+        assert np.linalg.norm(fd - g) <= 1e-4 * max(1.0, np.linalg.norm(g))
 
 
 def test_smoothed_brackets_polytope_support():
@@ -176,10 +168,10 @@ def test_smoothed_brackets_polytope_support():
     s = 64.0
     K = Smoothed(P, s)
     m = V.shape[0]
-    for u in random_directions(2, 50):
-        h_max = P.support(u).value
-        h_s = K.support(u).value
-        assert h_max <= h_s <= m ** (1.0 / s) * h_max + 1e-12
+    U = random_directions(2, 50)
+    h_max, _ = P.support_batch(U)
+    h_s, _ = K.support_batch(U)
+    assert np.all(h_max <= h_s) and np.all(h_s <= m ** (1.0 / s) * h_max + 1e-12)
 
 
 @pytest.mark.parametrize("half, sharpness", [(384, 1024.0), (12, 64.0)])
@@ -279,8 +271,8 @@ def test_smoothed_kernel_rows_with_no_positive_product():
 
 def test_polytope_tie_breaking_lowest_index():
     square = Polytope([[1, 1], [1, -1], [-1, 1], [-1, -1]])
-    ev = square.support(np.array([1.0, 0.0]))  # vertices 0 and 1 tie
-    assert np.allclose(ev.gradient, [1, 1])
+    _, grads = square.support_batch(np.array([[1.0, 0.0]]))  # vertices 0 and 1 tie
+    assert np.allclose(grads[0], [1, 1])
 
 
 # -- invariants ----------------------------------------------------------------
@@ -302,82 +294,85 @@ def _property_bodies():
 @pytest.mark.parametrize("K", _property_bodies(), ids=lambda K: type(K).__name__)
 def test_support_one_homogeneous(K):
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        u = rng.normal(size=K.dim)
-        s = rng.uniform(0.1, 10.0)
-        assert K.support(s * u).value == pytest.approx(s * K.support(u).value, rel=1e-12)
+    draws = [(rng.normal(size=K.dim), rng.uniform(0.1, 10.0)) for _ in range(5)]
+    U = np.array([u for u, _ in draws])
+    s = np.array([s for _, s in draws])
+    h, _ = K.support_batch(U)
+    h_scaled, _ = K.support_batch(s[:, None] * U)
+    assert h_scaled == pytest.approx(s * h, rel=1e-12)
 
 
 @pytest.mark.parametrize("K", _property_bodies(), ids=lambda K: type(K).__name__)
 def test_support_subadditive(K):
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        u, v = rng.normal(size=K.dim), rng.normal(size=K.dim)
-        assert (K.support(u + v).value
-                <= K.support(u).value + K.support(v).value + 1e-12)
+    pairs = np.random.default_rng(6).normal(size=(10, 2, K.dim))
+    U, V = pairs[:, 0], pairs[:, 1]
+    h_sum, _ = K.support_batch(U + V)
+    h_u, _ = K.support_batch(U)
+    h_v, _ = K.support_batch(V)
+    assert np.all(h_sum <= h_u + h_v + 1e-12)
 
 
 @pytest.mark.parametrize("K", _property_bodies(), ids=lambda K: type(K).__name__)
 def test_euler_relation(K):
-    for u in random_directions(K.dim, 10):
-        ev = K.support(u)
-        assert np.dot(ev.gradient, u) == pytest.approx(ev.value, rel=1e-10)
+    U = random_directions(K.dim, 10)
+    vals, grads = K.support_batch(U)
+    assert np.sum(grads * U, axis=1) == pytest.approx(vals, rel=1e-10)
 
 
 @pytest.mark.parametrize("K", _property_bodies(), ids=lambda K: type(K).__name__)
 def test_support_point_lies_in_body(K):
-    # <gradient, v> <= h_K(v) for sampled directions v
-    for u in random_directions(K.dim, 5):
-        g = K.support(u).gradient
-        for v in random_directions(K.dim, 20):
-            assert np.dot(g, v) <= K.support(v).value + 1e-10
+    # <gradient, v> <= h_K(v) for every pair of sampled directions u, v
+    _, G = K.support_batch(random_directions(K.dim, 5))
+    V = random_directions(K.dim, 100)
+    h, _ = K.support_batch(V)
+    assert np.all(G @ V.T <= h + 1e-10)
 
 
 def test_minkowski_additivity_exact():
     K1, K2 = Ball(1.0, 4), Ellipsoid([1.0, 2.0])
     K = MinkowskiSum([K1, K2], [0.7, 1.3])
-    for u in random_directions(4, 20):
-        expected = 0.7 * K1.support(u).value + 1.3 * K2.support(u).value
-        assert K.support(u).value == pytest.approx(expected, rel=1e-15)
+    U = random_directions(4, 20)
+    expected = 0.7 * K1.support_batch(U)[0] + 1.3 * K2.support_batch(U)[0]
+    assert K.support_batch(U)[0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_psum_p1_equals_minkowski():
     K1, K2 = Ball(1.0, 4), Ellipsoid([1.0, 2.0])
     P1 = PSum(1.0, [K1, K2])
     MS = MinkowskiSum([K1, K2])
-    for u in random_directions(4, 20):
-        assert P1.support(u).value == pytest.approx(MS.support(u).value, rel=1e-12)
+    U = random_directions(4, 20)
+    assert P1.support_batch(U)[0] == pytest.approx(MS.support_batch(U)[0], rel=1e-12)
 
 
 # -- gauges --------------------------------------------------------------------
 
 def test_ball_gauge():
     K = Ball(2.0, 4)
-    ev = K.gauge_eval(np.array([0.0, 1.0, 0.0, 0.0]))
-    assert ev.value == pytest.approx(0.5)
-    assert ev.analytic
+    vals, _, tol = K.gauge_batch(np.array([[0.0, 1.0, 0.0, 0.0]]))
+    assert vals[0] == pytest.approx(0.5)
+    assert K.polar() is not None and tol == 0.0
 
 
 def test_ellipsoid_gauge_boundary_point():
     K = Ellipsoid([1.0, 2.0])
-    assert K.gauge(np.array([0.0, 0.0, 2.0, 0.0])) == pytest.approx(1.0)
+    assert K.gauge_batch(np.array([[0.0, 0.0, 2.0, 0.0]]))[0][0] == pytest.approx(1.0)
 
 
 def test_gauge_at_origin_is_zero():
-    assert Ball(1.0, 2).gauge(np.zeros(2)) == 0.0
+    assert Ball(1.0, 2).gauge_batch(np.zeros((1, 2)))[0][0] == 0.0
 
 
 def test_psum_gauge_iterative_matches_analytic_value():
     # p-sum (p=2) of two unit balls is the ball of radius sqrt(2)
     K = PSum(2.0, [Ball(1.0, 4), Ball(1.0, 4)])
     x = np.array([1.0, 0.0, 0.0, 0.0])
-    ev = K.gauge_eval(x)
-    assert not ev.analytic
-    assert ev.value == pytest.approx(1.0 / np.sqrt(2), abs=1e-13)
+    value = K.gauge_batch(x[None, :])[0][0]
+    assert K.polar() is None
+    assert value == pytest.approx(1.0 / np.sqrt(2), abs=1e-13)
     # sampled lower bound: sup over directions of <x,u>/h(u) cannot exceed the gauge
     U = random_directions(4, 2000)
     h, _ = K.support_batch(U)
-    assert np.max(U @ x / h) <= ev.value + 1e-9
+    assert np.max(U @ x / h) <= value + 1e-9
 
 
 @pytest.mark.parametrize("K", [Ball(1.5, 4), Ellipsoid([1.0, 2.0]),
@@ -385,9 +380,8 @@ def test_psum_gauge_iterative_matches_analytic_value():
                          ids=["ball", "ellipsoid", "psum"])
 def test_gauge_duality_roundtrip(K):
     # the support point of a smooth body lies on the boundary: gauge == 1
-    for u in random_directions(4, 5):
-        g = K.support(u).gradient
-        assert K.gauge(g) == pytest.approx(1.0, abs=5e-7)
+    _, points = K.support_batch(random_directions(4, 5))
+    assert K.gauge_batch(points)[0] == pytest.approx(1.0, abs=5e-7)
 
 
 def test_translated_ellipsoid_gauge_is_the_quadratic_root():
@@ -398,8 +392,8 @@ def test_translated_ellipsoid_gauge_is_the_quadratic_root():
     K = Translate(c, E)
     A = np.diag(1.0 / np.repeat(E.radii**2, 2))
     X = np.random.default_rng(5).normal(size=(12, 4))
-    vals, _, analytic, tol = K.gauge_batch(X)
-    assert not analytic and 1e-14 <= tol < 1e-9
+    vals, _, tol = K.gauge_batch(X)
+    assert K.polar() is None and 1e-14 <= tol < 1e-9
     for x, value in zip(X, vals):
         roots = np.roots([c @ A @ c - 1.0, -2.0 * (x @ A @ c), x @ A @ x])
         assert value == pytest.approx(max(roots.real), rel=1e-12)
@@ -456,7 +450,7 @@ def test_gauge_warm_start_at_the_normal_stops_at_once():
     K = GAUGE_BODIES["minkowski"]
     U = random_directions(4, 8, np.random.default_rng(2))
     h, points = K.support_batch(U)
-    vals, grads, _, tol = K.gauge_batch(points, U)
+    vals, grads, tol = K.gauge_batch(points, U)
     assert np.max(np.abs(vals - 1.0)) <= 1e-14
     assert tol == 1e-14  # no row moved, so the estimate sits at its floor
     # the gauge gradient at a boundary point is its normal scaled by 1/h
@@ -475,28 +469,27 @@ def test_linear_image_gauge_analytic():
     rng = np.random.default_rng(8)
     M = rng.normal(size=(4, 4)) + 3 * np.eye(4)
     K = LinearImage(M, Ellipsoid([1.0, 2.0]))
-    ev = K.gauge_eval(np.array([0.5, 0.1, -0.2, 0.3]))
-    assert ev.analytic
+    assert K.polar() is not None
     # gauge of Ax in AK equals gauge of x in K
-    x = rng.normal(size=4)
+    X = rng.normal(size=(5, 4))
     inner = Ellipsoid([1.0, 2.0])
-    assert K.gauge(M @ x) == pytest.approx(inner.gauge(x), rel=1e-10)
+    assert K.gauge_batch(X @ M.T)[0] == pytest.approx(inner.gauge_batch(X)[0], rel=1e-10)
 
 
 # -- intersection support -------------------------------------------------------
 
 def test_intersection_with_itself():
     K = Ball(1.0, 2)
-    res = intersection_support(K, K, np.array([1.0, 0.0]))
-    assert res.value == pytest.approx(1.0, abs=1e-9)
+    vals, _ = intersection_support_batch(K, K, np.array([[1.0, 0.0]]))
+    assert vals[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_intersection_subset_case():
     K = Ball(1.0, 4)
     T = Ball(2.0, 4)  # T contains K
-    for u in random_directions(4, 5):
-        res = intersection_support(K, T, u)
-        assert res.value == pytest.approx(K.support(u).value, abs=1e-8)
+    U = random_directions(4, 5)
+    vals, _ = intersection_support_batch(K, T, U)
+    assert vals == pytest.approx(K.support_batch(U)[0], abs=1e-8)
 
 
 def _lens_support_oracle(theta):
@@ -525,10 +518,10 @@ def _lens_support_oracle(theta):
 def test_intersection_lens_against_arc_oracle():
     K = Ball(1.0, 2)
     T = Translate(np.array([1.0, 0.0]), Ball(1.0, 2))
-    for theta in np.linspace(0, 2 * np.pi, 17, endpoint=False):
-        u = np.array([np.cos(theta), np.sin(theta)])
-        res = intersection_support(K, T, u)
-        assert res.value == pytest.approx(_lens_support_oracle(theta), abs=2e-6)
+    thetas = np.linspace(0, 2 * np.pi, 17, endpoint=False)
+    U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    vals, _ = intersection_support_batch(K, T, U)
+    assert vals == pytest.approx([_lens_support_oracle(t) for t in thetas], abs=2e-6)
 
 
 def test_intersection_lens_axis_values():
@@ -536,10 +529,10 @@ def test_intersection_lens_axis_values():
     # both discs), max y is sqrt(3)/2 (circle crossing), max -x is 0
     K = Ball(1.0, 2)
     T = Translate(np.array([1.0, 0.0]), Ball(1.0, 2))
-    assert intersection_support(K, T, np.array([1.0, 0.0])).value == pytest.approx(1.0, abs=1e-7)
-    assert intersection_support(K, T, np.array([0.0, 1.0])).value == pytest.approx(
-        np.sqrt(3) / 2, abs=1e-7)
-    assert intersection_support(K, T, np.array([-1.0, 0.0])).value == pytest.approx(0.0, abs=1e-9)
+    vals, _ = intersection_support_batch(K, T, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+    assert vals[0] == pytest.approx(1.0, abs=1e-7)
+    assert vals[1] == pytest.approx(np.sqrt(3) / 2, abs=1e-7)
+    assert vals[2] == pytest.approx(0.0, abs=1e-9)
 
 
 # -- recipes --------------------------------------------------------------------
@@ -566,6 +559,12 @@ def test_build_body_error_paths_name_fields():
         build_body({"type": "cube"})
     with pytest.raises(BodyError, match="type"):
         build_body({"r": 1})
+
+
+def test_build_body_rejects_a_non_integral_dim():
+    with pytest.raises(BodyError, match=r"body\.dim: expected an integer, got 4\.7"):
+        build_body({"type": "ball", "r": 1, "dim": 4.7})
+    assert build_body({"type": "ball", "r": 1, "dim": 4.0}).dim == 4
 
 
 def test_dimension_mismatch_reported():

@@ -231,6 +231,12 @@ BAD_INPUTS = {
     "dim-not-number": (lambda b, t: ["capacity", _write(t, "d.json",
                                                         '{"type": "ball", "r": 1, "dim": "x"}')],
                        "dim"),
+    "dim-not-integral": (lambda b, t: ["capacity", _write(t, "d.json",
+                                                          '{"type": "ball", "r": 1, "dim": 4.7}')],
+                         "body.dim"),
+    "dim-infinite": (lambda b, t: ["capacity", _write(t, "d.json",
+                                                      '{"type": "ball", "r": 1, "dim": Infinity}')],
+                     "body.dim"),
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ehz"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -32,6 +33,22 @@ def _read(tree: ast.AST) -> set[str]:
     return names
 
 
+def _local_sibling_imports(tree: ast.Module) -> dict[str, int]:
+    """Names that functions in tree import from sibling modules, with their line.
+
+    A sibling import inside a function hides a dependency from the module's
+    header; lazy imports of third-party packages stay allowed.
+    """
+    found = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level > 0:
+                    for alias in node.names:
+                        found[alias.asname or alias.name] = node.lineno
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -42,3 +59,17 @@ def test_no_unused_module_level_imports(path):
 def test_the_scan_sees_string_annotations_and_flags_dead_imports():
     tree = ast.parse("import csv\nfrom .a import B, C\ndef f(x: 'B') -> None: pass\n")
     assert {n for n in _imported(tree) if n not in _read(tree)} == {"csv", "C"}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_function_local_sibling_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    local = _local_sibling_imports(tree)
+    assert not local, f"{path.name} imports sibling names inside functions: {local}"
+
+
+def test_the_scan_flags_sibling_imports_inside_functions_only():
+    tree = ast.parse("from .a import B\n"
+                     "def f():\n    from .c import D\n    from scipy import linalg\n"
+                     "class K:\n    def g(self):\n        from . import e as E\n")
+    assert _local_sibling_imports(tree) == {"D": 3, "E": 7}
