@@ -635,8 +635,21 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
             raise BodyError(f"{path}: '{kind}' requires field '{field}'")
         return document[field]
 
+    def numeric(value, where):
+        # JSON booleans and strings are not numbers, though float() takes them
+        if isinstance(value, (list, tuple)):
+            for i, entry in enumerate(value):
+                numeric(entry, f"{where}[{i}]")
+        elif isinstance(value, (bool, str)):
+            raise BodyError(f"{where}: expected a number, got {value!r}")
+        return value
+
+    def array(field):
+        return numeric(need(field), f"{path}.{field}")
+
     def number(field, default=None):
         value = need(field) if default is None else document.get(field, default)
+        numeric(value, f"{path}.{field}")
         try:
             return float(value)
         except (TypeError, ValueError):
@@ -649,22 +662,22 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
                 raise BodyError(f"{path}.dim: expected an integer, got {document['dim']!r}")
             return Ball(r, int(dim))
         if kind == "ellipsoid":
-            return Ellipsoid(need("radii"))
+            return Ellipsoid(array("radii"))
         if kind == "general_ellipsoid":
-            return GeneralEllipsoid(need("Q"))
+            return GeneralEllipsoid(array("Q"))
         if kind == "polytope":
-            return Polytope(need("vertices"))
+            return Polytope(array("vertices"))
         if kind == "psum":
             terms = [build_body(t, f"{path}.terms[{i}]") for i, t in enumerate(need("terms"))]
             return PSum(number("p"), terms)
         if kind == "minkowski":
             terms = [build_body(t, f"{path}.terms[{i}]") for i, t in enumerate(need("terms"))]
             weights = document.get("weights")
-            return MinkowskiSum(terms, weights)
+            return MinkowskiSum(terms, None if weights is None else array("weights"))
         if kind == "linear":
-            return LinearImage(need("matrix"), build_body(need("body"), f"{path}.body"))
+            return LinearImage(array("matrix"), build_body(need("body"), f"{path}.body"))
         if kind == "translate":
-            return Translate(need("vector"), build_body(need("body"), f"{path}.body"))
+            return Translate(array("vector"), build_body(need("body"), f"{path}.body"))
         if kind == "scale":
             return Scale(number("factor"), build_body(need("body"), f"{path}.body"))
         if kind == "smoothed":

@@ -10,7 +10,9 @@ The action constraint is removed by minimizing the scale-invariant quotient
 [(1/2pi) I_p(z)] / A(z)^{p/2} over the Fourier coefficient space; both terms
 are homogeneous, so the quotient is flat along rays and the minimum value
 equals lambda / 2pi.  Quasi-Newton descent with planar-circle multistarts
-does the minimization.
+does the minimization: L-BFGS until the gradient is small, then a few
+Newton steps on the quotient's Hessian, which `_quotient_hessian` assembles
+from the structure of the quotient.
 
 A minimizer z satisfies the Euler equation
 
@@ -34,14 +36,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .bodies import ConvexBody, Polytope, Smoothed
 from .loops import (CarrierLoop, FourierLoop, action, normalize_action, random_loop,
                     resample_by_clock)
-from .optimize import lbfgs_batch
+from .optimize import EPS, MinimizeResult, lbfgs_batch
 from .symplectic import apply_J, apply_J_inverse
 
 TWO_PI = 2 * np.pi
+
+# A start leaves L-BFGS for Newton steps once its gradient sup-norm is at most
+# NEWTON_ENTRY, and takes at most NEWTON_STEPS of them; each step tries the
+# fractions NEWTON_TRIALS of the Newton direction in one batched evaluation.
+NEWTON_ENTRY = 1e-5
+NEWTON_STEPS = 8
+NEWTON_TRIALS = (1.0, 0.5, 0.25)
 
 
 class SolverError(RuntimeError):
@@ -138,16 +148,28 @@ class CertificateBundle:
 
 @dataclass
 class StartDiagnostics:
+    """How one start of `minimize` went.
+
+    `status` is "newton" for a start that reached `grad_tol` by Newton
+    steps, and otherwise the exit of its last L-BFGS run: gradient, stall,
+    line_search or max_iter.  `iterations` counts L-BFGS iterations, those
+    before and after the Newton phase; `newton_steps` counts the accepted
+    Newton steps.  `evaluations` counts the objective rows of the start: the
+    L-BFGS evaluations, and in a Newton phase one row at its entry and the
+    three trial rows of every step it tried.  A line_search exit's last,
+    failed search stops once its steps no longer move the coefficients by
+    more than roundoff, so it costs fewer than a bisection of the step to
+    1e-16.
+    """
+
     index: int
     lam: float
     grad_norm: float
     iterations: int
     converged: bool
-    status: str              # L-BFGS exit: gradient, stall, line_search or max_iter
-    # objective evaluations of this start.  A line_search exit's last, failed
-    # search stops once its steps no longer move the coefficients by more
-    # than roundoff, so it costs fewer than a bisection of the step to 1e-16.
+    status: str
     evaluations: int
+    newton_steps: int = 0
     winner: bool = False
 
 
@@ -187,7 +209,7 @@ class CapacityResult:
                 {"index": s.index, "lambda": s.lam, "grad_norm": s.grad_norm,
                  "iterations": s.iterations, "converged": s.converged,
                  "status": s.status, "evaluations": s.evaluations,
-                 "winner": s.winner}
+                 "newton_steps": s.newton_steps, "winner": s.winner}
                 for s in self.per_start
             ],
         }
@@ -287,6 +309,160 @@ def _quotient_fg(K: ConvexBody, disc: _Discretization, p: float):
     return fg
 
 
+def _quotient_hessian(K: ConvexBody, disc: _Discretization, p: float):
+    """Hessians of the log quotient of `_quotient_fg`, one row at a time.
+
+    With u_j = z'(t_j) = B_j theta for B = [-S C] (per coordinate),
+    m = mean_j h^p(u_j) and A the action, the log quotient is
+    log m - (p/2) log A, and its Hessian is
+
+        (1/(N m)) sum_j B_j^T D^2(h^p)(u_j) B_j - g_1 g_1^T
+            - (p/2) D^2A / A + (p/2) grad A grad A^T / A^2,
+
+    where g_1 = grad log m.  The only numerical derivative is D^2(h^p) at
+    each velocity sample: central differences of grad(h^p) at
+    u_j +- delta e_i, delta = 1e-6 |u_j|, all from one `support_batch`
+    call over the 2d copies of every sample of every row.  A is a quadratic
+    form, so D^2A is constant: pi/k times a signed permutation that pairs
+    av_k with bv_k through J.  Each Hessian is written one coordinate pair
+    (i, i') at a time, B^T diag(D^2_ii') B / (N m) into its block, with no
+    table over the nodes' mode pairs.
+
+    The returned `hessians(Theta, F, G)` takes rows of coefficients with
+    their `fg` values and gradients and yields one (n, n) Hessian per row,
+    each computed from that row alone.
+    """
+    half_p = 0.5 * p
+    Npts, M, d = disc.N, disc.modes, disc.dim
+    n = 2 * M * d
+    B = np.hstack([-disc.S, disc.C])    # (N, 2M): u_j = B_j (av, bv), coordinate by coordinate
+    kinv = (1.0 / disc.k)[:, None]
+    # D^2A: d^2/(d av_{k,2l} d bv_{k,2l+1}) = pi/k and d^2/(d av_{k,2l+1} d bv_{k,2l}) = -pi/k
+    ax = (d * np.arange(M)[:, None] + np.arange(0, d, 2)).ravel()
+    rows = np.concatenate([ax, ax + 1])
+    cols = np.concatenate([M * d + ax + 1, M * d + ax])
+    w = np.pi / np.repeat(disc.k, d // 2)
+    d2A = np.concatenate([w, -w])
+    eye = np.eye(d)
+
+    def sample_hessians(U):
+        # D^2(h^p) at the rows u of U, from grad(h^p) at u +- delta e_i
+        delta = 1e-6 * np.linalg.norm(U, axis=1)
+        step = delta[:, None, None] * eye                     # row i: delta e_i
+        h, gh = K.support_batch(np.concatenate([U[:, None, :] + step,
+                                                U[:, None, :] - step]).reshape(-1, d))
+        dphi = ((p * h ** (p - 1.0))[:, None] * gh).reshape(2, -1, d, d)
+        D2 = (dphi[0] - dphi[1]) / (2.0 * delta)[:, None, None]
+        return 0.5 * (D2 + D2.transpose(0, 2, 1))
+
+    def hessians(Theta: np.ndarray, F: np.ndarray, G: np.ndarray):
+        R = Theta.shape[0]
+        av = Theta[:, :M * d].reshape(R, M, d)
+        bv = Theta[:, M * d:].reshape(R, M, d)
+        a, b = kinv * av, kinv * bv
+        U = -disc.S @ av + disc.C @ bv                        # (R, N, d)
+        D2 = sample_hessians(U.reshape(-1, d)).reshape(R, Npts, d, d)
+        Ja = apply_J(a)
+        A = np.pi * (disc.k * (Ja * b).sum(axis=2)).sum(axis=1)
+        gradA = np.concatenate([(-np.pi * apply_J(b)).reshape(R, -1),
+                                (np.pi * Ja).reshape(R, -1)], axis=1)
+        for r in range(R):
+            mean_hp = math.exp(F[r] + half_p * math.log(A[r]))
+            W = D2[r] / (Npts * mean_hp)
+            H = np.empty((n, n))
+            blocks = H.reshape(2, M, d, 2, M, d)
+            for i in range(d):
+                for i2 in range(i, d):
+                    blk = (B.T @ (W[:, i, i2, None] * B)).reshape(2, M, 2, M)
+                    blocks[:, :, i, :, :, i2] = blk
+                    blocks[:, :, i2, :, :, i] = blk
+            g1 = G[r] + (half_p / A[r]) * gradA[r]
+            H -= np.outer(g1, g1)
+            H += np.outer((half_p / A[r] ** 2) * gradA[r], gradA[r])
+            H[rows, cols] -= (half_p / A[r]) * d2A
+            H[cols, rows] -= (half_p / A[r]) * d2A
+            yield H
+
+    return hessians
+
+
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-H^{-1} g from a Cholesky factor of H + mu I, mu = 1e-6 max|diag H|.
+
+    A failed factorization is retried once at 100 mu; if that fails too, the
+    step uses the pseudo-inverse of |H|: eigenvalues replaced by their
+    moduli, those below 1e-8 of the largest dropped.
+    """
+    n = H.shape[0]
+    mu = 1e-6 * np.abs(np.diag(H)).max()
+    for shift in (mu, 100.0 * mu):
+        shifted = H.copy()
+        shifted.flat[::n + 1] += shift
+        try:
+            factor = cho_factor(shifted, overwrite_a=True, check_finite=False)
+            return -cho_solve(factor, g, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass
+    lam, V = np.linalg.eigh(H)
+    mag = np.abs(lam)
+    keep = mag >= 1e-8 * mag.max()
+    return -(V[:, keep] @ ((V[:, keep].T @ g) / mag[keep]))
+
+
+def _newton_phase(fg, hessians, runs: list[MinimizeResult],
+                  grad_tol: float) -> tuple[list[int], list[int]]:
+    """Newton steps from the points of `runs`, batched over the live runs.
+
+    Every round builds the live runs' Hessians and evaluates the trials
+    x + t d for t in NEWTON_TRIALS of all of them in one `fg` call.  A run
+    takes the first trial that lowers f by more than 4 eps max(1, |f|), or
+    that keeps f within that band and lowers |g|_inf; it ends with status
+    "newton" once |g|_inf <= grad_tol.  It stops short when no trial is
+    taken or after NEWTON_STEPS steps.  The runs are updated in place
+    (point, value, gradient norm, evaluations, status); returns the number of steps
+    of each run and the indices of the runs that stopped short.
+    """
+    X = np.stack([r.x for r in runs])
+    F, G = fg(X)
+    steps = [0] * len(runs)
+    short = []
+    live = list(range(len(runs)))
+    for r in runs:
+        r.evaluations += 1
+        r.converged = False
+    fractions = np.array(NEWTON_TRIALS)[:, None]
+    per_row = len(NEWTON_TRIALS)
+    for _ in range(NEWTON_STEPS):
+        hs = hessians(X[live], F[live], G[live])
+        Xt = np.concatenate([X[i] + fractions * _newton_direction(H, G[i])
+                             for i, H in zip(live, hs)])
+        Ft, Gt = fg(Xt)
+        still = []
+        for row, i in enumerate(live):
+            runs[i].evaluations += per_row
+            band = 4.0 * EPS * max(1.0, abs(F[i]))
+            gnorm = np.abs(G[i]).max()
+            for j in range(row * per_row, (row + 1) * per_row):
+                gnorm_t = np.abs(Gt[j]).max()
+                if Ft[j] < F[i] - band or (Ft[j] <= F[i] + band and gnorm_t < gnorm):
+                    X[i], F[i], G[i] = Xt[j], Ft[j], Gt[j]
+                    steps[i] += 1
+                    if gnorm_t <= grad_tol:
+                        runs[i].status, runs[i].converged = "newton", True
+                    else:
+                        still.append(i)
+                    break
+            else:
+                short.append(i)
+        live = still
+        if not live:
+            break
+    short += live
+    for i, r in enumerate(runs):
+        r.x, r.f, r.grad_norm = X[i], float(F[i]), float(np.abs(G[i]).max())
+    return steps, sorted(short)
+
+
 def _starts(K: ConvexBody, cfg: SolveConfig) -> list[FourierLoop]:
     """Planar circles in each symplectic plane, then randomized perturbations."""
     d = K.dim
@@ -322,33 +498,71 @@ def _default_grid(K: ConvexBody, cfg: SolveConfig) -> int:
     return 8 * cfg.modes if isinstance(K, Smoothed) else 4 * cfg.modes
 
 
+def _descend(fg, hessians, theta0: np.ndarray, cfg: SolveConfig
+             ) -> tuple[list[MinimizeResult], list[int]]:
+    """Minimize from each row of theta0; returns the runs and their Newton steps.
+
+    L-BFGS runs every start until |g|_inf <= max(NEWTON_ENTRY, grad_tol).
+    Starts that stop there above grad_tol take Newton steps together
+    (`_newton_phase`); a start whose Newton phase stops short resumes
+    L-BFGS from its current point for the rest of max_iter, with the usual
+    exits.  Every stage evaluates each row on its own, so a start's result
+    does not depend on the other rows of theta0.
+    """
+    runs = lbfgs_batch(fg, theta0, grad_tol=max(NEWTON_ENTRY, cfg.grad_tol),
+                       max_iter=cfg.max_iter)
+    steps = [0] * len(runs)
+    entering = [i for i, r in enumerate(runs)
+                if r.status == "gradient" and r.grad_norm > cfg.grad_tol]
+    if not entering:
+        return runs, steps
+    taken, short = _newton_phase(fg, hessians, [runs[i] for i in entering], cfg.grad_tol)
+    for i, n in zip(entering, taken):
+        steps[i] = n
+    for i in (entering[j] for j in short):
+        budget = cfg.max_iter - runs[i].iterations - steps[i]
+        if budget <= 0:
+            runs[i].status = "max_iter"
+            continue
+        res, = lbfgs_batch(fg, runs[i].x[None, :], grad_tol=cfg.grad_tol, max_iter=budget)
+        res.iterations += runs[i].iterations
+        res.evaluations += runs[i].evaluations
+        runs[i] = res
+    return runs, steps
+
+
 def minimize(K: ConvexBody, cfg: SolveConfig,
              initial: FourierLoop | None = None
              ) -> tuple[float, FourierLoop, list[StartDiagnostics]]:
     """Minimize the dual-action quotient; returns (lambda, minimizer, diagnostics).
 
     lambda is 2 pi times the minimal quotient; the minimizer is returned with
-    action exactly 1 (up to roundoff).  The winning start is the lowest
-    quotient among the usable starts, ties broken by start index; when no
-    start is usable the lowest quotient of all wins, and the finishing step
-    reports the result unconverged.  An `initial` loop (e.g. a warm start
-    from a nearby body) is prepended to the standard starts.
+    action exactly 1 (up to roundoff).  Each start runs L-BFGS until its
+    gradient sup-norm is at most NEWTON_ENTRY, then up to NEWTON_STEPS
+    Newton steps on the Hessian of `_quotient_hessian`, batched over the
+    starts; a start that reaches grad_tol there ends with status "newton",
+    and one that stops short resumes L-BFGS (see `_descend`).  The winning
+    start is the lowest quotient among the usable starts, ties broken by
+    start index; when no start is usable the lowest quotient of all wins,
+    and the finishing step reports the result unconverged.  An `initial`
+    loop (e.g. a warm start from a nearby body) is prepended to the
+    standard starts.
     """
     if isinstance(K, Polytope):
         raise SolverError("raw polytopes are not smooth; wrap in Smoothed or use capacity()")
     if not K.is_smooth:
         raise SolverError("body support is not differentiable; capacity needs a smooth body")
     disc = _Discretization(cfg.modes, K.dim, _default_grid(K, cfg))
-    fg = _quotient_fg(K, disc, cfg.p)
     kcol = np.arange(1, cfg.modes + 1, dtype=float)[:, None]
     starts = _starts(K, cfg)
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
     theta0 = np.stack([disc.pack(kcol * start.a, kcol * start.b) for start in starts])
-    results = lbfgs_batch(fg, theta0, grad_tol=cfg.grad_tol, max_iter=cfg.max_iter)
+    results, steps = _descend(_quotient_fg(K, disc, cfg.p), _quotient_hessian(K, disc, cfg.p),
+                              theta0, cfg)
     diagnostics = [StartDiagnostics(i, TWO_PI * math.exp(res.f), res.grad_norm, res.iterations,
-                                    res.converged, res.status, res.evaluations)
-                   for i, res in enumerate(results)]
+                                    res.converged, res.status, res.evaluations, n)
+                   for i, (res, n) in enumerate(zip(results, steps))]
     # a stall at the roundoff floor or a small-gradient iteration cap is the
     # numerical floor of a stationary point; the certificates grade the
     # winner's quality downstream

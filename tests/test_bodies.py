@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -565,6 +566,24 @@ def test_build_body_rejects_a_non_integral_dim():
     with pytest.raises(BodyError, match=r"body\.dim: expected an integer, got 4\.7"):
         build_body({"type": "ball", "r": 1, "dim": 4.7})
     assert build_body({"type": "ball", "r": 1, "dim": 4.0}).dim == 4
+
+
+@pytest.mark.parametrize("doc,field", [
+    ({"type": "ball", "r": "1", "dim": "4"}, "body.r"),
+    ({"type": "ball", "r": 1, "dim": True}, "body.dim"),
+    ({"type": "psum", "p": True, "terms": [{"type": "ball", "r": 1, "dim": 4}] * 2}, "body.p"),
+    ({"type": "ellipsoid", "radii": ["1", "2"]}, "body.radii[0]"),
+    ({"type": "translate", "vector": ["0.1", 0, 0, 0],
+      "body": {"type": "ball", "r": 1, "dim": 4}}, "body.vector[0]"),
+    ({"type": "polytope", "vertices": [[1, 0], [0, "1"], [-1, -1]]}, "body.vertices[1][1]"),
+    ({"type": "general_ellipsoid", "Q": [[1, 0], [0, False]]}, "body.Q[1][1]"),
+    ({"type": "minkowski", "terms": [{"type": "ball", "r": 1, "dim": 2}], "weights": [True]},
+     "body.weights[0]"),
+    ({"type": "scale", "factor": 2, "body": {"type": "ball", "r": 1, "dim": "2"}}, "body.body.dim"),
+])
+def test_build_body_rejects_strings_and_booleans_as_numbers(doc, field):
+    with pytest.raises(BodyError, match=re.escape(f"{field}: expected a number")):
+        build_body(doc)
 
 
 def test_dimension_mismatch_reported():

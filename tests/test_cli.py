@@ -237,6 +237,14 @@ BAD_INPUTS = {
     "dim-infinite": (lambda b, t: ["capacity", _write(t, "d.json",
                                                       '{"type": "ball", "r": 1, "dim": Infinity}')],
                      "body.dim"),
+    "r-string": (lambda b, t: ["capacity", _write(t, "s.json",
+                                                  '{"type": "ball", "r": "1", "dim": 4}')],
+                 "body.r"),
+    "p-boolean": (lambda b, t: ["capacity", _write(
+        t, "p.json", '{"type": "psum", "p": true, "terms": [{"type": "ball", "r": 1, "dim": 4}, '
+                     '{"type": "ball", "r": 2, "dim": 4}]}')], "body.p"),
+    "radii-string-entry": (lambda b, t: ["capacity", _write(
+        t, "e.json", '{"type": "ellipsoid", "radii": [1, "2"]}')], "body.radii[1]"),
 }
 
 

@@ -10,11 +10,10 @@ from ehz import bodies, optimize, solver
 from ehz.bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
                         MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
 from ehz.loops import CarrierLoop, FourierLoop, action, normalize_action, random_loop
-from ehz.optimize import lbfgs
 from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, _Discretization,
-                        _default_grid, _quotient_fg, _starts, capacity, capacity_from_lambda,
-                        certify, euler_residual, from_carrier, lambda_from_capacity,
-                        minimize, to_carrier)
+                        _default_grid, _quotient_fg, _quotient_hessian, _starts, capacity,
+                        capacity_from_lambda, certify, euler_residual, from_carrier,
+                        lambda_from_capacity, minimize, to_carrier)
 from ehz.symplectic import apply_J, random_symplectic
 
 BALL4 = Ball(1.0, 4)
@@ -193,20 +192,38 @@ def test_quotient_batched_rows_match_single_rows_bitwise(name, p):
 
 
 def _minimize_one_start_at_a_time(K, cfg, initial=None):
-    """Each start minimized alone with `lbfgs` on the one-row quotient."""
+    """Each start run alone through `minimize`'s pipeline (L-BFGS, Newton
+    phase, resumed L-BFGS) on the one-row quotient; returns the runs and
+    their Newton steps."""
     disc = _Discretization(cfg.modes, K.dim, _default_grid(K, cfg))
     fg = _quotient_fg(K, disc, cfg.p)
-
-    def fg_row(theta):
-        F, G = fg(theta[None, :])
-        return F[0], G[0]
-
+    hessians = _quotient_hessian(K, disc, cfg.p)
     kcol = np.arange(1, cfg.modes + 1, dtype=float)[:, None]
     starts = _starts(K, cfg)
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
-    return disc, kcol, [lbfgs(fg_row, disc.pack(kcol * z.a, kcol * z.b), grad_tol=cfg.grad_tol,
-                              max_iter=cfg.max_iter) for z in starts]
+    alone = [solver._descend(fg, hessians, disc.pack(kcol * z.a, kcol * z.b)[None, :], cfg)
+             for z in starts]
+    return disc, kcol, [runs[0] for runs, _ in alone], [steps[0] for _, steps in alone]
+
+
+def _assert_lockstep(K, cfg, initial=None):
+    """Every start of `minimize` is bit for bit what it is alone; returns the
+    diagnostics."""
+    lam, zstar, diags = minimize(K, cfg, initial=initial)
+    disc, kcol, alone, steps = _minimize_one_start_at_a_time(K, cfg, initial)
+    assert len(diags) == len(alone) == cfg.starts + (initial is not None)
+    for d, res, n in zip(diags, alone, steps):
+        assert d.lam == 2 * np.pi * math.exp(res.f)
+        assert (d.grad_norm, d.iterations, d.converged, d.status, d.evaluations,
+                d.newton_steps) == (res.grad_norm, res.iterations, res.converged, res.status,
+                                    res.evaluations, n)
+    winner = next(d for d in diags if d.winner)
+    assert lam == winner.lam
+    av, bv = disc.unpack(alone[winner.index].x)
+    expected = normalize_action(FourierLoop(av / kcol, bv / kcol))
+    assert np.array_equal(zstar.a, expected.a) and np.array_equal(zstar.b, expected.b)
+    return diags
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -214,19 +231,43 @@ def test_minimize_lockstep_matches_one_start_at_a_time(warm):
     K = _smoothed_hexagon_pair()
     cfg = SolveConfig(modes=4, starts=4)
     initial = minimize(K, cfg.replace(modes=3, starts=2))[1] if warm else None
-    lam, zstar, diags = minimize(K, cfg, initial=initial)
-    disc, kcol, alone = _minimize_one_start_at_a_time(K, cfg, initial)
-    assert len(diags) == len(alone) == cfg.starts + warm
-    for d, res in zip(diags, alone):
-        assert d.lam == 2 * np.pi * math.exp(res.f)
-        assert (d.grad_norm, d.iterations, d.converged, d.status, d.evaluations) == \
-            (res.grad_norm, res.iterations, res.converged, res.status, res.evaluations)
-    assert {"line_search", "stall"} & {d.status for d in diags}
-    winner = next(d for d in diags if d.winner)
-    assert lam == winner.lam
-    av, bv = disc.unpack(alone[winner.index].x)
-    expected = normalize_action(FourierLoop(av / kcol, bv / kcol))
-    assert np.array_equal(zstar.a, expected.a) and np.array_equal(zstar.b, expected.b)
+    diags = _assert_lockstep(K, cfg, initial)
+    assert all(d.status == "newton" and d.newton_steps > 0 for d in diags)
+
+
+def test_minimize_lockstep_through_newton_and_resumed_lbfgs():
+    # at 8 modes the hexagon pair's starts leave the Newton phase short and
+    # resume L-BFGS, or run out of iterations before or after it
+    diags = _assert_lockstep(_smoothed_hexagon_pair(), SolveConfig(modes=8, starts=4))
+    assert {"line_search", "max_iter"} <= {d.status for d in diags}
+    assert any(d.newton_steps == solver.NEWTON_STEPS for d in diags)
+    assert any(d.newton_steps == 0 for d in diags)
+
+
+HESSIAN_BODIES = {
+    "smoothed": _smoothed_hexagon_pair(),
+    "general_ellipsoid": QUOTIENT_BODIES["general_ellipsoid"],
+    "psum": QUOTIENT_BODIES["psum"],
+    "linear_image": LinearImage(random_symplectic(4, seed=2), Ellipsoid([1.0, 1.5])),
+    "translate": Translate(np.array([0.1, -0.2, 0.05, 0.1]), Ellipsoid([1.0, 1.4])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HESSIAN_BODIES))
+@pytest.mark.parametrize("p", [2.0, 1.5])
+def test_quotient_hessian_matches_finite_differences_of_the_gradient(name, p):
+    K = HESSIAN_BODIES[name]
+    modes = 6
+    disc = _Discretization(modes, K.dim, _default_grid(K, SolveConfig(modes=modes)))
+    fg = _quotient_fg(K, disc, p)
+    z = normalize_action(random_loop(modes, K.dim, np.random.default_rng(42), decay=1.5))
+    theta = disc.pack(disc.k[:, None] * z.a, disc.k[:, None] * z.b)
+    F, G = fg(theta[None, :])
+    H, = _quotient_hessian(K, disc, p)(theta[None, :], F, G)
+    h = 1e-6
+    steps = h * np.eye(theta.size)
+    fd = (fg(theta + steps)[1] - fg(theta - steps)[1]) / (2 * h)
+    assert np.linalg.norm(H - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_per_start_diagnostics_reported():
@@ -235,8 +276,9 @@ def test_per_start_diagnostics_reported():
     assert len(rows) == FAST.starts
     for row, diag in zip(rows, res.per_start):
         assert row["status"] == diag.status
-        assert diag.status in ("gradient", "stall", "line_search", "max_iter")
+        assert diag.status in ("gradient", "newton", "stall", "line_search", "max_iter")
         assert row["evaluations"] == diag.evaluations > diag.iterations
+        assert row["newton_steps"] == diag.newton_steps
     assert any(diag.status == "gradient" for diag in res.per_start)
 
 
@@ -314,9 +356,10 @@ def test_single_body_drift_is_the_next_level_of_the_mode_chain():
 def test_minimize_without_a_usable_start_returns_an_unconverged_winner():
     V = np.random.default_rng(3).normal(size=(6, 4))
     K = Smoothed(Polytope(np.vstack([V, -V])), 16.0)
-    cfg = SolveConfig(modes=8, starts=4)
+    cfg = SolveConfig(modes=8, starts=4, max_iter=300)
     lam, zstar, diags = minimize(K, cfg)
-    # every start hits the iteration cap short of the usable gradient norm
+    # every start hits the iteration cap short of the usable gradient norm,
+    # and short of the Newton phase
     assert all(d.status == "max_iter" and d.grad_norm > 1e-6 for d in diags)
     winner = next(d for d in diags if d.winner)
     assert lam == winner.lam == pytest.approx(0.577612, rel=1e-6)
