@@ -11,15 +11,18 @@ where the supremum is attained.
 Gauges ||x||_K = inf{r > 0 : x/r in K} are served analytically whenever a
 polar descriptor exists (ellipsoidal families and their linear images and
 scalings).  Otherwise the gauge is max_u <x, u>/h_K(u) by polarity, found by
-one L-BFGS run per point, and one start suffices: every local maximum of the
-ratio is global.  The ratio is quasi-concave on {<x, u> > 0}, since its
-superlevel sets {u : t h_K(u) <= <x, u>} are convex cones, so a local maximum
-that is not global could only sit on a plateau.  But at any local maximum u,
+damped Newton steps on f(u) = log h_K(u) - log <x, u>, batched over all
+points, and one start suffices: every local maximum of the ratio is global.
+The ratio is quasi-concave on {<x, u> > 0}, since its superlevel sets
+{u : t h_K(u) <= <x, u>} are convex cones, so a local maximum that is not
+global could only sit on a plateau.  But at any local maximum u,
 stationarity puts x/ratio(u) in the face of K that u exposes, a boundary
 point, so ratio(u) is the gauge: on a plateau h_K(u) = <v, u> for a vertex v,
 and x/ratio(u) = v.  The maximizer is the outer normal of K at x/||x||_K;
 callers that know it (a closed characteristic knows it from its velocity)
-pass it as a warm start, and the run then stops within a few iterations.
+pass it as a warm start, and Newton then converges within a few steps.  The
+Newton Hessians take D^2 h_K from central differences of support points
+(`support_hessians`), the device the capacity solver's Newton phase uses.
 
 All evaluation entry points are batched over rows so that samplers and the
 capacity solver can amortize the tree walk.
@@ -34,7 +37,7 @@ import json
 import numpy as np
 from scipy.optimize import linprog
 
-from .optimize import batched_descent, lbfgs_batch
+from .optimize import ARMIJO, EPS, batched_descent
 from .symplectic import DimensionError, check_even_dim
 
 
@@ -42,10 +45,15 @@ class BodyError(ValueError):
     """Invalid body construction (dimension mismatch, origin not interior, ...)."""
 
 
-# Gradient sup-norm at which the iterative gauge's L-BFGS stops.  The value
-# error is second order in it, about 1e-14; a tighter stop grinds at the
-# roundoff floor and a looser one leaves errors near 1e-12.
-GAUGE_GRAD_TOL = 1e-7
+# The iterative gauge's Newton iteration stops a row once one more step
+# predicts a decrease of f = log h - log <x, u> (the relative change of the
+# gauge) of at most GAUGE_STOP.  Each step tries the fractions 1, 1/2, ...,
+# 2^-(GAUGE_HALVINGS - 1) of the Newton step, and a row takes at most
+# GAUGE_STEPS steps: warm starts at carrier normals take at most 9 steps on
+# the benchmark's bodies, cold starts at x/|x| at most 20.
+GAUGE_STOP = 1e-15
+GAUGE_HALVINGS = 30
+GAUGE_STEPS = 50
 
 
 def _even_dim(dim: int) -> int:
@@ -117,7 +125,7 @@ class ConvexBody:
         if np.any(nz) and polar is not None:
             vals[nz], grads[nz] = polar.support_batch(X[nz])
         elif np.any(nz):
-            vals[nz], grads[nz], tol = _gauge_by_lbfgs(
+            vals[nz], grads[nz], tol = _gauge_by_newton(
                 self, X[nz], None if directions is None else directions[nz])
         return vals, grads, tol
 
@@ -465,9 +473,14 @@ class Smoothed(ConvexBody):
         # (measured at m = 768 with 768 rows and at m = 24 with 60000 rows).
         # Blocks this small also keep the support-point product W @ V on
         # BLAS's small-matrix path, where each row's result does not depend
-        # on how many rows share the call; the batched solver relies on that.
+        # on how many rows share the call; the batched solver and the gauge
+        # rely on that.  A single row goes through as two: numpy multiplies
+        # it on BLAS's matrix-vector path, whose bits differ.
         step = max(1, _SMOOTHED_BLOCK // self.body.vertices.shape[0])
         n = U.shape[0]
+        if n == 1:
+            vals, grads = self._support_block(np.repeat(U, 2, axis=0))
+            return vals[:1], grads[:1]
         if n <= step:
             return self._support_block(U)
         vals = np.empty(n)
@@ -519,53 +532,117 @@ class Smoothed(ConvexBody):
 # ---------------------------------------------------------------------------
 
 
-def _gauge_by_lbfgs(body: ConvexBody, X: np.ndarray, U0: np.ndarray | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gauge by maximizing <x, u>/h(u) over directions u, one L-BFGS run per row.
+def support_hessians(body: ConvexBody, U: np.ndarray, p: float = 1.0) -> np.ndarray:
+    """D^2(h^p) at each row u of U, symmetrized, shape (rows, dim, dim).
+
+    Central differences of grad(h^p) = p h^{p-1} grad h at u +- delta e_i,
+    delta = 1e-6 |u|, from one `support_batch` call over the 2 dim copies of
+    every row; each row's Hessian depends on that row alone.
+    """
+    d = U.shape[1]
+    delta = 1e-6 * np.linalg.norm(U, axis=1)
+    step = delta[:, None, None] * np.eye(d)               # row i: delta e_i
+    h, gh = body.support_batch(np.concatenate([U[:, None, :] + step,
+                                               U[:, None, :] - step]).reshape(-1, d))
+    dphi = ((p * h ** (p - 1.0))[:, None] * gh).reshape(2, -1, d, d)
+    D2 = (dphi[0] - dphi[1]) / (2.0 * delta)[:, None, None]
+    return 0.5 * (D2 + D2.transpose(0, 2, 1))
+
+
+def _gauge_by_newton(body: ConvexBody, X: np.ndarray, U0: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gauge by maximizing <x, u>/h(u) over directions u, by batched Newton steps.
 
     By polarity the maximum equals ||x||_K and the maximizer u* yields the
     gauge gradient u*/h(u*); one start per row suffices (module docstring).
-    L-BFGS minimizes f(u) = log h(u) - log <x, u>, which is 0-homogeneous in
-    u and so needs no projection; directions with <x, u> <= 0 or h(u) <= 0
-    lie outside the domain and get +inf.  Each row carries its x as frozen
-    trailing coordinates with zero gradient, which L-BFGS never moves.
+    Newton minimizes f(u) = log h(u) - log <x, u>, whose Hessian is
+
+        D^2h/h - grad h grad h^T/h^2 + x x^T/<x, u>^2,
+
+    with D^2h from `support_hessians`.  f is 0-homogeneous, so H u = -grad f
+    and H is singular along u at the maximizer: the step solves with H
+    shifted by max|diag H| along u alone, its eigenvalues replaced by their
+    moduli (at least 1e-8 of the largest), so every step descends.  Each
+    round builds the live rows' Hessians in one support call and tries the
+    full steps of all of them in another.  A row takes the first fraction
+    1, 1/2, 1/4, ... of its step that passes Armijo, or that keeps f within
+    4 eps max(1, |f|) and lowers |grad f|_inf; the rows that take none try
+    the next fraction together.  A row stops once the decrease one more
+    step predicts, -grad f . step / 2, is at most GAUGE_STOP, once no
+    fraction passes, or after GAUGE_STEPS steps.  Directions with
+    <x, u> <= 0 or h(u) <= 0 lie outside the domain.  Every row is computed
+    from its own values alone, so it does not depend on its batch-mates.
 
     A row starts from its U0 row, normalized, when that is inside the
     domain, and otherwise from x/|x|, which is inside whenever the origin is
-    interior to K.  The returned tolerance is the largest decrease of f (the
-    relative change of the gauge) made by a row's last iteration, floored at
-    1e-14.
+    interior to K.  The returned tolerance is the largest decrease that one
+    more step predicts at any row's final point, floored at 1e-14: where
+    Newton converges quadratically that estimates f(u) - f(u*), the relative
+    error left in the gauge.
     """
-    d = X.shape[1]
-
-    def fg(Z):
-        U, Xz = Z[:, :d], Z[:, d:]
-        dots = np.sum(Xz * U, axis=1)
+    def fg(U, Xr):
+        dots = np.sum(Xr * U, axis=1)
         h, grad_h = body.support_batch(U)
         bad = (dots <= 0) | (h <= 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             f = np.log(h) - np.log(dots)
-            g = grad_h / h[:, None] - Xz / dots[:, None]
+            g = grad_h / h[:, None] - Xr / dots[:, None]
         f[bad] = np.inf
         g[bad] = 0.0
-        return f, np.hstack([g, np.zeros_like(Xz)])
+        return f, g, h, grad_h, dots
 
-    Z = np.hstack([X / np.linalg.norm(X, axis=1)[:, None], X])
-    cold = np.ones(X.shape[0], dtype=bool)
+    U = X / np.linalg.norm(X, axis=1)[:, None]
     if U0 is not None:
         norms = np.linalg.norm(U0, axis=1)
         usable = np.isfinite(norms) & (norms > 0)
-        warm = Z.copy()
-        warm[usable, :d] = U0[usable] / norms[usable, None]
-        cold = ~np.isfinite(fg(warm)[0])
-        Z[~cold] = warm[~cold]
-    if np.any(cold) and not np.all(np.isfinite(fg(Z[cold])[0])):
+        warm = U.copy()
+        warm[usable] = U0[usable] / norms[usable, None]
+        inside = np.isfinite(fg(warm, X)[0])
+        U[inside] = warm[inside]
+    F, G, h, gh, dots = fg(U, X)
+    if not np.all(np.isfinite(F)):
         raise BodyError("gauge undefined: the origin is not interior to the body")
-    runs = lbfgs_batch(fg, Z, grad_tol=GAUGE_GRAD_TOL)
-    ustar = np.array([r.x[:d] for r in runs])
-    vals = np.exp(-np.array([r.f for r in runs]))
-    grads = ustar * (vals / np.sum(X * ustar, axis=1))[:, None]
-    return vals, grads, max(max(r.decrease for r in runs), 1e-14)
+    predicted = np.zeros(X.shape[0])
+    live = np.arange(X.shape[0])
+    for _ in range(GAUGE_STEPS):
+        Ul, Gl = U[live], G[live]
+        H = (support_hessians(body, Ul) / h[live, None, None]
+             - (gh[live, :, None] * gh[live, None, :]) / (h[live] ** 2)[:, None, None]
+             + (X[live, :, None] * X[live, None, :]) / (dots[live] ** 2)[:, None, None])
+        uhat = Ul / np.linalg.norm(Ul, axis=1)[:, None]
+        H += (np.abs(np.diagonal(H, axis1=1, axis2=2)).max(axis=1)[:, None, None]
+              * (uhat[:, :, None] * uhat[:, None, :]))
+        lam, V = np.linalg.eigh(H)
+        mag = np.abs(lam)
+        mag = np.maximum(mag, 1e-8 * mag.max(axis=1)[:, None])
+        coef = (V.transpose(0, 2, 1) @ Gl[:, :, None])[:, :, 0] / mag
+        D = -(V @ coef[:, :, None])[:, :, 0]
+        slope = (Gl[:, None, :] @ D[:, :, None])[:, 0, 0]
+        predicted[live] = -0.5 * slope
+        go = -0.5 * slope > GAUGE_STOP
+        live, D, slope = live[go], D[go], slope[go]
+        rows = np.arange(live.size)     # positions in live of the rows still trying
+        t = 1.0
+        for _ in range(GAUGE_HALVINGS):
+            if rows.size == 0:
+                break
+            i = live[rows]
+            Ft, Gt, ht, ght, dt = fg(U[i] + t * D[rows], X[i])
+            band = 4.0 * EPS * np.maximum(1.0, np.abs(F[i]))
+            take = ((Ft <= F[i] + ARMIJO * t * slope[rows])
+                    | ((Ft <= F[i] + band)
+                       & (np.abs(Gt).max(axis=1) < np.abs(G[i]).max(axis=1))))
+            j = i[take]
+            U[j] = U[j] + t * D[rows[take]]
+            F[j], G[j], h[j], gh[j], dots[j] = Ft[take], Gt[take], ht[take], ght[take], dt[take]
+            rows = rows[~take]
+            t *= 0.5
+        live = np.delete(live, rows)    # no fraction taken: the row is at its floor
+        if live.size == 0:
+            break
+    vals = np.exp(-F)
+    grads = U * (vals / np.sum(X * U, axis=1))[:, None]
+    return vals, grads, max(float(predicted.max()), 1e-14)
 
 
 # Steps of each of the infimal convolution's two descent phases, a coarse one

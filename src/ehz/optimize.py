@@ -2,20 +2,27 @@
 
 `lbfgs_batch` runs independent limited-memory quasi-Newton minimizations in
 lockstep, one batched objective call per round, each with a strong-Wolfe
-bracketing line search; `lbfgs` is its one-row case.  The objective may
-return +inf outside its domain; the line search treats that as a rejected
-step, which is how scale-invariant quotients with an open domain
-(positive loop action, positive support values) are kept feasible without
-explicit constraints.  The quasi-Newton constants are fixed: MEMORY
-curvature pairs, the Wolfe parameters ARMIJO (sufficient decrease) and
-CURVATURE, and a stall exit after STALL_PATIENCE iterations without
-progress; callers set only the gradient tolerance and the iteration cap.
+bracketing line search; `lbfgs` is its one-row case.  Its one caller is the
+capacity solver (`solver.minimize`), which asks for the optional slow exit
+and finishes the runs that end there with Newton steps; the iterative gauge
+of `bodies` takes Newton steps of its own.  The objective may return +inf
+outside its domain; the line search treats that as a rejected step, which
+is how scale-invariant quotients with an open domain (positive loop action,
+positive support values) are kept feasible without explicit constraints.
+The quasi-Newton constants are fixed: MEMORY curvature pairs, the Wolfe
+parameters ARMIJO (sufficient decrease) and CURVATURE, and a stall exit
+after STALL_PATIENCE iterations without progress; callers set only the
+gradient tolerance, the iteration cap and whether the slow exit applies.
 The line search gives up once its bracket in t is narrower than the
 resolution of x along the search direction, EPS * |x|_inf / |d|_inf: a
 narrower step moves no coordinate by more than the roundoff of the largest,
 so Armijo would pass or fail on roundoff in f.  At the roundoff floor of a
 minimization, a hopeless search then ends after about
 log2(|d|_inf / (EPS |x|_inf)) trials instead of bisecting t down to 1e-16.
+
+The slow exit ends a run that has brought |g|_inf to SLOW_BELOW but whose
+last SLOW_WINDOW iterations cut it by less than SLOW_FACTOR.  It only stops
+a run, so a run that ends "slow" is the same run cut short.
 
 `batched_descent` runs many small gradient descents in lockstep with per-row
 adaptive steps.  It is deliberately simple; its one caller, the infimal
@@ -36,6 +43,10 @@ ARMIJO = 1e-4
 CURVATURE = 0.9
 STALL_PATIENCE = 30
 EPS = np.finfo(float).eps
+# the optional slow exit (module docstring)
+SLOW_BELOW = 1e-3
+SLOW_WINDOW = 10
+SLOW_FACTOR = 10.0
 
 
 @dataclass
@@ -90,7 +101,7 @@ def _wolfe_search(x, f, g, d, slope, max_evals=60):
     return best
 
 
-def _lbfgs_run(x0, grad_tol, max_iter):
+def _lbfgs_run(x0, grad_tol, max_iter, slow_exit=False):
     """One L-BFGS run as a generator: yields every point it needs evaluated,
     is sent back (f, g), and returns its MinimizeResult."""
     x = np.asarray(x0, dtype=float).copy()
@@ -106,11 +117,16 @@ def _lbfgs_run(x0, grad_tol, max_iter):
     f_best = f
     stalled = 0
     decrease = 0.0
+    gnorms: list[float] = []    # |g|_inf at the start of each iteration
 
     for it in range(1, max_iter + 1):
         gnorm = float(np.abs(g).max())
         if gnorm <= grad_tol:
             return MinimizeResult(x, f, gnorm, it - 1, True, "gradient", decrease=decrease)
+        gnorms.append(gnorm)
+        if (slow_exit and gnorm <= SLOW_BELOW and len(gnorms) > SLOW_WINDOW
+                and gnorms[-1 - SLOW_WINDOW] < SLOW_FACTOR * gnorm):
+            return MinimizeResult(x, f, gnorm, it - 1, False, "slow", decrease=decrease)
 
         # two-loop recursion
         q = g.copy()
@@ -171,6 +187,7 @@ def lbfgs_batch(
     X0: np.ndarray,
     grad_tol: float = 1e-10,
     max_iter: int = 500,
+    slow_exit: bool = False,
 ) -> list[MinimizeResult]:
     """Run one independent L-BFGS minimization from each row of X0, in lockstep.
 
@@ -182,12 +199,15 @@ def lbfgs_batch(
     fg_batch evaluates each row independently of the others.  Each result
     records the number of objective evaluations its run made and the
     decrease of f made by its last iteration (0 for a run that stops at its
-    start).
+    start).  With `slow_exit`, a run also ends with status "slow" at an
+    iteration where |g|_inf <= SLOW_BELOW but its last SLOW_WINDOW
+    iterations cut |g|_inf by less than SLOW_FACTOR: first-order progress
+    has slowed to a crawl, and a caller with second-order steps takes over.
     """
     X0 = np.asarray(X0, dtype=float)
     if X0.ndim != 2:
         raise ValueError(f"X0 must be a 2-d array of start points, got shape {X0.shape}")
-    runs = [_lbfgs_run(x0, grad_tol, max_iter) for x0 in X0]
+    runs = [_lbfgs_run(x0, grad_tol, max_iter, slow_exit) for x0 in X0]
     results: list[MinimizeResult | None] = [None] * len(runs)
     evaluations = [0] * len(runs)
     pending = {i: next(run) for i, run in enumerate(runs)}

@@ -10,9 +10,9 @@ The action constraint is removed by minimizing the scale-invariant quotient
 [(1/2pi) I_p(z)] / A(z)^{p/2} over the Fourier coefficient space; both terms
 are homogeneous, so the quotient is flat along rays and the minimum value
 equals lambda / 2pi.  Quasi-Newton descent with planar-circle multistarts
-does the minimization: L-BFGS until the gradient is small, then a few
-Newton steps on the quotient's Hessian, which `_quotient_hessian` assembles
-from the structure of the quotient.
+does the minimization: L-BFGS until the gradient is small or its progress
+slows down, then a few Newton steps on the quotient's Hessian, which
+`_quotient_hessian` assembles from the structure of the quotient.
 
 A minimizer z satisfies the Euler equation
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .bodies import ConvexBody, Polytope, Smoothed
+from .bodies import ConvexBody, Polytope, Smoothed, support_hessians
 from .loops import (CarrierLoop, FourierLoop, action, normalize_action, random_loop,
                     resample_by_clock)
 from .optimize import EPS, MinimizeResult, lbfgs_batch
@@ -47,11 +47,12 @@ from .symplectic import apply_J, apply_J_inverse
 TWO_PI = 2 * np.pi
 
 # A start leaves L-BFGS for Newton steps once its gradient sup-norm is at most
-# NEWTON_ENTRY, and takes at most NEWTON_STEPS of them; each step tries the
-# fractions NEWTON_TRIALS of the Newton direction in one batched evaluation.
+# NEWTON_ENTRY, or earlier when L-BFGS slows down (the "slow" exit of
+# `lbfgs_batch`), and takes at most NEWTON_STEPS of them; each step tries the
+# fractions NEWTON_TRIALS of the Newton direction, the full step first.
 NEWTON_ENTRY = 1e-5
-NEWTON_STEPS = 8
-NEWTON_TRIALS = (1.0, 0.5, 0.25)
+NEWTON_STEPS = 16
+NEWTON_TRIALS = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
 class SolverError(RuntimeError):
@@ -114,8 +115,9 @@ class CertificateBundle:
 
     `gauge_tol` estimates the relative error left in the gauge values behind
     `boundary_residual`: 0 for bodies with an analytic polar, otherwise the
-    largest relative change that the last L-BFGS iteration of the gauge made
-    at any carrier sample, floored at 1e-14.
+    largest decrease of the log gauge that one more step of the Newton gauge
+    predicts at any carrier sample where it stopped, floored at 1e-14
+    (`bodies._gauge_by_newton`).
     """
 
     euler_residual_rel: float
@@ -154,12 +156,16 @@ class StartDiagnostics:
     steps, and otherwise the exit of its last L-BFGS run: gradient, stall,
     line_search or max_iter.  `iterations` counts L-BFGS iterations, those
     before and after the Newton phase; `newton_steps` counts the accepted
-    Newton steps.  `evaluations` counts the objective rows of the start: the
-    L-BFGS evaluations, and in a Newton phase one row at its entry and the
-    three trial rows of every step it tried.  A line_search exit's last,
-    failed search stops once its steps no longer move the coefficients by
-    more than roundoff, so it costs fewer than a bisection of the step to
-    1e-16.
+    Newton steps.  `newton_entry` says how the start reached the Newton
+    phase: "gradient" (|g|_inf at most NEWTON_ENTRY), "slow" (L-BFGS slowed
+    down first) or None (no Newton phase); `newton_entry_grad` is its
+    |g|_inf there.  `evaluations` counts the objective rows of the start:
+    the L-BFGS evaluations, and in a Newton phase one row at its entry, one
+    for the full step of every step it tried, and the other fractions of
+    NEWTON_TRIALS of each step whose full step it rejected.  A line_search
+    exit's last, failed search stops once its steps no longer move the
+    coefficients by more than roundoff, so it costs fewer than a bisection
+    of the step to 1e-16.
     """
 
     index: int
@@ -170,6 +176,8 @@ class StartDiagnostics:
     status: str
     evaluations: int
     newton_steps: int = 0
+    newton_entry: str | None = None
+    newton_entry_grad: float | None = None
     winner: bool = False
 
 
@@ -209,7 +217,8 @@ class CapacityResult:
                 {"index": s.index, "lambda": s.lam, "grad_norm": s.grad_norm,
                  "iterations": s.iterations, "converged": s.converged,
                  "status": s.status, "evaluations": s.evaluations,
-                 "newton_steps": s.newton_steps, "winner": s.winner}
+                 "newton_steps": s.newton_steps, "newton_entry": s.newton_entry,
+                 "newton_entry_grad": s.newton_entry_grad, "winner": s.winner}
                 for s in self.per_start
             ],
         }
@@ -320,13 +329,13 @@ def _quotient_hessian(K: ConvexBody, disc: _Discretization, p: float):
             - (p/2) D^2A / A + (p/2) grad A grad A^T / A^2,
 
     where g_1 = grad log m.  The only numerical derivative is D^2(h^p) at
-    each velocity sample: central differences of grad(h^p) at
-    u_j +- delta e_i, delta = 1e-6 |u_j|, all from one `support_batch`
-    call over the 2d copies of every sample of every row.  A is a quadratic
-    form, so D^2A is constant: pi/k times a signed permutation that pairs
-    av_k with bv_k through J.  Each Hessian is written one coordinate pair
-    (i, i') at a time, B^T diag(D^2_ii') B / (N m) into its block, with no
-    table over the nodes' mode pairs.
+    each velocity sample, from `bodies.support_hessians`: central
+    differences of grad(h^p) at u_j +- delta e_i, delta = 1e-6 |u_j|, all
+    from one `support_batch` call over the 2d copies of every sample of
+    every row.  A is a quadratic form, so D^2A is constant: pi/k times a
+    signed permutation that pairs av_k with bv_k through J.  Each Hessian is
+    written one coordinate pair (i, i') at a time, B^T diag(D^2_ii') B / (N m)
+    into its block, with no table over the nodes' mode pairs.
 
     The returned `hessians(Theta, F, G)` takes rows of coefficients with
     their `fg` values and gradients and yields one (n, n) Hessian per row,
@@ -343,17 +352,6 @@ def _quotient_hessian(K: ConvexBody, disc: _Discretization, p: float):
     cols = np.concatenate([M * d + ax + 1, M * d + ax])
     w = np.pi / np.repeat(disc.k, d // 2)
     d2A = np.concatenate([w, -w])
-    eye = np.eye(d)
-
-    def sample_hessians(U):
-        # D^2(h^p) at the rows u of U, from grad(h^p) at u +- delta e_i
-        delta = 1e-6 * np.linalg.norm(U, axis=1)
-        step = delta[:, None, None] * eye                     # row i: delta e_i
-        h, gh = K.support_batch(np.concatenate([U[:, None, :] + step,
-                                                U[:, None, :] - step]).reshape(-1, d))
-        dphi = ((p * h ** (p - 1.0))[:, None] * gh).reshape(2, -1, d, d)
-        D2 = (dphi[0] - dphi[1]) / (2.0 * delta)[:, None, None]
-        return 0.5 * (D2 + D2.transpose(0, 2, 1))
 
     def hessians(Theta: np.ndarray, F: np.ndarray, G: np.ndarray):
         R = Theta.shape[0]
@@ -361,7 +359,7 @@ def _quotient_hessian(K: ConvexBody, disc: _Discretization, p: float):
         bv = Theta[:, M * d:].reshape(R, M, d)
         a, b = kinv * av, kinv * bv
         U = -disc.S @ av + disc.C @ bv                        # (R, N, d)
-        D2 = sample_hessians(U.reshape(-1, d)).reshape(R, Npts, d, d)
+        D2 = support_hessians(K, U.reshape(-1, d), p).reshape(R, Npts, d, d)
         Ja = apply_J(a)
         A = np.pi * (disc.k * (Ja * b).sum(axis=2)).sum(axis=1)
         gradA = np.concatenate([(-np.pi * apply_J(b)).reshape(R, -1),
@@ -386,41 +384,58 @@ def _quotient_hessian(K: ConvexBody, disc: _Discretization, p: float):
     return hessians
 
 
-def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """-H^{-1} g from a Cholesky factor of H + mu I, mu = 1e-6 max|diag H|.
+def _newton_direction(H: np.ndarray, g: np.ndarray, x: np.ndarray,
+                      ray_shift: bool = True) -> np.ndarray:
+    """-H^{-1} g at the point x, with H shifted by mu = 1e-6 max|diag H|.
 
-    A failed factorization is retried once at 100 mu; if that fails too, the
-    step uses the pseudo-inverse of |H|: eigenvalues replaced by their
-    moduli, those below 1e-8 of the largest dropped.
+    The quotient is constant along rays, so H x = -g and H is singular along
+    x at a minimizer.  With `ray_shift` the step first factors
+    H + mu r r^T, r = x/|x|: shifting that one direction leaves the step
+    exact on the others, so the steps converge quadratically however close
+    the smallest curvature off the ray comes to mu.  Otherwise, or when H
+    is not positive definite off the ray, it factors H + mu I.  If that
+    fails too, H is indefinite, near a saddle or far from the minimizer, and
+    the step uses the pseudo-inverse of |H + mu r r^T|: eigenvalues replaced
+    by their moduli and those below 1e-6 of the largest dropped, so that it
+    moves down along directions of negative curvature instead of toward the
+    saddle.
     """
     n = H.shape[0]
     mu = 1e-6 * np.abs(np.diag(H)).max()
-    for shift in (mu, 100.0 * mu):
-        shifted = H.copy()
-        shifted.flat[::n + 1] += shift
+    ray = x / np.linalg.norm(x)
+    for on_ray in (True, False)[not ray_shift:]:
+        if on_ray:
+            shifted = np.outer(mu * ray, ray)
+            shifted += H
+        else:
+            shifted = H.copy()
+            shifted.flat[::n + 1] += mu
         try:
             factor = cho_factor(shifted, overwrite_a=True, check_finite=False)
             return -cho_solve(factor, g, check_finite=False)
         except np.linalg.LinAlgError:
             pass
-    lam, V = np.linalg.eigh(H)
+    lam, V = np.linalg.eigh(H + np.outer(mu * ray, ray))
     mag = np.abs(lam)
-    keep = mag >= 1e-8 * mag.max()
+    keep = mag >= 1e-6 * mag.max()
     return -(V[:, keep] @ ((V[:, keep].T @ g) / mag[keep]))
 
 
-def _newton_phase(fg, hessians, runs: list[MinimizeResult],
-                  grad_tol: float) -> tuple[list[int], list[int]]:
+def _newton_phase(fg, hessians, runs: list[MinimizeResult], grad_tol: float,
+                  ray_shift: bool = True) -> tuple[list[int], list[int]]:
     """Newton steps from the points of `runs`, batched over the live runs.
 
-    Every round builds the live runs' Hessians and evaluates the trials
-    x + t d for t in NEWTON_TRIALS of all of them in one `fg` call.  A run
-    takes the first trial that lowers f by more than 4 eps max(1, |f|), or
-    that keeps f within that band and lowers |g|_inf; it ends with status
-    "newton" once |g|_inf <= grad_tol.  It stops short when no trial is
-    taken or after NEWTON_STEPS steps.  The runs are updated in place
-    (point, value, gradient norm, evaluations, status); returns the number of steps
-    of each run and the indices of the runs that stopped short.
+    Every round builds the live runs' Hessians and evaluates the full steps
+    x + d of all of them in one `fg` call; the runs that reject theirs then
+    evaluate x + t d for the other fractions t of NEWTON_TRIALS in one more
+    call.  A run takes the first trial, in the order of NEWTON_TRIALS, that
+    lowers f by more than 4 eps max(1, |f|), or that keeps f within that
+    band and lowers |g|_inf; it ends with status "newton" once
+    |g|_inf <= grad_tol.  It stops short when no trial is taken or after
+    NEWTON_STEPS steps.  The runs are updated in place (point, value,
+    gradient norm, evaluations, status); returns the number of steps of each
+    run and the indices of the runs that stopped short.  `ray_shift` is
+    passed on to `_newton_direction`.
     """
     X = np.stack([r.x for r in runs])
     F, G = fg(X)
@@ -430,31 +445,36 @@ def _newton_phase(fg, hessians, runs: list[MinimizeResult],
     for r in runs:
         r.evaluations += 1
         r.converged = False
-    fractions = np.array(NEWTON_TRIALS)[:, None]
-    per_row = len(NEWTON_TRIALS)
     for _ in range(NEWTON_STEPS):
         hs = hessians(X[live], F[live], G[live])
-        Xt = np.concatenate([X[i] + fractions * _newton_direction(H, G[i])
-                             for i, H in zip(live, hs)])
-        Ft, Gt = fg(Xt)
-        still = []
-        for row, i in enumerate(live):
-            runs[i].evaluations += per_row
-            band = 4.0 * EPS * max(1.0, abs(F[i]))
-            gnorm = np.abs(G[i]).max()
-            for j in range(row * per_row, (row + 1) * per_row):
-                gnorm_t = np.abs(Gt[j]).max()
-                if Ft[j] < F[i] - band or (Ft[j] <= F[i] + band and gnorm_t < gnorm):
-                    X[i], F[i], G[i] = Xt[j], Ft[j], Gt[j]
-                    steps[i] += 1
-                    if gnorm_t <= grad_tol:
-                        runs[i].status, runs[i].converged = "newton", True
-                    else:
-                        still.append(i)
-                    break
-            else:
-                short.append(i)
-        live = still
+        step = {i: _newton_direction(H, G[i], X[i], ray_shift) for i, H in zip(live, hs)}
+        still, trying = [], live
+        for trials in (NEWTON_TRIALS[:1], NEWTON_TRIALS[1:]):
+            if not trying:
+                break
+            fractions = np.array(trials)[:, None]
+            Xt = np.concatenate([X[i] + fractions * step[i] for i in trying])
+            Ft, Gt = fg(Xt)
+            rejected = []
+            for row, i in enumerate(trying):
+                runs[i].evaluations += len(trials)
+                band = 4.0 * EPS * max(1.0, abs(F[i]))
+                gnorm = np.abs(G[i]).max()
+                for j in range(row * len(trials), (row + 1) * len(trials)):
+                    gnorm_t = np.abs(Gt[j]).max()
+                    if Ft[j] < F[i] - band or (Ft[j] <= F[i] + band and gnorm_t < gnorm):
+                        X[i], F[i], G[i] = Xt[j], Ft[j], Gt[j]
+                        steps[i] += 1
+                        if gnorm_t <= grad_tol:
+                            runs[i].status, runs[i].converged = "newton", True
+                        else:
+                            still.append(i)
+                        break
+                else:
+                    rejected.append(i)
+            trying = rejected
+        short += trying
+        live = sorted(still)
         if not live:
             break
     short += live
@@ -498,37 +518,62 @@ def _default_grid(K: ConvexBody, cfg: SolveConfig) -> int:
     return 8 * cfg.modes if isinstance(K, Smoothed) else 4 * cfg.modes
 
 
-def _descend(fg, hessians, theta0: np.ndarray, cfg: SolveConfig
-             ) -> tuple[list[MinimizeResult], list[int]]:
-    """Minimize from each row of theta0; returns the runs and their Newton steps.
+def _built_on_smoothed(recipe: dict) -> bool:
+    """Whether a body's recipe tree holds a smoothed polytope."""
+    children = list(recipe.get("terms", [])) + ([recipe["body"]] if "body" in recipe else [])
+    return recipe["type"] == "smoothed" or any(_built_on_smoothed(c) for c in children)
+
+
+def _descend(fg, hessians, theta0: np.ndarray, cfg: SolveConfig, slow_exit: bool = True,
+             ray_shift: bool = True
+             ) -> tuple[list[MinimizeResult], list[int], list[tuple[str, float] | None]]:
+    """Minimize from each row of theta0; returns the runs, their Newton steps
+    and how each entered the Newton phase.
 
     L-BFGS runs every start until |g|_inf <= max(NEWTON_ENTRY, grad_tol).
+    With `slow_exit` (bodies built on smoothed polytopes) it also stops once
+    its progress slows down below |g|_inf = 1e-3 (the "slow" exit of
+    `lbfgs_batch`): there L-BFGS needs about 17 evaluations per decade of
+    |g|_inf below 1e-3.  Smooth bodies need about 2, and the few of their
+    starts that slow down do so near saddles, where Newton steps from 1e-3
+    stall.
     Starts that stop there above grad_tol take Newton steps together
-    (`_newton_phase`); a start whose Newton phase stops short resumes
-    L-BFGS from its current point for the rest of max_iter, with the usual
-    exits.  Every stage evaluates each row on its own, so a start's result
-    does not depend on the other rows of theta0.
+    (`_newton_phase`); each records ("gradient" or "slow", |g|_inf) as its
+    entry.  A start whose Newton phase stops short resumes L-BFGS from its
+    current point for the rest of max_iter, with the usual exits, and keeps
+    the resumed result only if it reaches grad_tol or lowers f by more than
+    4 eps max(1, |f|); otherwise it keeps the Newton point, with the
+    resumed run's status and counts added.  Every stage evaluates each row
+    on its own, so a start's result does not depend on the other rows of
+    theta0.  `ray_shift` is passed on to `_newton_direction`.
     """
     runs = lbfgs_batch(fg, theta0, grad_tol=max(NEWTON_ENTRY, cfg.grad_tol),
-                       max_iter=cfg.max_iter)
+                       max_iter=cfg.max_iter, slow_exit=slow_exit)
     steps = [0] * len(runs)
     entering = [i for i, r in enumerate(runs)
-                if r.status == "gradient" and r.grad_norm > cfg.grad_tol]
+                if r.status == "slow" or (r.status == "gradient" and r.grad_norm > cfg.grad_tol)]
+    entries = [(runs[i].status, runs[i].grad_norm) if i in entering else None
+               for i in range(len(runs))]
     if not entering:
-        return runs, steps
-    taken, short = _newton_phase(fg, hessians, [runs[i] for i in entering], cfg.grad_tol)
+        return runs, steps, entries
+    taken, short = _newton_phase(fg, hessians, [runs[i] for i in entering], cfg.grad_tol,
+                                 ray_shift)
     for i, n in zip(entering, taken):
         steps[i] = n
     for i in (entering[j] for j in short):
-        budget = cfg.max_iter - runs[i].iterations - steps[i]
+        run = runs[i]
+        budget = cfg.max_iter - run.iterations - steps[i]
         if budget <= 0:
-            runs[i].status = "max_iter"
+            run.status = "max_iter"
             continue
-        res, = lbfgs_batch(fg, runs[i].x[None, :], grad_tol=cfg.grad_tol, max_iter=budget)
-        res.iterations += runs[i].iterations
-        res.evaluations += runs[i].evaluations
-        runs[i] = res
-    return runs, steps
+        res, = lbfgs_batch(fg, run.x[None, :], grad_tol=cfg.grad_tol, max_iter=budget)
+        res.iterations += run.iterations
+        res.evaluations += run.evaluations
+        if res.converged or res.f < run.f - 4.0 * EPS * max(1.0, abs(run.f)):
+            runs[i] = res
+        else:
+            run.status, run.iterations, run.evaluations = res.status, res.iterations, res.evaluations
+    return runs, steps, entries
 
 
 def minimize(K: ConvexBody, cfg: SolveConfig,
@@ -538,11 +583,12 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
 
     lambda is 2 pi times the minimal quotient; the minimizer is returned with
     action exactly 1 (up to roundoff).  Each start runs L-BFGS until its
-    gradient sup-norm is at most NEWTON_ENTRY, then up to NEWTON_STEPS
-    Newton steps on the Hessian of `_quotient_hessian`, batched over the
-    starts; a start that reaches grad_tol there ends with status "newton",
-    and one that stops short resumes L-BFGS (see `_descend`).  The winning
-    start is the lowest quotient among the usable starts, ties broken by
+    gradient sup-norm is at most NEWTON_ENTRY, or on a body built on a
+    smoothed polytope until its progress slows down, then up to NEWTON_STEPS Newton steps on
+    the Hessian of `_quotient_hessian`, batched over the starts; a start
+    that reaches grad_tol there ends with status "newton", and one that
+    stops short resumes L-BFGS (see `_descend`).  The winning start is the
+    lowest quotient among the usable starts, ties broken by
     start index; when no start is usable the lowest quotient of all wins,
     and the finishing step reports the result unconverged.  An `initial`
     loop (e.g. a warm start from a nearby body) is prepended to the
@@ -558,11 +604,19 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
     theta0 = np.stack([disc.pack(kcol * start.a, kcol * start.b) for start in starts])
-    results, steps = _descend(_quotient_fg(K, disc, cfg.p), _quotient_hessian(K, disc, cfg.p),
-                              theta0, cfg)
+    # Loops on a body whose support the quadrature resolves can be shifted in
+    # time at no cost to the quotient, so its Hessian is singular off the ray
+    # as well: only a Smoothed body's Newton steps shift the ray alone.  Slow
+    # L-BFGS runs go to Newton early on any body built on a smoothed
+    # polytope (`_descend`).
+    results, steps, entries = _descend(_quotient_fg(K, disc, cfg.p),
+                                       _quotient_hessian(K, disc, cfg.p), theta0, cfg,
+                                       slow_exit=_built_on_smoothed(K.recipe()),
+                                       ray_shift=isinstance(K, Smoothed))
     diagnostics = [StartDiagnostics(i, TWO_PI * math.exp(res.f), res.grad_norm, res.iterations,
-                                    res.converged, res.status, res.evaluations, n)
-                   for i, (res, n) in enumerate(zip(results, steps))]
+                                    res.converged, res.status, res.evaluations, n,
+                                    *(entry or (None, None)))
+                   for i, (res, n, entry) in enumerate(zip(results, steps, entries))]
     # a stall at the roundoff floor or a small-gradient iteration cap is the
     # numerical floor of a stationary point; the certificates grade the
     # winner's quality downstream

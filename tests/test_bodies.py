@@ -189,6 +189,10 @@ def test_smoothed_rows_independent_of_batch_size(half, sharpness):
         for i in range(0, len(U), rows):
             v, g = K.support_batch(U[i:i + rows])
             assert np.array_equal(v, vals[i:i + rows]) and np.array_equal(g, grads[i:i + rows])
+    # the gauge evaluates single rows too
+    for i in range(0, len(U), 37):
+        v, g = K.support_batch(U[i:i + 1])
+        assert v[0] == vals[i] and np.array_equal(g[0], grads[i])
 
 
 _SMOOTHED_BLOCK_REF = 1 << 15
@@ -445,6 +449,24 @@ def test_gauge_warm_and_cold_starts_agree(name):
     # negated rows leave the domain (<x, u> < 0) and fall back to x/|x|
     flipped = K.gauge_batch(X, -cold[1])
     assert np.max(np.abs(flipped[0] - cold[0]) / cold[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["smoothed", "psum"])
+def test_gauge_rows_are_independent_of_their_batch_mates(name):
+    K = GAUGE_BODIES[name]
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(12, 4))
+    # warm starts near the normals, some flipped out of the domain (cold
+    # starts) and some far off, so the rows need different numbers of steps
+    U0 = K.gauge_batch(X)[1] + rng.normal(scale=0.3, size=X.shape) * rng.integers(0, 2, (12, 1))
+    U0[::4] *= -1.0
+    vals, grads, _ = K.gauge_batch(X, U0)
+    for i in range(len(X)):
+        v, g, _ = K.gauge_batch(X[i:i + 1], U0[i:i + 1])
+        assert v[0] == vals[i] and np.array_equal(g[0], grads[i])
+    order = rng.permutation(len(X))[:7]
+    v, g, _ = K.gauge_batch(X[order], U0[order])
+    assert np.array_equal(v, vals[order]) and np.array_equal(g, grads[order])
 
 
 def test_gauge_warm_start_at_the_normal_stops_at_once():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ehz.optimize import batched_descent, lbfgs, lbfgs_batch
+from ehz.optimize import SLOW_BELOW, batched_descent, lbfgs, lbfgs_batch
 
 
 def test_lbfgs_quadratic():
@@ -138,6 +138,30 @@ def test_lbfgs_batch_domain_guard_and_bad_start():
     assert [r.x[0] for r in res] == pytest.approx([1.0] * 3, rel=1e-10)
     with pytest.raises(ValueError, match="outside the objective domain"):
         lbfgs_batch(fg, np.array([[3.0], [-1.0]]))
+
+
+def test_slow_exit_ends_runs_that_crawl_and_only_those():
+    # eigenvalues from 1e-4 to 1: L-BFGS crawls, and without the slow exit
+    # stalls hundreds of iterations later short of grad_tol
+    c = np.logspace(-4, 0, 200)
+
+    def fg(X):
+        return 0.5 * np.sum(X * X * c, axis=1), X * c
+
+    X0 = np.stack([np.ones(200), 0.5 * np.ones(200)])
+    crawl = lbfgs_batch(fg, X0, grad_tol=1e-10, max_iter=2000)
+    slow = lbfgs_batch(fg, X0, grad_tol=1e-10, max_iter=2000, slow_exit=True)
+    for full, res, x0 in zip(crawl, slow, X0):
+        assert full.status == "stall" and full.iterations > 500
+        assert res.status == "slow" and not res.converged
+        assert res.grad_norm <= SLOW_BELOW and res.iterations < 100
+        # the exit only stops the run: it is the same run cut at that iteration
+        cut, = lbfgs_batch(fg, x0[None, :], grad_tol=1e-10, max_iter=res.iterations)
+        assert np.array_equal(cut.x, res.x) and cut.f == res.f
+    # a well-conditioned run converges long before anything could crawl
+    fast = lbfgs_batch(lambda X: (0.5 * np.sum(X * X * (1 + c), axis=1), X * (1 + c)),
+                       X0, grad_tol=1e-10, max_iter=2000, slow_exit=True)
+    assert all(r.status == "gradient" for r in fast)
 
 
 def test_batched_descent_independent_quadratics():

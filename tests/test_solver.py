@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -193,8 +194,8 @@ def test_quotient_batched_rows_match_single_rows_bitwise(name, p):
 
 def _minimize_one_start_at_a_time(K, cfg, initial=None):
     """Each start run alone through `minimize`'s pipeline (L-BFGS, Newton
-    phase, resumed L-BFGS) on the one-row quotient; returns the runs and
-    their Newton steps."""
+    phase, resumed L-BFGS) on the one-row quotient; returns the runs, their
+    Newton steps and their Newton entries."""
     disc = _Discretization(cfg.modes, K.dim, _default_grid(K, cfg))
     fg = _quotient_fg(K, disc, cfg.p)
     hessians = _quotient_hessian(K, disc, cfg.p)
@@ -202,22 +203,26 @@ def _minimize_one_start_at_a_time(K, cfg, initial=None):
     starts = _starts(K, cfg)
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
-    alone = [solver._descend(fg, hessians, disc.pack(kcol * z.a, kcol * z.b)[None, :], cfg)
+    alone = [solver._descend(fg, hessians, disc.pack(kcol * z.a, kcol * z.b)[None, :], cfg,
+                             slow_exit=solver._built_on_smoothed(K.recipe()),
+                             ray_shift=isinstance(K, Smoothed))
              for z in starts]
-    return disc, kcol, [runs[0] for runs, _ in alone], [steps[0] for _, steps in alone]
+    return (disc, kcol, [runs[0] for runs, _, _ in alone], [steps[0] for _, steps, _ in alone],
+            [entries[0] for _, _, entries in alone])
 
 
 def _assert_lockstep(K, cfg, initial=None):
     """Every start of `minimize` is bit for bit what it is alone; returns the
     diagnostics."""
     lam, zstar, diags = minimize(K, cfg, initial=initial)
-    disc, kcol, alone, steps = _minimize_one_start_at_a_time(K, cfg, initial)
+    disc, kcol, alone, steps, entries = _minimize_one_start_at_a_time(K, cfg, initial)
     assert len(diags) == len(alone) == cfg.starts + (initial is not None)
-    for d, res, n in zip(diags, alone, steps):
+    for d, res, n, entry in zip(diags, alone, steps, entries):
         assert d.lam == 2 * np.pi * math.exp(res.f)
         assert (d.grad_norm, d.iterations, d.converged, d.status, d.evaluations,
                 d.newton_steps) == (res.grad_norm, res.iterations, res.converged, res.status,
                                     res.evaluations, n)
+        assert (d.newton_entry, d.newton_entry_grad) == (entry or (None, None))
     winner = next(d for d in diags if d.winner)
     assert lam == winner.lam
     av, bv = disc.unpack(alone[winner.index].x)
@@ -233,15 +238,95 @@ def test_minimize_lockstep_matches_one_start_at_a_time(warm):
     initial = minimize(K, cfg.replace(modes=3, starts=2))[1] if warm else None
     diags = _assert_lockstep(K, cfg, initial)
     assert all(d.status == "newton" and d.newton_steps > 0 for d in diags)
+    # every start is handed over to Newton by the slow exit of L-BFGS
+    assert all(d.newton_entry == "slow" for d in diags)
 
 
 def test_minimize_lockstep_through_newton_and_resumed_lbfgs():
-    # at 8 modes the hexagon pair's starts leave the Newton phase short and
-    # resume L-BFGS, or run out of iterations before or after it
-    diags = _assert_lockstep(_smoothed_hexagon_pair(), SolveConfig(modes=8, starts=4))
-    assert {"line_search", "max_iter"} <= {d.status for d in diags}
+    # at 12 modes and 205 iterations the hexagon pair's starts finish by
+    # Newton, leave the Newton phase short and resume L-BFGS, or run out of
+    # iterations before it
+    diags = _assert_lockstep(_smoothed_hexagon_pair(),
+                             SolveConfig(modes=12, starts=8, max_iter=205))
+    assert {"newton", "line_search", "max_iter"} <= {d.status for d in diags}
     assert any(d.newton_steps == solver.NEWTON_STEPS for d in diags)
     assert any(d.newton_steps == 0 for d in diags)
+
+
+def test_smoothed_starts_enter_newton_when_lbfgs_slows_and_ellipsoid_starts_do_not():
+    K = _smoothed_hexagon_pair()
+    _, _, diags = minimize(K, SolveConfig(modes=6, starts=4))
+    assert all(d.newton_entry == "slow" for d in diags)
+    assert all(optimize.SLOW_BELOW >= d.newton_entry_grad > solver.NEWTON_ENTRY for d in diags)
+    for E in (Ellipsoid([1.0, 1.5]), QUOTIENT_BODIES["general_ellipsoid"]):
+        _, _, diags = minimize(E, SolveConfig(modes=8, starts=8))
+        assert {d.newton_entry for d in diags} <= {None, "gradient"}
+        assert all(d.newton_entry_grad is None or d.newton_entry_grad <= solver.NEWTON_ENTRY
+                   for d in diags)
+
+
+def _hexagon_first_start():
+    """The quotient of the hexagon pair at 8 modes, its Hessians, its first
+    start and the config."""
+    K = _smoothed_hexagon_pair()
+    cfg = SolveConfig(modes=8, starts=4)
+    disc = _Discretization(cfg.modes, K.dim, _default_grid(K, cfg))
+    z = _starts(K, cfg)[0]
+    theta = disc.pack(disc.k[:, None] * z.a, disc.k[:, None] * z.b)
+    return _quotient_fg(K, disc, cfg.p), _quotient_hessian(K, disc, cfg.p), theta, cfg
+
+
+def _lbfgs_to_newton_entry(fg, theta, cfg):
+    # L-BFGS without the slow exit, as `minimize` ran it before slow starts
+    # were handed to Newton
+    run, = optimize.lbfgs_batch(fg, theta[None, :], grad_tol=solver.NEWTON_ENTRY,
+                                max_iter=cfg.max_iter)
+    return run
+
+
+def _mu_shifted_direction(H, g, x, ray_shift):
+    # a Cholesky factor of H + mu I alone: its steps contract |g| only
+    # linearly where the smallest curvature off the ray is close to mu
+    return -cho_solve(cho_factor(H + 1e-6 * np.abs(np.diag(H)).max() * np.eye(len(g))), g)
+
+
+def test_newton_steps_converge_quadratically_where_the_smallest_curvature_is_near_mu():
+    fg, hessians, theta, cfg = _hexagon_first_start()
+    run = _lbfgs_to_newton_entry(fg, theta, cfg)
+    assert run.status == "gradient" and 1e-6 < run.grad_norm <= solver.NEWTON_ENTRY
+    steps, short = solver._newton_phase(fg, hessians, [run], cfg.grad_tol)
+    # a shift of every direction took 8 steps to |g| 3.0e-10 here
+    assert run.status == "newton" and run.grad_norm <= cfg.grad_tol
+    assert steps[0] <= 4 and short == []
+
+
+def test_a_resumed_lbfgs_run_that_ends_worse_is_not_kept(monkeypatch):
+    # the Newton phase of before: at most 8 steps of the mu-shifted
+    # direction, which stop short at |g| 3.0e-10
+    monkeypatch.setattr(solver, "NEWTON_STEPS", 8)
+    monkeypatch.setattr(solver, "_newton_direction", _mu_shifted_direction)
+    fg, hessians, theta, cfg = _hexagon_first_start()
+    newton = _lbfgs_to_newton_entry(fg, theta, cfg)
+    entry_grad = newton.grad_norm
+    steps, short = solver._newton_phase(fg, hessians, [newton], cfg.grad_tol)
+    assert steps == [8] and short == [0] and 1e-10 < newton.grad_norm < 1e-9
+    resumed, = optimize.lbfgs_batch(fg, newton.x[None, :], grad_tol=cfg.grad_tol,
+                                    max_iter=cfg.max_iter - newton.iterations - 8)
+    # the resumed run lowers f by less than the 4 eps band and raises |g|
+    assert resumed.status == "line_search" and resumed.grad_norm > 1e-8
+    assert abs(resumed.f - newton.f) <= 4 * optimize.EPS * abs(newton.f)
+
+    monkeypatch.setattr(solver, "lbfgs_batch",
+                        lambda fg, X, grad_tol, max_iter, slow_exit=False:
+                        optimize.lbfgs_batch(fg, X, grad_tol=grad_tol, max_iter=max_iter))
+    (res,), steps, entries = solver._descend(fg, hessians, theta[None, :], cfg)
+    # the start keeps the Newton point, with the resumed run's exit and counts
+    assert np.array_equal(res.x, newton.x)
+    assert (res.f, res.grad_norm) == (newton.f, newton.grad_norm)
+    assert res.status == "line_search" and not res.converged
+    assert res.iterations == newton.iterations + resumed.iterations
+    assert res.evaluations == newton.evaluations + resumed.evaluations
+    assert steps == [8] and entries == [("gradient", entry_grad)]
 
 
 HESSIAN_BODIES = {
@@ -279,6 +364,9 @@ def test_per_start_diagnostics_reported():
         assert diag.status in ("gradient", "newton", "stall", "line_search", "max_iter")
         assert row["evaluations"] == diag.evaluations > diag.iterations
         assert row["newton_steps"] == diag.newton_steps
+        assert (row["newton_entry"], row["newton_entry_grad"]) == \
+            (diag.newton_entry, diag.newton_entry_grad)
+        assert diag.newton_entry in (None, "gradient", "slow")
     assert any(diag.status == "gradient" for diag in res.per_start)
 
 
@@ -356,13 +444,14 @@ def test_single_body_drift_is_the_next_level_of_the_mode_chain():
 def test_minimize_without_a_usable_start_returns_an_unconverged_winner():
     V = np.random.default_rng(3).normal(size=(6, 4))
     K = Smoothed(Polytope(np.vstack([V, -V])), 16.0)
-    cfg = SolveConfig(modes=8, starts=4, max_iter=300)
+    cfg = SolveConfig(modes=8, starts=4, max_iter=150)
     lam, zstar, diags = minimize(K, cfg)
     # every start hits the iteration cap short of the usable gradient norm,
     # and short of the Newton phase
     assert all(d.status == "max_iter" and d.grad_norm > 1e-6 for d in diags)
+    assert all(d.newton_steps == 0 and d.newton_entry is None for d in diags)
     winner = next(d for d in diags if d.winner)
-    assert lam == winner.lam == pytest.approx(0.577612, rel=1e-6)
+    assert lam == winner.lam == pytest.approx(0.5776133, rel=1e-6)
     assert all(winner.lam <= d.lam * (1 + 1e-9) for d in diags)
     assert action(zstar) == pytest.approx(1.0, rel=1e-12)
     r = capacity(K, cfg)
