@@ -473,20 +473,22 @@ class Smoothed(ConvexBody):
         # (measured at m = 768 with 768 rows and at m = 24 with 60000 rows).
         # Blocks this small also keep the support-point product W @ V on
         # BLAS's small-matrix path, where each row's result does not depend
-        # on how many rows share the call; the batched solver and the gauge
-        # rely on that.  A single row goes through as two: numpy multiplies
-        # it on BLAS's matrix-vector path, whose bits differ.
+        # on how many rows share the call (as tested in R^4); the batched
+        # solver and the gauge rely on that.  In the plane W @ V has two
+        # columns, and its bits do depend on the block's row count (see
+        # `solver._quotient_fg`).  A one-row block, alone or trailing, goes
+        # through as two: numpy multiplies one row on BLAS's matrix-vector
+        # path, whose bits differ.
         step = max(1, _SMOOTHED_BLOCK // self.body.vertices.shape[0])
         n = U.shape[0]
-        if n == 1:
-            vals, grads = self._support_block(np.repeat(U, 2, axis=0))
-            return vals[:1], grads[:1]
-        if n <= step:
+        if 1 < n <= step:
             return self._support_block(U)
         vals = np.empty(n)
         grads = np.empty((n, self.dim))
         for i in range(0, n, step):
-            vals[i:i + step], grads[i:i + step] = self._support_block(U[i:i + step])
+            block = U[i:i + step] if n - i != 1 else np.repeat(U[i:], 2, axis=0)
+            v, g = self._support_block(block)
+            vals[i:i + step], grads[i:i + step] = v[:n - i], g[:n - i]
         return vals, grads
 
     def _support_block(self, U):

@@ -1,18 +1,22 @@
 """Unconstrained minimizers used across the package.
 
-`lbfgs_batch` runs independent limited-memory quasi-Newton minimizations in
-lockstep, one batched objective call per round, each with a strong-Wolfe
-bracketing line search; `lbfgs` is its one-row case.  Its one caller is the
-capacity solver (`solver.minimize`), which asks for the optional slow exit
-and finishes the runs that end there with Newton steps; the iterative gauge
-of `bodies` takes Newton steps of its own.  The objective may return +inf
-outside its domain; the line search treats that as a rejected step, which
-is how scale-invariant quotients with an open domain (positive loop action,
-positive support values) are kept feasible without explicit constraints.
-The quasi-Newton constants are fixed: MEMORY curvature pairs, the Wolfe
-parameters ARMIJO (sufficient decrease) and CURVATURE, and a stall exit
-after STALL_PATIENCE iterations without progress; callers set only the
-gradient tolerance, the iteration cap and whether the slow exit applies.
+`lockstep` drives independent minimizations written as generators, one
+batched objective call per round: each run yields the points (or blocks of
+points) it needs evaluated and the points where it needs a Hessian.
+`lbfgs_run` is one limited-memory quasi-Newton minimization in that form,
+with a strong-Wolfe bracketing line search; `lbfgs` runs one of them alone.
+The capacity solver (`solver.minimize`) drives every start of a solve
+through one `lockstep` call, each start an L-BFGS run with the optional
+slow exit, Newton steps and, where those stop short, a resumed L-BFGS run;
+the iterative gauge of `bodies` takes Newton steps of its own.  The
+objective may return +inf outside its domain; the line search treats that
+as a rejected step, which is how scale-invariant quotients with an open
+domain (positive loop action, positive support values) are kept feasible
+without explicit constraints.  The quasi-Newton constants are fixed:
+MEMORY curvature pairs, the Wolfe parameters ARMIJO (sufficient decrease)
+and CURVATURE, and a stall exit after STALL_PATIENCE iterations without
+progress; callers set only the gradient tolerance, the iteration cap and
+whether the slow exit applies.
 The line search gives up once its bracket in t is narrower than the
 resolution of x along the search direction, EPS * |x|_inf / |d|_inf: a
 narrower step moves no coordinate by more than the roundoff of the largest,
@@ -57,8 +61,8 @@ class MinimizeResult:
     iterations: int
     converged: bool
     status: str
+    grad: np.ndarray    # the gradient at x
     evaluations: int = 0
-    decrease: float = 0.0    # decrease of f made by the last iteration
 
 
 def _wolfe_search(x, f, g, d, slope, max_evals=60):
@@ -101,9 +105,21 @@ def _wolfe_search(x, f, g, d, slope, max_evals=60):
     return best
 
 
-def _lbfgs_run(x0, grad_tol, max_iter, slow_exit=False):
-    """One L-BFGS run as a generator: yields every point it needs evaluated,
-    is sent back (f, g), and returns its MinimizeResult."""
+def lbfgs_run(x0, grad_tol, max_iter, slow_exit=False):
+    """One L-BFGS run as a generator for `lockstep`: yields every point it
+    needs evaluated, is sent back (f, g), and returns its MinimizeResult.
+
+    Convergence is declared when the sup-norm of the gradient drops below
+    grad_tol.  Pairs with non-positive s.y (possible only on fallback
+    acceptances of the line search) are skipped.  A run that makes no
+    measurable function progress for STALL_PATIENCE consecutive iterations
+    returns early with status "stall": grinding at the roundoff floor costs
+    many line-search evaluations per step and cannot improve the iterate.
+    Other exits are "gradient" (converged), "line_search" (no acceptable
+    step, see `_wolfe_search`), "max_iter" and, with `slow_exit`, "slow"
+    (module docstring).  The result carries the gradient at its point, so a
+    caller can go on from there without evaluating it again.
+    """
     x = np.asarray(x0, dtype=float).copy()
     f, g = yield x
     if not math.isfinite(f):
@@ -116,17 +132,16 @@ def _lbfgs_run(x0, grad_tol, max_iter, slow_exit=False):
     it = 0
     f_best = f
     stalled = 0
-    decrease = 0.0
     gnorms: list[float] = []    # |g|_inf at the start of each iteration
 
     for it in range(1, max_iter + 1):
         gnorm = float(np.abs(g).max())
         if gnorm <= grad_tol:
-            return MinimizeResult(x, f, gnorm, it - 1, True, "gradient", decrease=decrease)
+            return MinimizeResult(x, f, gnorm, it - 1, True, "gradient", g)
         gnorms.append(gnorm)
         if (slow_exit and gnorm <= SLOW_BELOW and len(gnorms) > SLOW_WINDOW
                 and gnorms[-1 - SLOW_WINDOW] < SLOW_FACTOR * gnorm):
-            return MinimizeResult(x, f, gnorm, it - 1, False, "slow", decrease=decrease)
+            return MinimizeResult(x, f, gnorm, it - 1, False, "slow", g)
 
         # two-loop recursion
         q = g.copy()
@@ -167,7 +182,6 @@ def _lbfgs_run(x0, grad_tol, max_iter, slow_exit=False):
                 y_hist.pop(0)
                 rho_hist.pop(0)
 
-        decrease = f - f_new
         x, f, g = x_new, f_new, g_new
         if f < f_best - 1e-14 * (1.0 + abs(f_best)):
             f_best = f
@@ -179,78 +193,74 @@ def _lbfgs_run(x0, grad_tol, max_iter, slow_exit=False):
                 break
 
     gnorm = float(np.abs(g).max())
-    return MinimizeResult(x, f, gnorm, it, gnorm <= grad_tol, status, decrease=decrease)
+    return MinimizeResult(x, f, gnorm, it, gnorm <= grad_tol, status, g)
 
 
-def lbfgs_batch(
-    fg_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    X0: np.ndarray,
-    grad_tol: float = 1e-10,
-    max_iter: int = 500,
-    slow_exit: bool = False,
-) -> list[MinimizeResult]:
-    """Run one independent L-BFGS minimization from each row of X0, in lockstep.
+def lockstep(fg_batch: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], runs: list,
+             hessians: Callable | None = None) -> tuple[list, list[int]]:
+    """Drive generator runs in lockstep; returns their results and row counts.
 
-    fg_batch maps a (B, n) array of points to values (B,) and gradients
-    (B, n), row by row.  Each round stacks the next point every live run
-    needs and makes one fg_batch call; runs that finish drop out.  Every run
-    takes exactly the steps it would take alone (see `lbfgs`), so the
-    results do not depend on which other rows share the batch, provided
-    fg_batch evaluates each row independently of the others.  Each result
-    records the number of objective evaluations its run made and the
-    decrease of f made by its last iteration (0 for a run that stops at its
-    start).  With `slow_exit`, a run also ends with status "slow" at an
-    iteration where |g|_inf <= SLOW_BELOW but its last SLOW_WINDOW
-    iterations cut |g|_inf by less than SLOW_FACTOR: first-order progress
-    has slowed to a crawl, and a caller with second-order steps takes over.
+    Each run is a generator that yields one request at a time:
+
+        a point x (n,)      and is sent back (f, g) of that point,
+        a block X (k, n)    and is sent back (F, G), one row per row of X,
+        a tuple (x, f, g)   and is sent back the Hessian H (n, n) at x.
+
+    fg_batch maps a (B, n) array to values (B,) and gradients (B, n), row by
+    row; hessians maps the stacked (X, F, G) of several requests to one
+    Hessian per row.  Each round makes one hessians call for every Hessian
+    request, then one fg_batch call over every point and block, and runs
+    that finish drop out.  Returns each run's return value and the number of
+    fg rows it had evaluated.  Every run takes exactly the steps it would
+    take alone, provided fg_batch and hessians evaluate each row
+    independently of the others.  The capacity quotient does so on the
+    bodies tested in R^4, but not on a smoothed polygon (see
+    `solver._quotient_fg`).
     """
-    X0 = np.asarray(X0, dtype=float)
-    if X0.ndim != 2:
-        raise ValueError(f"X0 must be a 2-d array of start points, got shape {X0.shape}")
-    runs = [_lbfgs_run(x0, grad_tol, max_iter, slow_exit) for x0 in X0]
-    results: list[MinimizeResult | None] = [None] * len(runs)
-    evaluations = [0] * len(runs)
-    pending = {i: next(run) for i, run in enumerate(runs)}
-    while pending:
-        live = list(pending)
-        F, G = fg_batch(np.stack([pending[i] for i in live]))
-        for row, i in enumerate(live):
-            evaluations[i] += 1
-            try:
-                pending[i] = runs[i].send((float(F[row]), G[row]))
-            except StopIteration as done:
-                del pending[i]
-                results[i] = done.value
-                results[i].evaluations = evaluations[i]
-    return results
+    results: list = [None] * len(runs)
+    rows = [0] * len(runs)
+    requests: dict = {}
+
+    def advance(i, reply):
+        try:
+            requests[i] = runs[i].send(reply)
+        except StopIteration as done:
+            requests.pop(i, None)
+            results[i] = done.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while requests:
+        asking = [i for i, req in requests.items() if isinstance(req, tuple)]
+        if asking:
+            X, F, G = zip(*(requests[i] for i in asking))
+            for i, H in zip(asking, hessians(np.stack(X), np.array(F), np.stack(G))):
+                advance(i, H)
+        waiting = [(i, req) for i, req in requests.items() if not isinstance(req, tuple)]
+        if not waiting:
+            continue
+        F, G = fg_batch(np.concatenate([req if req.ndim == 2 else req[None]
+                                        for _, req in waiting]))
+        row = 0
+        for i, req in waiting:
+            block = req.ndim == 2
+            k = len(req) if block else 1
+            rows[i] += k
+            advance(i, (F[row:row + k], G[row:row + k]) if block else (float(F[row]), G[row]))
+            row += k
+    return results, rows
 
 
-def lbfgs(
-    fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    x0: np.ndarray,
-    grad_tol: float = 1e-10,
-    max_iter: int = 500,
-) -> MinimizeResult:
-    """Minimize fg = (value, gradient) from x0: the one-row case of `lbfgs_batch`.
-
-    Convergence is declared when the sup-norm of the gradient drops below
-    grad_tol.  The strong-Wolfe line search keeps the curvature pairs
-    usable; pairs with non-positive s.y (possible only on fallback
-    acceptances) are skipped.  A run that makes no measurable function
-    progress for STALL_PATIENCE consecutive iterations returns early with
-    status "stall": grinding at the roundoff floor costs many line-search
-    evaluations per step and cannot improve the iterate.  Other exits are
-    "gradient" (converged), "line_search" (no acceptable step) and
-    "max_iter".  A line search fails once its bracket is narrower than the
-    resolution of x along the direction (see `_wolfe_search`), so that a
-    "line_search" exit at the roundoff floor does not bisect t down to 1e-16.
-    """
+def lbfgs(fg: Callable[[np.ndarray], tuple[float, np.ndarray]], x0: np.ndarray,
+          grad_tol: float = 1e-10, max_iter: int = 500) -> MinimizeResult:
+    """Minimize fg = (value, gradient) from x0: `lockstep` over one `lbfgs_run`.
+    The result records the number of objective evaluations the run made."""
     def fg_batch(X):
         f, g = fg(X[0])
         return np.array([f], dtype=float), np.asarray(g, dtype=float)[None, :]
 
-    x0 = np.asarray(x0, dtype=float)
-    return lbfgs_batch(fg_batch, x0[None, :], grad_tol=grad_tol, max_iter=max_iter)[0]
+    (res,), (res.evaluations,) = lockstep(fg_batch, [lbfgs_run(x0, grad_tol, max_iter)])
+    return res
 
 
 def batched_descent(

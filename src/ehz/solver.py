@@ -12,7 +12,10 @@ are homogeneous, so the quotient is flat along rays and the minimum value
 equals lambda / 2pi.  Quasi-Newton descent with planar-circle multistarts
 does the minimization: L-BFGS until the gradient is small or its progress
 slows down, then a few Newton steps on the quotient's Hessian, which
-`_quotient_hessian` assembles from the structure of the quotient.
+`_quotient_hessian` assembles from the structure of the quotient, and
+L-BFGS again where those stop short.  Each start is one generator
+(`_descend`), and one `optimize.lockstep` call drives all the starts of a
+solve, with one batched objective evaluation per round.
 
 A minimizer z satisfies the Euler equation
 
@@ -41,14 +44,14 @@ from scipy.linalg import cho_factor, cho_solve
 from .bodies import ConvexBody, Polytope, Smoothed, support_hessians
 from .loops import (CarrierLoop, FourierLoop, action, normalize_action, random_loop,
                     resample_by_clock)
-from .optimize import EPS, MinimizeResult, lbfgs_batch
+from .optimize import EPS, MinimizeResult, lbfgs_run, lockstep
 from .symplectic import apply_J, apply_J_inverse
 
 TWO_PI = 2 * np.pi
 
 # A start leaves L-BFGS for Newton steps once its gradient sup-norm is at most
 # NEWTON_ENTRY, or earlier when L-BFGS slows down (the "slow" exit of
-# `lbfgs_batch`), and takes at most NEWTON_STEPS of them; each step tries the
+# `lbfgs_run`), and takes at most NEWTON_STEPS of them; each step tries the
 # fractions NEWTON_TRIALS of the Newton direction, the full step first.
 NEWTON_ENTRY = 1e-5
 NEWTON_STEPS = 16
@@ -103,6 +106,12 @@ class SolveConfig:
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not 1 < self.polytope_sharpness < math.inf:
+            raise ValueError("polytope_sharpness must be finite and exceed 1, "
+                             f"got {self.polytope_sharpness}")
+        if self.sharpness_extrapolate and not self.polytope_sharpness > 4:
+            raise ValueError("polytope_sharpness must exceed 4 with sharpness_extrapolate "
+                             f"(its lowest rung is s/4), got {self.polytope_sharpness}")
 
     def replace(self, **kw) -> "SolveConfig":
         data = self.__dict__ | kw
@@ -160,9 +169,10 @@ class StartDiagnostics:
     phase: "gradient" (|g|_inf at most NEWTON_ENTRY), "slow" (L-BFGS slowed
     down first) or None (no Newton phase); `newton_entry_grad` is its
     |g|_inf there.  `evaluations` counts the objective rows of the start:
-    the L-BFGS evaluations, and in a Newton phase one row at its entry, one
-    for the full step of every step it tried, and the other fractions of
-    NEWTON_TRIALS of each step whose full step it rejected.  A line_search
+    the L-BFGS evaluations, and in a Newton phase one row for the full step
+    of every step it tried and the other fractions of NEWTON_TRIALS of each
+    step whose full step it rejected; the phase starts from the (f, g) of
+    the L-BFGS run's last point.  A line_search
     exit's last, failed search stops once its steps no longer move the
     coefficients by more than roundoff, so it costs fewer than a bisection
     of the step to 1e-16.
@@ -280,8 +290,11 @@ def _quotient_fg(K: ConvexBody, disc: _Discretization, p: float):
     with one support evaluation over all B * N velocity samples.  The matrix
     products are stacked per row, means are taken per row and the value is a
     scalar log per row, so each row comes out bit for bit as it would in a
-    batch of one.  Rows outside the domain (non-positive action or support
-    value) get +inf and a zero gradient.
+    batch of one, provided the body's support rows do not depend on their
+    batch-mates.  That fails for a smoothed polygon: its support points come
+    from a two-column BLAS product whose bits depend on the block's row
+    count.  Rows outside the domain (non-positive action or support value)
+    get +inf and a zero gradient.
     """
     half_p = 0.5 * p
     Npts = disc.N
@@ -339,7 +352,8 @@ def _quotient_hessian(K: ConvexBody, disc: _Discretization, p: float):
 
     The returned `hessians(Theta, F, G)` takes rows of coefficients with
     their `fg` values and gradients and yields one (n, n) Hessian per row,
-    each computed from that row alone.
+    each computed from that row alone (bit for bit only where the body's
+    support rows do not depend on their batch-mates, see `_quotient_fg`).
     """
     half_p = 0.5 * p
     Npts, M, d = disc.N, disc.modes, disc.dim
@@ -421,66 +435,44 @@ def _newton_direction(H: np.ndarray, g: np.ndarray, x: np.ndarray,
     return -(V[:, keep] @ ((V[:, keep].T @ g) / mag[keep]))
 
 
-def _newton_phase(fg, hessians, runs: list[MinimizeResult], grad_tol: float,
-                  ray_shift: bool = True) -> tuple[list[int], list[int]]:
-    """Newton steps from the points of `runs`, batched over the live runs.
+def _newton_phase(run: MinimizeResult, grad_tol: float, ray_shift: bool):
+    """Newton steps from the end of an L-BFGS run, as a generator for `lockstep`.
 
-    Every round builds the live runs' Hessians and evaluates the full steps
-    x + d of all of them in one `fg` call; the runs that reject theirs then
-    evaluate x + t d for the other fractions t of NEWTON_TRIALS in one more
-    call.  A run takes the first trial, in the order of NEWTON_TRIALS, that
-    lowers f by more than 4 eps max(1, |f|), or that keeps f within that
-    band and lowers |g|_inf; it ends with status "newton" once
-    |g|_inf <= grad_tol.  It stops short when no trial is taken or after
-    NEWTON_STEPS steps.  The runs are updated in place (point, value,
-    gradient norm, evaluations, status); returns the number of steps of each
-    run and the indices of the runs that stopped short.  `ray_shift` is
-    passed on to `_newton_direction`.
+    Each step asks for the Hessian at the current point, evaluates the full
+    step x + d, and if it rejects that, the other fractions t of
+    NEWTON_TRIALS together as one block of x + t d.  It takes the first
+    trial, in the order of NEWTON_TRIALS, that lowers f by more than
+    4 eps max(1, |f|), or that keeps f within that band and lowers
+    |g|_inf; it ends with status "newton" once |g|_inf <= grad_tol.  It
+    stops short when no trial is taken or after NEWTON_STEPS steps.  It
+    starts from the run's last (f, g), updates the run in place (point,
+    value, gradient, gradient norm, status) and returns the number of steps
+    taken.  `ray_shift` is passed on to `_newton_direction`.
     """
-    X = np.stack([r.x for r in runs])
-    F, G = fg(X)
-    steps = [0] * len(runs)
-    short = []
-    live = list(range(len(runs)))
-    for r in runs:
-        r.evaluations += 1
-        r.converged = False
+    x, f, g = run.x, run.f, run.grad
+    run.converged = False
+    steps = 0
     for _ in range(NEWTON_STEPS):
-        hs = hessians(X[live], F[live], G[live])
-        step = {i: _newton_direction(H, G[i], X[i], ray_shift) for i, H in zip(live, hs)}
-        still, trying = [], live
+        H = yield x, f, g
+        d = _newton_direction(H, g, x, ray_shift)
+        band = 4.0 * EPS * max(1.0, abs(f))
+        gnorm = np.abs(g).max()
         for trials in (NEWTON_TRIALS[:1], NEWTON_TRIALS[1:]):
-            if not trying:
+            Xt = x + np.array(trials)[:, None] * d
+            Ft, Gt = yield Xt
+            taken = next((j for j in range(len(trials)) if Ft[j] < f - band
+                          or (Ft[j] <= f + band and np.abs(Gt[j]).max() < gnorm)), None)
+            if taken is not None:
                 break
-            fractions = np.array(trials)[:, None]
-            Xt = np.concatenate([X[i] + fractions * step[i] for i in trying])
-            Ft, Gt = fg(Xt)
-            rejected = []
-            for row, i in enumerate(trying):
-                runs[i].evaluations += len(trials)
-                band = 4.0 * EPS * max(1.0, abs(F[i]))
-                gnorm = np.abs(G[i]).max()
-                for j in range(row * len(trials), (row + 1) * len(trials)):
-                    gnorm_t = np.abs(Gt[j]).max()
-                    if Ft[j] < F[i] - band or (Ft[j] <= F[i] + band and gnorm_t < gnorm):
-                        X[i], F[i], G[i] = Xt[j], Ft[j], Gt[j]
-                        steps[i] += 1
-                        if gnorm_t <= grad_tol:
-                            runs[i].status, runs[i].converged = "newton", True
-                        else:
-                            still.append(i)
-                        break
-                else:
-                    rejected.append(i)
-            trying = rejected
-        short += trying
-        live = sorted(still)
-        if not live:
+        else:
             break
-    short += live
-    for i, r in enumerate(runs):
-        r.x, r.f, r.grad_norm = X[i], float(F[i]), float(np.abs(G[i]).max())
-    return steps, sorted(short)
+        x, f, g = Xt[taken], float(Ft[taken]), Gt[taken]
+        steps += 1
+        if np.abs(g).max() <= grad_tol:
+            run.status, run.converged = "newton", True
+            break
+    run.x, run.f, run.grad, run.grad_norm = x, f, g, float(np.abs(g).max())
+    return steps
 
 
 def _starts(K: ConvexBody, cfg: SolveConfig) -> list[FourierLoop]:
@@ -524,56 +516,43 @@ def _built_on_smoothed(recipe: dict) -> bool:
     return recipe["type"] == "smoothed" or any(_built_on_smoothed(c) for c in children)
 
 
-def _descend(fg, hessians, theta0: np.ndarray, cfg: SolveConfig, slow_exit: bool = True,
-             ray_shift: bool = True
-             ) -> tuple[list[MinimizeResult], list[int], list[tuple[str, float] | None]]:
-    """Minimize from each row of theta0; returns the runs, their Newton steps
-    and how each entered the Newton phase.
+def _descend(theta0: np.ndarray, cfg: SolveConfig, slow_exit: bool, ray_shift: bool):
+    """One start of `minimize` as a generator for `lockstep`; returns its
+    run, its Newton steps and how it entered the Newton phase.
 
-    L-BFGS runs every start until |g|_inf <= max(NEWTON_ENTRY, grad_tol).
-    With `slow_exit` (bodies built on smoothed polytopes) it also stops once
-    its progress slows down below |g|_inf = 1e-3 (the "slow" exit of
-    `lbfgs_batch`): there L-BFGS needs about 17 evaluations per decade of
+    L-BFGS runs until |g|_inf <= max(NEWTON_ENTRY, grad_tol).  With
+    `slow_exit` (bodies built on smoothed polytopes) it also stops once its
+    progress slows down below |g|_inf = 1e-3 (the "slow" exit of
+    `lbfgs_run`): there L-BFGS needs about 17 evaluations per decade of
     |g|_inf below 1e-3.  Smooth bodies need about 2, and the few of their
     starts that slow down do so near saddles, where Newton steps from 1e-3
-    stall.
-    Starts that stop there above grad_tol take Newton steps together
-    (`_newton_phase`); each records ("gradient" or "slow", |g|_inf) as its
-    entry.  A start whose Newton phase stops short resumes L-BFGS from its
-    current point for the rest of max_iter, with the usual exits, and keeps
-    the resumed result only if it reaches grad_tol or lowers f by more than
+    stall.  A start that stops there above grad_tol takes Newton steps
+    (`_newton_phase`) and records ("gradient" or "slow", |g|_inf) as its
+    entry.  If those stop short, it resumes L-BFGS from its current point
+    for the rest of max_iter, with the usual exits, and keeps the resumed
+    result only if it reaches grad_tol or lowers f by more than
     4 eps max(1, |f|); otherwise it keeps the Newton point, with the
-    resumed run's status and counts added.  Every stage evaluates each row
-    on its own, so a start's result does not depend on the other rows of
-    theta0.  `ray_shift` is passed on to `_newton_direction`.
+    resumed run's status and iterations added.  `ray_shift` is passed on to
+    `_newton_direction`.
     """
-    runs = lbfgs_batch(fg, theta0, grad_tol=max(NEWTON_ENTRY, cfg.grad_tol),
-                       max_iter=cfg.max_iter, slow_exit=slow_exit)
-    steps = [0] * len(runs)
-    entering = [i for i, r in enumerate(runs)
-                if r.status == "slow" or (r.status == "gradient" and r.grad_norm > cfg.grad_tol)]
-    entries = [(runs[i].status, runs[i].grad_norm) if i in entering else None
-               for i in range(len(runs))]
-    if not entering:
-        return runs, steps, entries
-    taken, short = _newton_phase(fg, hessians, [runs[i] for i in entering], cfg.grad_tol,
-                                 ray_shift)
-    for i, n in zip(entering, taken):
-        steps[i] = n
-    for i in (entering[j] for j in short):
-        run = runs[i]
-        budget = cfg.max_iter - run.iterations - steps[i]
-        if budget <= 0:
-            run.status = "max_iter"
-            continue
-        res, = lbfgs_batch(fg, run.x[None, :], grad_tol=cfg.grad_tol, max_iter=budget)
-        res.iterations += run.iterations
-        res.evaluations += run.evaluations
-        if res.converged or res.f < run.f - 4.0 * EPS * max(1.0, abs(run.f)):
-            runs[i] = res
-        else:
-            run.status, run.iterations, run.evaluations = res.status, res.iterations, res.evaluations
-    return runs, steps, entries
+    run = yield from lbfgs_run(theta0, max(NEWTON_ENTRY, cfg.grad_tol), cfg.max_iter,
+                               slow_exit)
+    if run.status != "slow" and (run.status != "gradient" or run.grad_norm <= cfg.grad_tol):
+        return run, 0, None
+    entry = (run.status, run.grad_norm)
+    steps = yield from _newton_phase(run, cfg.grad_tol, ray_shift)
+    if run.converged:
+        return run, steps, entry
+    budget = cfg.max_iter - run.iterations - steps
+    if budget <= 0:
+        run.status = "max_iter"
+        return run, steps, entry
+    res = yield from lbfgs_run(run.x, cfg.grad_tol, budget)
+    res.iterations += run.iterations
+    if res.converged or res.f < run.f - 4.0 * EPS * max(1.0, abs(run.f)):
+        return res, steps, entry
+    run.status, run.iterations = res.status, res.iterations
+    return run, steps, entry
 
 
 def minimize(K: ConvexBody, cfg: SolveConfig,
@@ -584,15 +563,21 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     lambda is 2 pi times the minimal quotient; the minimizer is returned with
     action exactly 1 (up to roundoff).  Each start runs L-BFGS until its
     gradient sup-norm is at most NEWTON_ENTRY, or on a body built on a
-    smoothed polytope until its progress slows down, then up to NEWTON_STEPS Newton steps on
-    the Hessian of `_quotient_hessian`, batched over the starts; a start
+    smoothed polytope until its progress slows down, then up to
+    NEWTON_STEPS Newton steps on the Hessian of `_quotient_hessian`; a start
     that reaches grad_tol there ends with status "newton", and one that
-    stops short resumes L-BFGS (see `_descend`).  The winning start is the
-    lowest quotient among the usable starts, ties broken by
-    start index; when no start is usable the lowest quotient of all wins,
-    and the finishing step reports the result unconverged.  An `initial`
-    loop (e.g. a warm start from a nearby body) is prepended to the
-    standard starts.
+    stops short resumes L-BFGS (see `_descend`).  All starts run in one
+    `lockstep` call, so each round evaluates the objective once over every
+    start's next rows and the Hessians once over every start that needs
+    one.  Each start's result is bit for bit what it is when it runs alone
+    wherever the objective's rows do not depend on their batch-mates, as
+    tested on bodies in R^4.  On a smoothed polygon they do
+    (`_quotient_fg`), and a start's values can differ in the last bits.
+    The winning start is the lowest quotient among the usable starts, ties
+    broken by start index; when no start is usable the lowest quotient of
+    all wins, and the finishing step reports the result unconverged.  An
+    `initial` loop (e.g. a warm start from a nearby body) is prepended to
+    the standard starts.
     """
     if isinstance(K, Polytope):
         raise SolverError("raw polytopes are not smooth; wrap in Smoothed or use capacity()")
@@ -609,29 +594,29 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     # as well: only a Smoothed body's Newton steps shift the ray alone.  Slow
     # L-BFGS runs go to Newton early on any body built on a smoothed
     # polytope (`_descend`).
-    results, steps, entries = _descend(_quotient_fg(K, disc, cfg.p),
-                                       _quotient_hessian(K, disc, cfg.p), theta0, cfg,
-                                       slow_exit=_built_on_smoothed(K.recipe()),
-                                       ray_shift=isinstance(K, Smoothed))
+    slow_exit, ray_shift = _built_on_smoothed(K.recipe()), isinstance(K, Smoothed)
+    outcomes, rows = lockstep(_quotient_fg(K, disc, cfg.p),
+                              [_descend(theta, cfg, slow_exit, ray_shift) for theta in theta0],
+                              _quotient_hessian(K, disc, cfg.p))
     diagnostics = [StartDiagnostics(i, TWO_PI * math.exp(res.f), res.grad_norm, res.iterations,
-                                    res.converged, res.status, res.evaluations, n,
+                                    res.converged, res.status, n_rows, steps,
                                     *(entry or (None, None)))
-                   for i, (res, n, entry) in enumerate(zip(results, steps, entries))]
+                   for i, ((res, steps, entry), n_rows) in enumerate(zip(outcomes, rows))]
     # a stall at the roundoff floor or a small-gradient iteration cap is the
     # numerical floor of a stationary point; the certificates grade the
     # winner's quality downstream
-    usable = [i for i, res in enumerate(results)
-              if res.converged or res.status in ("line_search", "stall")
-              or res.grad_norm <= max(1e3 * cfg.grad_tol, 1e-6)]
+    usable = [d.index for d in diagnostics
+              if d.converged or d.status in ("line_search", "stall")
+              or d.grad_norm <= max(1e3 * cfg.grad_tol, 1e-6)]
     winner = None
-    for i in usable or range(len(results)):
+    for i in usable or range(len(diagnostics)):
         # quotients within a relative 1e-9 band count as ties, which the
         # earliest start wins (degenerate minimizers, e.g. every plane of a
         # ball, would otherwise be picked by roundoff noise)
         if winner is None or diagnostics[i].lam < diagnostics[winner].lam * (1.0 - 1e-9):
             winner = i
     diagnostics[winner].winner = True
-    av, bv = disc.unpack(results[winner].x)
+    av, bv = disc.unpack(outcomes[winner][0].x)
     return diagnostics[winner].lam, normalize_action(FourierLoop(av / kcol, bv / kcol)), diagnostics
 
 
@@ -884,11 +869,13 @@ def _capacity_single(K_solve: ConvexBody, cfg: SolveConfig, smoothing: float | N
     return result
 
 
-def _capacity_polytope_extrapolated(P: Polytope, cfg: SolveConfig) -> CapacityResult:
+def _capacity_polytope_extrapolated(P: Polytope, cfg: SolveConfig,
+                                    initial: FourierLoop | None) -> CapacityResult:
     """Sharpness-ladder solve with per-rung mode Richardson.
 
     Rungs s/4, s/2, s are solved at modes M and 2M each (the ladder warm
-    starts each rung from the previous rung's 2M minimizer); Richardson
+    starts the first rung from `initial` and each later rung from the
+    previous rung's 2M minimizer); Richardson
     removes the leading mode-truncation error, and Aitken extrapolation
     across the rungs removes the O(1/s) smoothing bias.  The reported
     carrier and certificates come from the sharpest, finest solve; the
@@ -901,7 +888,7 @@ def _capacity_polytope_extrapolated(P: Polytope, cfg: SolveConfig) -> CapacityRe
     mode_pair = [cfg.modes, 2 * cfg.modes]
     bodies = [Smoothed(P, s) for s in rungs]
     _origin_interior_check(bodies[-1], cfg.seed)
-    warm: FourierLoop | None = None
+    warm = initial
     caps: list[list[float]] = []   # per rung, the capacities at M, 2M (, 4M)
     for K_s in bodies:
         chain = _mode_chain(K_s, cfg, warm, 3 if cfg.stability_check else 2)
@@ -942,7 +929,7 @@ def capacity(K: ConvexBody, cfg: SolveConfig | None = None,
     cfg = cfg or SolveConfig()
     if isinstance(K, Polytope):
         if cfg.sharpness_extrapolate:
-            return _capacity_polytope_extrapolated(K, cfg)
+            return _capacity_polytope_extrapolated(K, cfg, initial)
         return _capacity_single(Smoothed(K, cfg.polytope_sharpness), cfg,
                                 smoothing=cfg.polytope_sharpness, initial=initial)
     return _capacity_single(K, cfg, smoothing=None, initial=initial)

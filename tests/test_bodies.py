@@ -193,6 +193,12 @@ def test_smoothed_rows_independent_of_batch_size(half, sharpness):
     for i in range(0, len(U), 37):
         v, g = K.support_batch(U[i:i + 1])
         assert v[0] == vals[i] and np.array_equal(g[0], grads[i])
+    # and a batch one row longer than a block ends in a one-row block
+    step = _SMOOTHED_BLOCK_REF // K.body.vertices.shape[0]
+    W = rng.normal(size=(step + 1, 4))
+    vals, grads = K.support_batch(W)
+    v, g = K.support_batch(W[step:])
+    assert v[0] == vals[step] and np.array_equal(g[0], grads[step])
 
 
 _SMOOTHED_BLOCK_REF = 1 << 15

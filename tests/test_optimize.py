@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from ehz.optimize import SLOW_BELOW, batched_descent, lbfgs, lbfgs_batch
+from ehz.optimize import SLOW_BELOW, batched_descent, lbfgs, lbfgs_run, lockstep
+
+
+def lbfgs_lockstep(fg_batch, X0, grad_tol=1e-10, max_iter=500, slow_exit=False):
+    """One L-BFGS run from each row of X0, all in one `lockstep` call; each
+    result records the rows its run evaluated."""
+    results, rows = lockstep(fg_batch, [lbfgs_run(x0, grad_tol, max_iter, slow_exit)
+                                        for x0 in X0])
+    for res, n in zip(results, rows):
+        res.evaluations = n
+    return results
 
 
 def test_lbfgs_quadratic():
@@ -95,14 +105,14 @@ def mixed_fg(X):
     return f, g
 
 
-def test_lbfgs_batch_matches_separate_runs():
+def test_lockstep_lbfgs_runs_match_separate_runs():
     sizes = []
 
     def fg_batch(X):
         sizes.append(X.shape[0])
         return mixed_fg(X)
 
-    batched = lbfgs_batch(fg_batch, MIXED_X0, grad_tol=1e-10)
+    batched = lbfgs_lockstep(fg_batch, MIXED_X0, grad_tol=1e-10)
     for x0, res in zip(MIXED_X0, batched):
         calls = []
 
@@ -125,7 +135,7 @@ def test_lbfgs_batch_matches_separate_runs():
     assert len(sizes) == max(r.evaluations for r in batched)
 
 
-def test_lbfgs_batch_domain_guard_and_bad_start():
+def test_lockstep_lbfgs_domain_guard_and_bad_start():
     # objective defined only on x > 0, as in the single-run domain guard test
     def fg(X):
         x = X[:, 0]
@@ -134,10 +144,10 @@ def test_lbfgs_batch_domain_guard_and_bad_start():
         f = np.where(inside, safe - np.log(safe), np.inf)
         return f, np.where(inside, 1 - 1 / safe, 0.0)[:, None]
 
-    res = lbfgs_batch(fg, np.array([[3.0], [0.2], [40.0]]), grad_tol=1e-12)
+    res = lbfgs_lockstep(fg, np.array([[3.0], [0.2], [40.0]]), grad_tol=1e-12)
     assert [r.x[0] for r in res] == pytest.approx([1.0] * 3, rel=1e-10)
     with pytest.raises(ValueError, match="outside the objective domain"):
-        lbfgs_batch(fg, np.array([[3.0], [-1.0]]))
+        lbfgs_lockstep(fg, np.array([[3.0], [-1.0]]))
 
 
 def test_slow_exit_ends_runs_that_crawl_and_only_those():
@@ -149,19 +159,76 @@ def test_slow_exit_ends_runs_that_crawl_and_only_those():
         return 0.5 * np.sum(X * X * c, axis=1), X * c
 
     X0 = np.stack([np.ones(200), 0.5 * np.ones(200)])
-    crawl = lbfgs_batch(fg, X0, grad_tol=1e-10, max_iter=2000)
-    slow = lbfgs_batch(fg, X0, grad_tol=1e-10, max_iter=2000, slow_exit=True)
+    crawl = lbfgs_lockstep(fg, X0, grad_tol=1e-10, max_iter=2000)
+    slow = lbfgs_lockstep(fg, X0, grad_tol=1e-10, max_iter=2000, slow_exit=True)
     for full, res, x0 in zip(crawl, slow, X0):
         assert full.status == "stall" and full.iterations > 500
         assert res.status == "slow" and not res.converged
         assert res.grad_norm <= SLOW_BELOW and res.iterations < 100
         # the exit only stops the run: it is the same run cut at that iteration
-        cut, = lbfgs_batch(fg, x0[None, :], grad_tol=1e-10, max_iter=res.iterations)
+        cut, = lbfgs_lockstep(fg, x0[None, :], grad_tol=1e-10, max_iter=res.iterations)
         assert np.array_equal(cut.x, res.x) and cut.f == res.f
     # a well-conditioned run converges long before anything could crawl
-    fast = lbfgs_batch(lambda X: (0.5 * np.sum(X * X * (1 + c), axis=1), X * (1 + c)),
+    fast = lbfgs_lockstep(lambda X: (0.5 * np.sum(X * X * (1 + c), axis=1), X * (1 + c)),
                        X0, grad_tol=1e-10, max_iter=2000, slow_exit=True)
     assert all(r.status == "gradient" for r in fast)
+
+
+def test_lockstep_mixes_points_blocks_and_hessian_requests():
+    # the value of a row encodes the row, so a run can tell whether it got
+    # its own rows back; so does the Hessian of a (x, f, g) request
+    rng = np.random.default_rng(11)
+    calls = []
+
+    def fg_batch(X):
+        calls.append(("fg", len(X)))
+        return X @ np.array([1.0, 10.0, 100.0]), 2.0 * X
+
+    def hessians(X, F, G):
+        calls.append(("hessians", len(X)))
+        return [np.outer(x, g) + f for x, f, g in zip(X, F, G)]
+
+    def expect_point(x, reply):
+        f, g = reply
+        assert f == x @ np.array([1.0, 10.0, 100.0]) and np.array_equal(g, 2.0 * x)
+        return f, g
+
+    def point_hessian_block(x, X):
+        f, g = expect_point(x, (yield x))
+        H = yield x, f, g
+        assert np.array_equal(H, np.outer(x, g) + f)
+        F, G = yield X
+        assert F.shape == (len(X),) and G.shape == X.shape
+        for row, reply in zip(X, zip(F, G)):
+            expect_point(row, reply)
+        return "point, hessian, block"
+
+    def block_hessian_point(X, x):
+        F, G = yield X
+        for row, reply in zip(X, zip(F, G)):
+            expect_point(row, reply)
+        H = yield X[0], F[0], G[0]
+        assert np.array_equal(H, np.outer(X[0], G[0]) + F[0])
+        expect_point(x, (yield x))
+        return "block, hessian, point"
+
+    def one_point(x):
+        expect_point(x, (yield x))
+        return "point"
+
+    def nothing():
+        return "nothing"
+        yield
+
+    P = rng.normal(size=(9, 3))
+    runs = [point_hessian_block(P[0], P[1:4]), block_hessian_point(P[4:6], P[6]),
+            one_point(P[7]), nothing()]
+    results, rows = lockstep(fg_batch, runs, hessians)
+    assert results == ["point, hessian, block", "block, hessian, point", "point", "nothing"]
+    assert rows == [4, 3, 1, 0]
+    # round 1 evaluates the first requests of three runs; round 2 builds the
+    # two Hessians in one call, then evaluates the block and the point
+    assert calls == [("fg", 4), ("hessians", 2), ("fg", 4)]
 
 
 def test_batched_descent_independent_quadratics():

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehz import bodies, optimize, solver
 from ehz.bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
                         MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
+from ehz.intersections import build_intersection_body
 from ehz.loops import CarrierLoop, FourierLoop, action, normalize_action, random_loop
 from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, _Discretization,
                         _default_grid, _quotient_fg, _quotient_hessian, _starts, capacity,
@@ -192,10 +193,17 @@ def test_quotient_batched_rows_match_single_rows_bitwise(name, p):
         assert f_ref == F[i] and np.array_equal(g_ref, G[i])
 
 
+def _alone(fg, run, hessians=None):
+    """A generator run driven by `lockstep` on its own: its result and rows."""
+    (out,), (rows,) = optimize.lockstep(fg, [run], hessians)
+    return out, rows
+
+
 def _minimize_one_start_at_a_time(K, cfg, initial=None):
     """Each start run alone through `minimize`'s pipeline (L-BFGS, Newton
     phase, resumed L-BFGS) on the one-row quotient; returns the runs, their
-    Newton steps and their Newton entries."""
+    Newton steps and their Newton entries.  Each run records the rows its
+    start evaluated."""
     disc = _Discretization(cfg.modes, K.dim, _default_grid(K, cfg))
     fg = _quotient_fg(K, disc, cfg.p)
     hessians = _quotient_hessian(K, disc, cfg.p)
@@ -203,12 +211,15 @@ def _minimize_one_start_at_a_time(K, cfg, initial=None):
     starts = _starts(K, cfg)
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
-    alone = [solver._descend(fg, hessians, disc.pack(kcol * z.a, kcol * z.b)[None, :], cfg,
-                             slow_exit=solver._built_on_smoothed(K.recipe()),
-                             ray_shift=isinstance(K, Smoothed))
-             for z in starts]
-    return (disc, kcol, [runs[0] for runs, _, _ in alone], [steps[0] for _, steps, _ in alone],
-            [entries[0] for _, _, entries in alone])
+    slow_exit, ray_shift = solver._built_on_smoothed(K.recipe()), isinstance(K, Smoothed)
+    alone = []
+    for z in starts:
+        (res, steps, entry), res.evaluations = _alone(
+            fg, solver._descend(disc.pack(kcol * z.a, kcol * z.b), cfg, slow_exit, ray_shift),
+            hessians)
+        alone.append((res, steps, entry))
+    runs, steps, entries = zip(*alone)
+    return disc, kcol, runs, steps, entries
 
 
 def _assert_lockstep(K, cfg, initial=None):
@@ -253,6 +264,14 @@ def test_minimize_lockstep_through_newton_and_resumed_lbfgs():
     assert any(d.newton_steps == 0 for d in diags)
 
 
+@pytest.mark.xfail(strict=False, reason="planar Smoothed rows depend on the BLAS block shape, "
+                   "so on the 2D lens surrogate a start's values depend on its batch-mates")
+def test_minimize_lockstep_on_the_planar_lens_surrogate():
+    disc = Ball(1.0, 2)
+    lens, _ = build_intersection_body(disc, Translate(np.array([1.0, 0.0]), disc), 720)
+    _assert_lockstep(lens, SolveConfig(modes=16, starts=2, grad_tol=1e-9, max_iter=2500))
+
+
 def test_smoothed_starts_enter_newton_when_lbfgs_slows_and_ellipsoid_starts_do_not():
     K = _smoothed_hexagon_pair()
     _, _, diags = minimize(K, SolveConfig(modes=6, starts=4))
@@ -279,8 +298,8 @@ def _hexagon_first_start():
 def _lbfgs_to_newton_entry(fg, theta, cfg):
     # L-BFGS without the slow exit, as `minimize` ran it before slow starts
     # were handed to Newton
-    run, = optimize.lbfgs_batch(fg, theta[None, :], grad_tol=solver.NEWTON_ENTRY,
-                                max_iter=cfg.max_iter)
+    run, run.evaluations = _alone(fg, optimize.lbfgs_run(theta, solver.NEWTON_ENTRY,
+                                                         cfg.max_iter))
     return run
 
 
@@ -294,10 +313,10 @@ def test_newton_steps_converge_quadratically_where_the_smallest_curvature_is_nea
     fg, hessians, theta, cfg = _hexagon_first_start()
     run = _lbfgs_to_newton_entry(fg, theta, cfg)
     assert run.status == "gradient" and 1e-6 < run.grad_norm <= solver.NEWTON_ENTRY
-    steps, short = solver._newton_phase(fg, hessians, [run], cfg.grad_tol)
+    steps, _ = _alone(fg, solver._newton_phase(run, cfg.grad_tol, True), hessians)
     # a shift of every direction took 8 steps to |g| 3.0e-10 here
     assert run.status == "newton" and run.grad_norm <= cfg.grad_tol
-    assert steps[0] <= 4 and short == []
+    assert steps <= 4 and run.converged
 
 
 def test_a_resumed_lbfgs_run_that_ends_worse_is_not_kept(monkeypatch):
@@ -308,25 +327,25 @@ def test_a_resumed_lbfgs_run_that_ends_worse_is_not_kept(monkeypatch):
     fg, hessians, theta, cfg = _hexagon_first_start()
     newton = _lbfgs_to_newton_entry(fg, theta, cfg)
     entry_grad = newton.grad_norm
-    steps, short = solver._newton_phase(fg, hessians, [newton], cfg.grad_tol)
-    assert steps == [8] and short == [0] and 1e-10 < newton.grad_norm < 1e-9
-    resumed, = optimize.lbfgs_batch(fg, newton.x[None, :], grad_tol=cfg.grad_tol,
-                                    max_iter=cfg.max_iter - newton.iterations - 8)
+    steps, rows = _alone(fg, solver._newton_phase(newton, cfg.grad_tol, True), hessians)
+    newton.evaluations += rows
+    assert steps == 8 and not newton.converged and 1e-10 < newton.grad_norm < 1e-9
+    resumed, resumed.evaluations = _alone(fg, optimize.lbfgs_run(
+        newton.x, cfg.grad_tol, cfg.max_iter - newton.iterations - 8))
     # the resumed run lowers f by less than the 4 eps band and raises |g|
     assert resumed.status == "line_search" and resumed.grad_norm > 1e-8
     assert abs(resumed.f - newton.f) <= 4 * optimize.EPS * abs(newton.f)
 
-    monkeypatch.setattr(solver, "lbfgs_batch",
-                        lambda fg, X, grad_tol, max_iter, slow_exit=False:
-                        optimize.lbfgs_batch(fg, X, grad_tol=grad_tol, max_iter=max_iter))
-    (res,), steps, entries = solver._descend(fg, hessians, theta[None, :], cfg)
+    # the start without the slow exit, as in `_lbfgs_to_newton_entry`
+    (res, steps, entry), res.evaluations = _alone(
+        fg, solver._descend(theta, cfg, slow_exit=False, ray_shift=True), hessians)
     # the start keeps the Newton point, with the resumed run's exit and counts
     assert np.array_equal(res.x, newton.x)
     assert (res.f, res.grad_norm) == (newton.f, newton.grad_norm)
     assert res.status == "line_search" and not res.converged
     assert res.iterations == newton.iterations + resumed.iterations
     assert res.evaluations == newton.evaluations + resumed.evaluations
-    assert steps == [8] and entries == [("gradient", entry_grad)]
+    assert steps == 8 and entry == ("gradient", entry_grad)
 
 
 HESSIAN_BODIES = {
@@ -751,6 +770,25 @@ def test_ladder_stability_check_extends_the_same_mode_chain(monkeypatch):
         assert np.array_equal(loop_a.a, loop_b.a) and np.array_equal(loop_a.b, loop_b.b)
 
 
+def test_ladder_starts_its_first_rung_from_initial(monkeypatch):
+    starts = []
+    minimize_ = solver.minimize
+
+    def spy_minimize(K, cfg, initial=None):
+        starts.append(initial)
+        return minimize_(K, cfg, initial=initial)
+
+    monkeypatch.setattr(solver, "minimize", spy_minimize)
+    cfg = SolveConfig(modes=6, starts=2, grad_tol=1e-9, max_iter=600, polytope_sharpness=32.0,
+                      sharpness_extrapolate=True)
+    capacity(_pentagon(), cfg)
+    assert [z is not None for z in starts] == [False] + [True] * 5
+    initial = action_one_circle(2, modes=3)
+    starts.clear()
+    capacity(_pentagon(), cfg, initial=initial)
+    assert starts[0] is initial and all(z is not None for z in starts)
+
+
 def test_capacity_polytope_raw_smoothed_upper_bound():
     square = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
     r = capacity(square, SolveConfig(modes=16, starts=2, grad_tol=1e-9,
@@ -762,11 +800,22 @@ def test_capacity_polytope_raw_smoothed_upper_bound():
 
 @settings(max_examples=60, deadline=None)
 @given(p=st.floats(allow_nan=True, allow_infinity=True),
-       modes=st.integers(-5, 40))
-def test_solve_config_rejects_out_of_range_fields(p, modes):
-    valid = 1 < p < math.inf and modes >= 1
+       modes=st.integers(-5, 40),
+       sharpness=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                           st.sampled_from([1.0, 2.0, 4.0, 4.5, 64.0])),
+       extrapolate=st.booleans())
+@example(p=2.0, modes=8, sharpness=2.0, extrapolate=True)
+@example(p=2.0, modes=8, sharpness=4.0, extrapolate=True)
+@example(p=2.0, modes=8, sharpness=2.0, extrapolate=False)
+@example(p=2.0, modes=8, sharpness=1.0, extrapolate=False)
+@example(p=2.0, modes=8, sharpness=math.inf, extrapolate=False)
+def test_solve_config_rejects_out_of_range_fields(p, modes, sharpness, extrapolate):
+    valid = (1 < p < math.inf and modes >= 1
+             and (4 if extrapolate else 1) < sharpness < math.inf)
+    fields = dict(p=p, modes=modes, polytope_sharpness=sharpness,
+                  sharpness_extrapolate=extrapolate)
     if valid:
-        SolveConfig(p=p, modes=modes)
+        SolveConfig(**fields)
     else:
         with pytest.raises(ValueError):
-            SolveConfig(p=p, modes=modes)
+            SolveConfig(**fields)
