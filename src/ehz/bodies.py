@@ -33,9 +33,11 @@ from __future__ import annotations
 import hashlib
 import math
 import json
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from .optimize import ARMIJO, EPS, batched_descent
 from .symplectic import DimensionError, check_even_dim
@@ -261,6 +263,22 @@ class Polytope(ConvexBody):
                       A_eq=np.hstack([A_eq, np.zeros((self.dim + 1, 1))]), b_eq=b_eq,
                       bounds=[(None, None)] * m + [(None, None)], method="highs")
         return bool(res.status == 0 and -res.fun > 1e-12)
+
+    @cached_property
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit outer normals n_i (F, dim) and support numbers h_i = h_P(n_i)
+        (F,) of the facets, computed on first use.
+
+        The hull is triangulated, so a facet with more than dim vertices
+        comes as several simplices with the same equation; those are merged
+        (equations within 1e-9), and each facet keeps its first simplex's.
+        """
+        eq = ConvexHull(self.vertices).equations
+        first = np.ones(len(eq), dtype=bool)
+        for i in range(len(eq)):
+            if first[i]:
+                first[i + 1:] &= np.abs(eq[i + 1:] - eq[i]).max(axis=1) > 1e-9
+        return _freeze(eq[first, :-1]), _freeze(-eq[first, -1])
 
     def support_batch(self, U):
         R = U @ self.vertices.T

@@ -31,6 +31,11 @@ directions.  Certificates quantify how well a numerical minimizer satisfies
 each of these identities; the support values h_K(z'(t)) of a true minimizer
 are constant in t with value sqrt(c(K))/pi, which pins the conventions
 against the analytic ball case (checked in the tests).
+
+Raw polytopes are not smooth, so `capacity` solves them on a `Smoothed`
+wrapper.  With `sharpness_extrapolate` it then reports the polytope's own
+capacity: Haim-Kislev's formula maximized for the facet word that the
+smoothed solve's carrier visits (`_polish`).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize as scipy_minimize
 
 from .bodies import ConvexBody, Polytope, Smoothed, support_hessians
 from .loops import (CarrierLoop, FourierLoop, action, normalize_action, random_loop,
@@ -56,6 +62,11 @@ TWO_PI = 2 * np.pi
 NEWTON_ENTRY = 1e-5
 NEWTON_STEPS = 16
 NEWTON_TRIALS = (1.0, 0.5, 0.25, 0.125, 0.0625)
+
+# A raw polytope's polish reads the facet word off WORD_SAMPLES carrier
+# samples, and accepts a polished loop whose residuals are within POLISH_TOL.
+WORD_SAMPLES = 4096
+POLISH_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -77,7 +88,8 @@ class SolveConfig:
     grad_tol, max_iter     L-BFGS gradient tolerance and iteration cap
     stability_check        solve one mode doubling further; report the relative drift
     polytope_sharpness     sharpness s of the Smoothed wrapper of a raw polytope
-    sharpness_extrapolate  solve raw polytopes on the ladder s/4, s/2, s
+    sharpness_extrapolate  report a raw polytope's own (s -> infinity) capacity,
+                           polished from the smoothed solve's facet word
 
     The quadrature grid is not a setting: it has 4M nodes, or 8M for a
     Smoothed body, whose integrand carries features on the 1/s scale.
@@ -109,9 +121,6 @@ class SolveConfig:
         if not 1 < self.polytope_sharpness < math.inf:
             raise ValueError("polytope_sharpness must be finite and exceed 1, "
                              f"got {self.polytope_sharpness}")
-        if self.sharpness_extrapolate and not self.polytope_sharpness > 4:
-            raise ValueError("polytope_sharpness must exceed 4 with sharpness_extrapolate "
-                             f"(its lowest rung is s/4), got {self.polytope_sharpness}")
 
     def replace(self, **kw) -> "SolveConfig":
         data = self.__dict__ | kw
@@ -193,6 +202,17 @@ class StartDiagnostics:
 
 @dataclass
 class CapacityResult:
+    """The result of `capacity`.
+
+    `polish` is set on a raw polytope solved with `sharpness_extrapolate`:
+    `accepted`, `smoothed_capacity` (the smoothed solve's), `sharpness`,
+    `word` (facet indices into `Polytope.facets`, in carrier order), `beta`,
+    and the residuals `closure` (|sum beta n|_inf), `normalization`
+    (|sum beta h - 1|) and `min_beta` (see `_polish`).  `capacity` and `lam`
+    are then the polished values, and everything else describes the
+    smoothed solve.
+    """
+
     capacity: float
     lam: float
     p: float
@@ -207,7 +227,7 @@ class CapacityResult:
     converged: bool
     stability_drift: float | None = None
     smoothing: float | None = None
-    extrapolation: dict | None = None
+    polish: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -221,7 +241,7 @@ class CapacityResult:
             "converged": self.converged,
             "stability_drift": self.stability_drift,
             "smoothing": self.smoothing,
-            "extrapolation": self.extrapolation,
+            "polish": self.polish,
             "certificates": self.certificates.to_dict(),
             "per_start": [
                 {"index": s.index, "lambda": s.lam, "grad_norm": s.grad_norm,
@@ -800,19 +820,6 @@ def _origin_interior_check(K: ConvexBody, seed: int = 0) -> None:
         raise SolverError("origin is not interior to the body; translate it first")
 
 
-def _aitken(caps: list[float]) -> float:
-    """Limit of a sequence [c(h), c(h/2), c(h/4)] with c(h) = c_inf + b h^a.
-
-    Falls back to second-order Richardson on the two finest values when the
-    decrements are not geometric.
-    """
-    d1, d0 = caps[1] - caps[0], caps[2] - caps[1]
-    r = d1 / d0 if d0 != 0 else 0.0
-    if 0.0 < r < 0.9:
-        return caps[0] - d1 * r / (1.0 - r)
-    return _richardson(caps[1], caps[0])
-
-
 def _finish(K: ConvexBody, cfg: SolveConfig, lam: float, zstar: FourierLoop,
             diagnostics: list[StartDiagnostics], smoothing: float | None) -> CapacityResult:
     """Capacity, alpha, carrier and certificates of one `minimize` result.
@@ -858,60 +865,108 @@ def _richardson(coarse: float, fine: float) -> float:
     return (4.0 * fine - coarse) / 3.0
 
 
+def _carrier_word(normals: np.ndarray, carrier: CarrierLoop) -> tuple[np.ndarray, np.ndarray]:
+    """The facet word of a carrier on a smoothed polytope, and its initial weights.
+
+    Along a closed characteristic J^{-1} l' is an outer normal, so each of
+    WORD_SAMPLES carrier samples is read as the facet maximizing
+    <J^{-1} l', n_i>.  The word is the runs of those facets around the loop,
+    with the first and last runs one run when they name the same facet; a
+    run's weight is the length of its chord |delta l| (the normals are unit
+    vectors, so that is |delta l| / |n_i|).
+    """
+    g = carrier.sample(WORD_SAMPLES)
+    facet = np.argmax(apply_J_inverse(g.dz) @ normals.T, axis=1)
+    change = facet != np.roll(facet, 1)
+    change[0] |= not change.any()    # a loop on one facet is one run
+    starts = np.flatnonzero(change)
+    return facet[starts], np.linalg.norm(g.z[np.roll(starts, -1)] - g.z[starts], axis=1)
+
+
+def _maximize_word_form(normals: np.ndarray, h: np.ndarray, word: np.ndarray,
+                        beta0: np.ndarray) -> tuple[float, np.ndarray, dict]:
+    """Maximize Haim-Kislev's form of one facet word by SLSQP.
+
+    Q(beta) = sum_{j<k} beta_j beta_k omega(n_j, n_k) over the positions of
+    the word, subject to beta >= 0, sum beta_k h_k = 1 and sum beta_k n_k = 0.
+    Any feasible beta is the closed polygon with edges 2c beta_k J n_k and
+    action c = 1/(2Q), a loop of the dual action principle, so 1/(2Q) bounds
+    the capacity from above; it is the capacity when the word is that of a
+    minimal closed characteristic (Haim-Kislev 2019).  Returns Q (nan when
+    SLSQP reports a failure), beta and the residuals of closure
+    |sum beta n|_inf, normalization |sum beta h - 1| and min beta.
+    """
+    Nw, hw = normals[word], h[word]
+    upper = np.triu(apply_J(Nw) @ Nw.T, 1)
+    sym = upper + upper.T
+    C = np.vstack([Nw.T, hw])
+    e = np.zeros(len(C))
+    e[-1] = 1.0
+    res = scipy_minimize(lambda b: (-(b @ upper @ b), -(sym @ b)), beta0 / (hw @ beta0),
+                         jac=True, method="SLSQP", bounds=[(0.0, None)] * len(word),
+                         constraints={"type": "eq", "fun": lambda b: C @ b - e,
+                                      "jac": lambda b: C},
+                         options={"ftol": 1e-15, "maxiter": 500})
+    beta = res.x
+    residuals = {"closure": float(np.abs(Nw.T @ beta).max()),
+                 "normalization": float(abs(hw @ beta - 1.0)),
+                 "min_beta": float(beta.min())}
+    Q = float(beta @ upper @ beta) if res.success else math.nan
+    return Q, beta, residuals
+
+
+def _polish(K: Smoothed, carrier: CarrierLoop, smoothed: float) -> tuple[float, dict]:
+    """The capacity of the polytope K.body from the facet word of the carrier
+    of a solve on K, whose capacity is `smoothed`.
+
+    The word (`_carrier_word`) and its reverse are polished by
+    `_maximize_word_form`, and the larger form wins.  The polish is accepted
+    when SLSQP succeeds, every residual is within POLISH_TOL (min beta at
+    least -POLISH_TOL) and 1/(2Q) does not exceed the smoothed capacity,
+    which a wrong word could.  Returns the capacity to report, polished or
+    else the smoothed one, and the record that `CapacityResult.polish` holds.
+    """
+    normals, h = K.body.facets
+    word, beta0 = _carrier_word(normals, carrier)
+    attempts = []
+    for w, b0 in ((word, beta0), (word[::-1], beta0[::-1])):
+        Q, beta, residuals = _maximize_word_form(normals, h, w, b0)
+        feasible = Q > 0 and max(residuals["closure"], residuals["normalization"],
+                                 -residuals["min_beta"]) <= POLISH_TOL
+        attempts.append((Q if feasible else -math.inf, w, beta, residuals))
+    # the first attempt, the carrier's orientation, wins ties
+    Q, w, beta, residuals = max(attempts, key=lambda a: a[0])
+    accepted = Q > 0 and 1.0 / (2.0 * Q) <= smoothed
+    polished = 1.0 / (2.0 * Q) if accepted else smoothed
+    record = {"accepted": accepted, "smoothed_capacity": smoothed, "sharpness": K.sharpness,
+              "word": w.tolist(), "beta": beta.tolist(), **residuals}
+    return polished, record
+
+
 def _capacity_single(K_solve: ConvexBody, cfg: SolveConfig, smoothing: float | None,
-                     initial: FourierLoop | None = None) -> CapacityResult:
+                     initial: FourierLoop | None = None, polish: bool = False) -> CapacityResult:
+    """One mode chain on K_solve, finished at M; with `stability_check` the
+    drift against its 2M level.  With `polish` (K_solve a smoothed
+    polytope) the capacity reported at each level is polished (`_polish`)
+    from that level's carrier."""
     _origin_interior_check(K_solve, cfg.seed)
     chain = _mode_chain(K_solve, cfg, initial, 2 if cfg.stability_check else 1)
     result = _finish(K_solve, cfg, *chain[0], smoothing)
+    if polish:
+        result.capacity, result.polish = _polish(K_solve, result.carrier, result.capacity)
+        if result.polish["accepted"]:
+            result.lam = lambda_from_capacity(result.capacity, cfg.p)
+        else:
+            result.converged = False
     if cfg.stability_check:
-        cap2 = capacity_from_lambda(chain[1][0], cfg.p)
+        lam2, z2, _ = chain[1]
+        cap2 = capacity_from_lambda(lam2, cfg.p)
+        if polish:
+            alpha2, _, _ = _evaluate(K_solve, z2, lam2, cfg.p,
+                                     _default_grid(K_solve, cfg.replace(modes=z2.modes)))
+            cap2, _ = _polish(K_solve, to_carrier(K_solve, z2, lam2, alpha2, cfg.p), cap2)
         result.stability_drift = float(abs(cap2 - result.capacity) / result.capacity)
     return result
-
-
-def _capacity_polytope_extrapolated(P: Polytope, cfg: SolveConfig,
-                                    initial: FourierLoop | None) -> CapacityResult:
-    """Sharpness-ladder solve with per-rung mode Richardson.
-
-    Rungs s/4, s/2, s are solved at modes M and 2M each (the ladder warm
-    starts the first rung from `initial` and each later rung from the
-    previous rung's 2M minimizer); Richardson
-    removes the leading mode-truncation error, and Aitken extrapolation
-    across the rungs removes the O(1/s) smoothing bias.  The reported
-    carrier and certificates come from the sharpest, finest solve; the
-    reported capacity is the extrapolated one.  With `stability_check` each
-    rung's chain goes on to 4M, and the drift compares the same
-    extrapolation from the (2M, 4M) pairs.
-    """
-    s_top = cfg.polytope_sharpness
-    rungs = [s_top / 4.0, s_top / 2.0, s_top]
-    mode_pair = [cfg.modes, 2 * cfg.modes]
-    bodies = [Smoothed(P, s) for s in rungs]
-    _origin_interior_check(bodies[-1], cfg.seed)
-    warm = initial
-    caps: list[list[float]] = []   # per rung, the capacities at M, 2M (, 4M)
-    for K_s in bodies:
-        chain = _mode_chain(K_s, cfg, warm, 3 if cfg.stability_check else 2)
-        caps.append([capacity_from_lambda(lam, cfg.p) for lam, _, _ in chain])
-        warm = chain[1][1]
-    final = _finish(bodies[-1], cfg.replace(modes=mode_pair[1]), *chain[1], smoothing=s_top)
-    rich = [_richardson(c[0], c[1]) for c in caps]
-    c_inf = _aitken(rich[::-1])
-    final.extrapolation = {
-        "sharpness": rungs,
-        "modes": mode_pair,
-        "raw": {f"s={s:g},M={m}": c for s, c_s in zip(rungs, caps)
-                for m, c in zip(mode_pair, c_s)},
-        "mode_richardson": {f"s={s:g}": r for s, r in zip(rungs, rich)},
-        "capacity_raw": caps[-1][1],
-    }
-    final.capacity = c_inf
-    final.lam = lambda_from_capacity(c_inf, cfg.p)
-    final.modes = cfg.modes
-    if cfg.stability_check:
-        again = _aitken([_richardson(c[1], c[2]) for c in caps][::-1])
-        final.stability_drift = float(abs(again - c_inf) / c_inf)
-    return final
 
 
 def capacity(K: ConvexBody, cfg: SolveConfig | None = None,
@@ -919,17 +974,19 @@ def capacity(K: ConvexBody, cfg: SolveConfig | None = None,
     """Capacity, minimizer, carrier and certificates for a convex body.
 
     Raw polytopes are solved on a Smoothed wrapper (sharpness from the
-    config); with `sharpness_extrapolate` the sharpness ladder {s/4, s/2, s}
-    is solved with mode Richardson per rung and the capacity extrapolated,
-    which removes most of the smoothing bias.  With `stability_check` the
-    mode chain goes one level further (2M, or 4M on the ladder) and the
-    relative drift of the capacity against that level is recorded.  An
-    `initial` loop warm-starts the minimization.
+    config).  With `sharpness_extrapolate` the reported capacity is the
+    polytope's own: the facet word of the smoothed solve's carrier is
+    polished by Haim-Kislev's formula (`_polish`), and the minimizer,
+    carrier, alpha and certificates stay those of the smoothed solve, whose
+    capacity `polish["smoothed_capacity"]` records.  With `stability_check`
+    the mode chain goes one level further (2M), warm-started from the
+    reported solve, and the relative drift of the capacity against that
+    level (polished there too) is recorded.  An `initial` loop warm-starts
+    the minimization.
     """
     cfg = cfg or SolveConfig()
     if isinstance(K, Polytope):
-        if cfg.sharpness_extrapolate:
-            return _capacity_polytope_extrapolated(K, cfg, initial)
         return _capacity_single(Smoothed(K, cfg.polytope_sharpness), cfg,
-                                smoothing=cfg.polytope_sharpness, initial=initial)
+                                smoothing=cfg.polytope_sharpness, initial=initial,
+                                polish=cfg.sharpness_extrapolate)
     return _capacity_single(K, cfg, smoothing=None, initial=initial)

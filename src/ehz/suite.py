@@ -163,7 +163,7 @@ def crit_03(cache: _Cache) -> CriterionResult:
     cfg = SolveConfig(modes=24, starts=2, grad_tol=1e-9, max_iter=2500,
                       polytope_sharpness=128.0, sharpness_extrapolate=True)
     rh = cache.capacity(hepta, cfg)
-    _check(lines, "heptagon (smoothed s=128) vs shoelace, rel", _rel(rh.capacity, area), 1e-3)
+    _check(lines, "heptagon (polished from s=128) vs shoelace, rel", _rel(rh.capacity, area), 1e-3)
     return CriterionResult(3, "2D capacity equals area", all(l.ok for l in lines), lines)
 
 
@@ -372,15 +372,17 @@ def crit_13(cache: _Cache) -> CriterionResult:
                         polytope_sharpness=128.0, sharpness_extrapolate=True,
                         stability_check=True)
     rh = cache.capacity(hepta, cfg_h)
-    _check(lines, "heptagon pipeline: M->2M drift, rel", rh.stability_drift, 1e-4)
+    _check(lines, "heptagon (polished from s=128): M->2M drift, rel", rh.stability_drift, 1e-4)
     K4 = random_symmetric_polytope(4, 0, vertices=12, sharpness=64.0)
     r4 = cache.capacity(K4, SolveConfig(modes=16, starts=3, grad_tol=1e-9,
                                         max_iter=2500, stability_check=True))
     _check(lines, "R^4 smoothed polytope (s=64): M->2M drift, rel",
            r4.stability_drift, 1e-4)
-    note = ("smoothed-polytope minimizers ride the rounded corners and their "
-            "capacity converges slowly in the mode count; the 1e-4 drift "
-            "target needs mode counts well beyond desk scale (M >~ 128)")
+    note = ("the heptagon's capacity is polished from its carrier's facet word at "
+            "M and 2M, and does not move while the word stays; the R^4 smoothed "
+            "polytope is a smooth body in its own right, whose minimizers ride the "
+            "rounded corners and converge slowly in the mode count, so its 1e-4 "
+            "drift target needs mode counts well beyond desk scale (M >~ 128)")
     return CriterionResult(13, "discretization stability", all(l.ok for l in lines),
                            lines, note=note)
 

@@ -1,12 +1,13 @@
 """Acceptance criteria, one test per criterion, one printed line each.
 
 The criteria and their tolerances are implemented in ehz.suite; these tests
-run them at the stated tolerances and assert the outcome.  Criterion 13's
-smoothed-polytope leg is implemented faithfully but known not to reach the
-stated 1e-4 drift at desk-scale mode counts (the minimizers of sharply
-smoothed polytopes converge too slowly in the mode count); it is marked
-xfail with the measured drifts in the reason string, and its smooth half is
-asserted separately.
+run them at the stated tolerances and assert the outcome.  Criterion 13 is
+asserted in three parts: its smooth bodies, the heptagon (whose capacity is
+polished from the carrier's facet word, so its drift is roundoff), and the
+R^4 smoothed polytope, which is implemented faithfully but known not to
+reach the stated 1e-4 drift at desk-scale mode counts (the minimizers of a
+sharply smoothed polytope converge too slowly in the mode count); that leg
+is marked xfail with the measured drift in the reason string.
 """
 
 import pytest
@@ -41,14 +42,19 @@ def test_acceptance_13_smooth_bodies(cache):
     cache.crit13 = result
 
 
-@pytest.mark.xfail(reason="smoothed-polytope capacities drift by ~3e-4..3e-3 "
-                          "under M->2M at desk-scale mode counts; the stated "
-                          "1e-4 needs mode counts beyond 128",
+def test_acceptance_13_heptagon(cache):
+    result = getattr(cache, "crit13", None) or _run(13, cache)
+    heptagon = [line for line in result.lines if "heptagon" in line.label]
+    assert heptagon and all(line.ok for line in heptagon), result.render()
+
+
+@pytest.mark.xfail(reason="the R^4 smoothed polytope (s=64) drifts by ~3e-3 under "
+                          "M->2M at desk-scale mode counts; the stated 1e-4 "
+                          "needs mode counts beyond 128",
                    strict=False)
 def test_acceptance_13_smoothed_polytopes(cache):
     result = getattr(cache, "crit13", None) or _run(13, cache)
-    rough = [line for line in result.lines if "polytope" in line.label
-             or "heptagon" in line.label]
+    rough = [line for line in result.lines if "polytope" in line.label]
     assert rough and all(line.ok for line in rough), result.render()
 
 

@@ -208,4 +208,4 @@ def test_area_oracle_polygon_matches_extrapolated_solver():
     cfg = SolveConfig(modes=16, starts=2, grad_tol=1e-9, max_iter=2000,
                       polytope_sharpness=128.0, sharpness_extrapolate=True)
     r = capacity(square, cfg)
-    assert r.capacity == pytest.approx(capacity_area_2d(square), rel=1.5e-3)
+    assert r.capacity == pytest.approx(capacity_area_2d(square), rel=1e-12)

@@ -665,20 +665,21 @@ def _pentagon():
 
 def _finished(name):
     """(body, result) with the result's lam and capacity those of its finishing solve."""
-    if name == "ladder":
+    if name == "polished":
         cfg = SolveConfig(modes=6, starts=2, grad_tol=1e-9, max_iter=600,
                           polytope_sharpness=32.0, sharpness_extrapolate=True)
         r = capacity(_pentagon(), cfg)
-        # the certificates belong to the sharpest, finest solve, before the
-        # capacity is replaced by its extrapolation
+        # the certificates belong to the smoothed solve, whose capacity the
+        # polish replaced and recorded
         winner = next(s for s in r.per_start if s.winner)
-        raw = dataclasses.replace(r, lam=winner.lam, capacity=r.extrapolation["capacity_raw"])
+        assert r.polish["accepted"] and r.capacity < r.polish["smoothed_capacity"]
+        raw = dataclasses.replace(r, lam=winner.lam, capacity=r.polish["smoothed_capacity"])
         return Smoothed(_pentagon(), 32.0), raw
     K = {"ellipsoid": Ellipsoid([1.0, 1.7]), **FINISH_BODIES}[name]
     return K, capacity(K, SolveConfig(modes=4, starts=4))
 
 
-@pytest.mark.parametrize("name", ["ellipsoid", "psum", "smoothed", "ladder"])
+@pytest.mark.parametrize("name", ["ellipsoid", "psum", "smoothed", "polished"])
 def test_certify_and_euler_residual_reproduce_the_finish_bitwise(name):
     K, r = _finished(name)
     assert certify(K, r).to_dict() == r.certificates.to_dict()
@@ -723,44 +724,53 @@ def test_capacity_square_extrapolated_matches_area():
     cfg = SolveConfig(modes=16, starts=2, grad_tol=1e-9, max_iter=2000,
                       polytope_sharpness=128.0, sharpness_extrapolate=True)
     r = capacity(square, cfg)
-    assert r.extrapolation is not None
-    assert r.capacity == pytest.approx(4.0, rel=1.5e-3)
+    assert r.polish is not None and r.polish["accepted"]
+    assert r.capacity == pytest.approx(4.0, rel=1e-12)
     # raw smoothed capacity overshoots the polygon area
-    assert r.extrapolation["capacity_raw"] > 4.0
+    assert r.polish["smoothed_capacity"] > 4.0
 
 
-def _spied_ladder(monkeypatch, stability_check):
-    """A small pentagon ladder, with the (modes, capacity) of every `minimize`
-    call and the number of finishing steps."""
-    solves, finishes = [], []
-    minimize_, finish_ = solver.minimize, solver._finish
+def _spied_polish(monkeypatch, stability_check):
+    """A small polished pentagon, with the (modes, capacity) of every
+    `minimize` call, the number of finishing steps, and the (smoothed,
+    reported) capacities of every polish."""
+    solves, finishes, polishes = [], [], []
+    minimize_, finish_, polish_ = solver.minimize, solver._finish, solver._polish
 
     def spy_minimize(K, cfg, initial=None):
         out = minimize_(K, cfg, initial=initial)
         solves.append((cfg.modes, capacity_from_lambda(out[0], cfg.p)))
         return out
 
+    def spy_polish(K, carrier, smoothed):
+        out = polish_(K, carrier, smoothed)
+        polishes.append((smoothed, out[0]))
+        return out
+
     monkeypatch.setattr(solver, "minimize", spy_minimize)
     monkeypatch.setattr(solver, "_finish", lambda *a, **k: finishes.append(1) or finish_(*a, **k))
+    monkeypatch.setattr(solver, "_polish", spy_polish)
     cfg = SolveConfig(modes=6, starts=2, grad_tol=1e-9, max_iter=600, polytope_sharpness=32.0,
                       sharpness_extrapolate=True, stability_check=stability_check)
-    return capacity(_pentagon(), cfg), solves, len(finishes)
+    return capacity(_pentagon(), cfg), solves, len(finishes), polishes
 
 
-def test_ladder_stability_check_extends_the_same_mode_chain(monkeypatch):
-    plain, solves, finishes = _spied_ladder(monkeypatch, False)
-    assert ([m for m, _ in solves], finishes) == ([6, 12] * 3, 1)
-    checked, solves, finishes = _spied_ladder(monkeypatch, True)
-    assert ([m for m, _ in solves], finishes) == ([6, 12, 24] * 3, 1)
-    # the drift is the same extrapolation one level up each rung's chain
-    fine = [solver._richardson(solves[i + 1][1], solves[i + 2][1]) for i in (6, 3, 0)]
+def test_polish_stability_check_extends_the_same_mode_chain(monkeypatch):
+    plain, solves, finishes, polishes = _spied_polish(monkeypatch, False)
+    assert ([m for m, _ in solves], finishes) == ([6], 1)
+    assert polishes == [(solves[0][1], plain.capacity)]
+    checked, solves, finishes, polishes = _spied_polish(monkeypatch, True)
+    assert ([m for m, _ in solves], finishes) == ([6, 12], 1)
+    # the drift compares the value polished from the 2M level's carrier,
+    # against that level's smoothed capacity, with the reported one
+    assert [smoothed for smoothed, _ in polishes] == [c for _, c in solves]
     c = plain.capacity
     assert plain.stability_drift is None
-    assert checked.stability_drift == abs(solver._aitken(fine) - c) / c
+    assert checked.stability_drift == abs(polishes[1][1] - c) / c
     # and the check changes nothing else
     assert (checked.capacity, checked.lam, checked.modes, checked.grid) == \
         (plain.capacity, plain.lam, plain.modes, plain.grid)
-    assert checked.extrapolation == plain.extrapolation
+    assert checked.polish == plain.polish
     assert checked.per_start == plain.per_start
     assert checked.certificates.to_dict() == plain.certificates.to_dict()
     assert np.array_equal(checked.alpha, plain.alpha)
@@ -770,7 +780,7 @@ def test_ladder_stability_check_extends_the_same_mode_chain(monkeypatch):
         assert np.array_equal(loop_a.a, loop_b.a) and np.array_equal(loop_a.b, loop_b.b)
 
 
-def test_ladder_starts_its_first_rung_from_initial(monkeypatch):
+def test_polished_solve_starts_from_initial(monkeypatch):
     starts = []
     minimize_ = solver.minimize
 
@@ -780,13 +790,13 @@ def test_ladder_starts_its_first_rung_from_initial(monkeypatch):
 
     monkeypatch.setattr(solver, "minimize", spy_minimize)
     cfg = SolveConfig(modes=6, starts=2, grad_tol=1e-9, max_iter=600, polytope_sharpness=32.0,
-                      sharpness_extrapolate=True)
+                      sharpness_extrapolate=True, stability_check=True)
     capacity(_pentagon(), cfg)
-    assert [z is not None for z in starts] == [False] + [True] * 5
+    assert [z is not None for z in starts] == [False, True]
     initial = action_one_circle(2, modes=3)
     starts.clear()
     capacity(_pentagon(), cfg, initial=initial)
-    assert starts[0] is initial and all(z is not None for z in starts)
+    assert starts[0] is initial and starts[1] is not None
 
 
 def test_capacity_polytope_raw_smoothed_upper_bound():
@@ -806,12 +816,13 @@ def test_capacity_polytope_raw_smoothed_upper_bound():
        extrapolate=st.booleans())
 @example(p=2.0, modes=8, sharpness=2.0, extrapolate=True)
 @example(p=2.0, modes=8, sharpness=4.0, extrapolate=True)
+@example(p=2.0, modes=8, sharpness=1.0, extrapolate=True)
 @example(p=2.0, modes=8, sharpness=2.0, extrapolate=False)
 @example(p=2.0, modes=8, sharpness=1.0, extrapolate=False)
 @example(p=2.0, modes=8, sharpness=math.inf, extrapolate=False)
 def test_solve_config_rejects_out_of_range_fields(p, modes, sharpness, extrapolate):
-    valid = (1 < p < math.inf and modes >= 1
-             and (4 if extrapolate else 1) < sharpness < math.inf)
+    # sharpness_extrapolate adds no rule: the polish needs one smoothed solve
+    valid = 1 < p < math.inf and modes >= 1 and 1 < sharpness < math.inf
     fields = dict(p=p, modes=modes, polytope_sharpness=sharpness,
                   sharpness_extrapolate=extrapolate)
     if valid:
