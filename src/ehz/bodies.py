@@ -24,6 +24,11 @@ pass it as a warm start, and Newton then converges within a few steps.  The
 Newton Hessians take D^2 h_K from central differences of support points
 (`support_hessians`), the device the capacity solver's Newton phase uses.
 
+The intersection of two quadratic bodies is served by
+`intersection_support_batch`: its support function is the minimum over
+t in [0, 1] of the support of the ellipsoid pencil {t q_K + (1 - t) q_T <= 1},
+closed form after one generalized eigendecomposition.
+
 All evaluation entry points are batched over rows so that samplers and the
 capacity solver can amortize the tree walk.
 """
@@ -36,15 +41,20 @@ import json
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
 
-from .optimize import ARMIJO, EPS, batched_descent
+from .optimize import ARMIJO, EPS
 from .symplectic import DimensionError, check_even_dim
 
 
 class BodyError(ValueError):
     """Invalid body construction (dimension mismatch, origin not interior, ...)."""
+
+
+class DegenerateIntersectionError(ValueError):
+    """The intersection is empty or has (numerically) no interior."""
 
 
 # The iterative gauge's Newton iteration stops a row once one more step
@@ -251,17 +261,19 @@ class Polytope(ConvexBody):
             raise BodyError("origin is not strictly inside the polytope")
 
     def _origin_interior(self) -> bool:
-        # max eps s.t. sum lam_i v_i = 0, sum lam_i = 1, lam_i >= eps
-        m = self.vertices.shape[0]
-        A_eq = np.vstack([self.vertices.T, np.ones(m)])
+        # max eps s.t. sum lam_i v_i = 0, sum lam_i = 1, lam_i >= eps, written
+        # with lam = mu + eps so that mu >= 0 are bounds and only the dim + 1
+        # equality rows remain: V^T mu + eps V^T 1 = 0, sum mu + m eps = 1
+        V = self.vertices
+        m = V.shape[0]
+        A_eq = np.vstack([np.hstack([V.T, V.sum(axis=0)[:, None]]),
+                          np.append(np.ones(m), float(m))])
         b_eq = np.zeros(self.dim + 1)
         b_eq[-1] = 1.0
         c = np.zeros(m + 1)
         c[-1] = -1.0
-        A_ub = np.hstack([-np.eye(m), np.ones((m, 1))])
-        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(m),
-                      A_eq=np.hstack([A_eq, np.zeros((self.dim + 1, 1))]), b_eq=b_eq,
-                      bounds=[(None, None)] * m + [(None, None)], method="highs")
+        res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * m + [(None, None)],
+                      method="highs")
         return bool(res.status == 0 and -res.fun > 1e-12)
 
     @cached_property
@@ -548,7 +560,7 @@ class Smoothed(ConvexBody):
 
 
 # ---------------------------------------------------------------------------
-# iterative gauge and infimal convolution
+# iterative gauge and intersection support
 # ---------------------------------------------------------------------------
 
 
@@ -665,51 +677,162 @@ def _gauge_by_newton(body: ConvexBody, X: np.ndarray, U0: np.ndarray | None = No
     return vals, grads, max(float(predicted.max()), 1e-14)
 
 
-# Steps of each of the infimal convolution's two descent phases, a coarse one
-# from step 0.25 and a fine one from step 0.05.
-_INFCONV_PHASE_ITER = 200
+def quadric(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """(A, c) with body = {x : (x - c)^T A (x - c) <= 1}.
+
+    Defined for the quadratic leaves (Ball, Ellipsoid, GeneralEllipsoid)
+    under any stack of Translate, Scale and LinearImage; any other node
+    raises a BodyError that names it.
+    """
+    if isinstance(body, Ball):
+        return np.eye(body.dim) / body.radius ** 2, np.zeros(body.dim)
+    if isinstance(body, Ellipsoid):
+        return np.diag(1.0 / body._d2), np.zeros(body.dim)
+    if isinstance(body, GeneralEllipsoid):
+        A = np.linalg.inv(body.Q)
+        return 0.5 * (A + A.T), np.zeros(body.dim)
+    if isinstance(body, Translate):
+        A, c = quadric(body.body)
+        return A, c + body.vector
+    if isinstance(body, Scale):
+        A, c = quadric(body.body)
+        return A / body.factor ** 2, body.factor * c
+    if isinstance(body, LinearImage):
+        A, c = quadric(body.body)
+        M_inv = np.linalg.inv(body.matrix)
+        A = M_inv.T @ A @ M_inv
+        return 0.5 * (A + A.T), body.matrix @ c
+    raise BodyError(f"intersections take balls, ellipsoids and general ellipsoids under "
+                    f"translations, scalings and linear images; got a {type(body).__name__}")
+
+
+# Newton steps of the pencil minimization in t (`_pencil_minimum`): a row
+# stops once its step is at most PENCIL_STEP_TOL, and after at most
+# PENCIL_STEPS steps, enough for bisection alone to reach it.
+PENCIL_STEP_TOL = 1e-15
+PENCIL_STEPS = 64
+
+
+def _pencil_minimum(derivatives, n: int) -> np.ndarray:
+    """Per row, the t in [0, 1] that minimizes a quasi-convex function of t.
+
+    `derivatives(t, rows)` gives its first and second derivatives at t for
+    those rows.  A row whose first derivative is >= 0 at t = 0 (<= 0 at
+    t = 1) has its minimum at that endpoint.  The others take safeguarded
+    Newton steps on the first derivative, from the root of its chord over
+    [0, 1]: the bracket [lo, hi] keeps a negative derivative at lo and a
+    positive one at hi, and a step that leaves it, or meets a second
+    derivative <= 0, is replaced by bisection.
+    """
+    g0, _ = derivatives(np.zeros(n), np.arange(n))
+    g1, _ = derivatives(np.ones(n), np.arange(n))
+    t = np.where(g0 >= 0, 0.0, 1.0)
+    live = np.flatnonzero((g0 < 0) & (g1 > 0))
+    lo, hi = np.zeros(live.size), np.ones(live.size)
+    x = g0[live] / (g0[live] - g1[live])
+    for _ in range(PENCIL_STEPS):
+        if live.size == 0:
+            break
+        g, dg = derivatives(x, live)
+        lo = np.where(g < 0, x, lo)
+        hi = np.where(g > 0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - g / dg
+        x_new = np.where((dg > 0) & (newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        t[live] = x_new
+        go = np.abs(x_new - x) > PENCIL_STEP_TOL
+        live, x, lo, hi = live[go], x_new[go], lo[go], hi[go]
+    return t
 
 
 def intersection_support_batch(K: ConvexBody, T: ConvexBody, U: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Support of K cap T at each row of U via infimal convolution.
+    """Support values and support points of K cap T at the rows of U.
 
-    h_{K cap T}(u) = inf_{w} h_K(w) + h_T(u - w).  The objective is convex
-    in the split variable w; descent runs from w in {eps*u, u/2, (1-eps)*u}
-    (the endpoints are nudged off the support-function kinks at 0) and the
-    exact endpoint values h_T(u), h_K(u) join the final minimum.
+    K and T must be quadratic (`quadric`): K = {q_K <= 1}, T = {q_T <= 1}
+    with q_K(x) = (x - a)^T A (x - a) and q_T(x) = (x - b)^T B (x - b).
+    Lagrangian duality for the two convex constraints gives
 
-    Returns (values, splits): the support values and the minimizing splits w.
+        h_{K cap T}(u) = min_{t in [0, 1]} h_{E_t}(u),
+        E_t = {t q_K + (1 - t) q_T <= 1},
+
+    with E_1 = K and E_0 = T.  One generalized eigendecomposition
+    W^T A W = diag(lam), W^T B W = I diagonalizes the whole pencil: in
+    y = W^{-1} x, with D = t lam + 1 - t and P = t lam a' + (1 - t) b'
+    (a' = W^{-1} a, b' = W^{-1} b), E_t is the ellipsoid
+
+        sum_i D_i (y_i - m_i)^2 <= rho(t),   m = P / D,
+        rho(t) = 1 - t sum lam a'^2 - (1 - t) sum b'^2 + sum P^2 / D,
+
+    so h_{E_t}(u) = <v, m> + sqrt(rho S) with v = W^T u and S = sum v^2 / D,
+    attained at y = m + sqrt(rho / S) v / D.  In t, P and D are linear and
+    N = P' D - P D' = lam (a' - b') is constant, so m' = N / D^2,
+    rho'' = 2 sum N^2 / D^3 and the other derivatives are closed form too.
+    rho does not depend on u and is convex; if its minimum over [0, 1] is
+    <= 0, E_t is empty or a point there, and so is K cap T.  h_{E_t}(u) is
+    quasi-convex in t: it is the infimum over s > 0 of the dual function,
+    which is convex in the multipliers (s t, s (1 - t)), so its sublevel
+    sets are the radial shadows of convex sets on the segment, intervals.
+    `_pencil_minimum` finds its minimum, and the values at t = 0 and t = 1
+    join the comparison.
+
+    Returns (values, points): the support values and the support points,
+    which lie in both bodies with <u, x> = h_{K cap T}(u).  Raises BodyError
+    for a non-quadratic body and DegenerateIntersectionError for an empty
+    or single-point intersection.
     """
     if K.dim != T.dim:
         raise BodyError(f"dimension mismatch: {K.dim} vs {T.dim}")
-    U = np.asarray(U, dtype=float)
-    B, d = U.shape
-    eps = 1e-6
-    W0 = np.vstack([eps * U, 0.5 * U, (1 - eps) * U])
-    Urep = np.tile(U, (3, 1))
+    (A, a), (B, b) = quadric(K), quadric(T)
+    lam, W = eigh(A, B)
+    a_, b_ = W.T @ (B @ a), W.T @ (B @ b)
+    alpha, beta = float(np.sum(lam * a_ ** 2)), float(np.sum(b_ ** 2))
+    dP, dD, N = lam * a_ - b_, lam - 1.0, lam * (a_ - b_)
 
-    def fg(W):
-        vK, gK = K.support_batch(W)
-        vT, gT = T.support_batch(Urep - W)
-        return vK + vT, gK - gT
+    def pencil(t):
+        # D, m, rho, rho' and rho'' at the column of values t
+        D = t * lam + (1.0 - t)
+        m = (t * lam * a_ + (1.0 - t) * b_) / D
+        t = t[:, 0]
+        rho = 1.0 - t * alpha - (1.0 - t) * beta + np.sum(D * m * m, axis=1)
+        drho = beta - alpha + np.sum(2.0 * m * dP - m * m * dD, axis=1)
+        return D, m, rho, drho, 2.0 * np.sum(N * N / D ** 3, axis=1)
 
-    w1, _ = batched_descent(fg, W0, max_iter=_INFCONV_PHASE_ITER, grad_tol=1e-13, step0=0.25)
-    w2, f2 = batched_descent(fg, w1, max_iter=_INFCONV_PHASE_ITER, grad_tol=1e-13, step0=0.05)
-    F = f2.reshape(3, B)
-    Wopt = w2.reshape(3, B, d)
-    pick = np.argmin(F, axis=0)
-    vals = F[pick, np.arange(B)]
-    splits = Wopt[pick, np.arange(B)]
+    t_rho = _pencil_minimum(lambda t, rows: pencil(t[:, None])[3:], 1)
+    rho_min = pencil(t_rho[:, None])[2][0]
+    if not rho_min > 0:
+        raise DegenerateIntersectionError(
+            f"the intersection is empty or a point (pencil radius^2 {rho_min:.3g} "
+            f"at t = {t_rho[0]:.6g})")
 
-    # exact endpoint candidates: w = 0 gives h_T(u), w = u gives h_K(u)
-    vK_end, _ = K.support_batch(U)
-    vT_end, _ = T.support_batch(U)
-    for v_end, w_end in ((vT_end, np.zeros_like(U)), (vK_end, U)):
-        better = v_end < vals
-        vals = np.where(better, v_end, vals)
-        splits = np.where(better[:, None], w_end, splits)
-    return vals, splits
+    V = np.asarray(U, dtype=float) @ W
+
+    def h_derivatives(t, rows):
+        D, m, rho, drho, d2rho = pencil(t[:, None])
+        v = V[rows]
+        q = v * v / D ** 2
+        S = np.sum(v * v / D, axis=1)
+        dS, d2S = -np.sum(q * dD, axis=1), 2.0 * np.sum(q * dD ** 2 / D, axis=1)
+        Pr, dPr = rho * S, drho * S + rho * dS
+        d2Pr = d2rho * S + 2.0 * drho * dS + rho * d2S
+        root = np.sqrt(Pr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.sum(v * N / D ** 2, axis=1) + dPr / (2.0 * root)
+            dg = (np.sum(-2.0 * v * N * dD / D ** 3, axis=1) + d2Pr / (2.0 * root)
+                  - dPr ** 2 / (4.0 * Pr * root))
+        return g, dg
+
+    n = V.shape[0]
+    best_vals, best_Y = np.full(n, np.inf), np.zeros_like(V)
+    for t in (_pencil_minimum(h_derivatives, n), np.zeros(n), np.ones(n)):
+        D, m, rho, _, _ = pencil(t[:, None])
+        S = np.sum(V * V / D, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Y = m + np.where(S[:, None] > 0, np.sqrt(rho / S)[:, None] * V / D, 0.0)
+        vals = np.sum(V * m, axis=1) + np.sqrt(rho * S)
+        better = vals < best_vals
+        best_vals[better], best_Y[better] = vals[better], Y[better]
+    return best_vals, best_Y @ W.T
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bodies import BodyError, ConvexBody, build_body
+from .bodies import BodyError, ConvexBody, build_body, quadric
 from .harness import (HarnessError, bm_check, directional_derivative, isoperimetric_check,
                       mean_width, mean_width_bound_check)
 from .intersections import intersection_concavity_check
@@ -245,6 +245,11 @@ def cmd_meanwidth(args) -> int:
 
 def cmd_intersect(args) -> int:
     K, T = _pair(args)
+    for path, body in ((args.K, K), (args.T, T)):
+        try:
+            quadric(body)
+        except BodyError as e:
+            raise UsageError(f"{path}: {e}") from None
     if args.design < 2 * K.dim:
         raise UsageError(f"--design must be at least 2*dim = {2 * K.dim}, got {args.design}")
     if not 0 <= args.lam <= 1:

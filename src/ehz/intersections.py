@@ -1,14 +1,16 @@
 """Capacity checks on intersections of convex bodies.
 
-Intersections are not descriptor nodes; only their directional support
-values are computable (infimal convolution).  To solve for a capacity the
-intersection is replaced by a smoothed surrogate: support points harvested
-from the infimal-convolution splits on a quasi-uniform direction design are
-recentred at a deep interior point, their hull is smoothed, and the result
-is rescaled so its support matches the sampled truth on average.  A
-random-direction audit quantifies the surrogate accuracy and is reported
-alongside every pass/fail (never folded into it: concavity deficits are
-typically far larger than the surrogate error, and the caller sees both).
+Intersections are not descriptor nodes.  Their support values and support
+points are exact for quadratic bodies (balls, ellipsoids, general ellipsoids
+and their translates, scalings and linear images), through the ellipsoid
+pencil of `bodies.intersection_support_batch`.  To solve for a capacity the
+intersection is replaced by a smoothed surrogate: its support points on a
+quasi-uniform direction design are recentred at a deep interior point, their
+hull is smoothed, and the result is rescaled so its support matches the
+sampled truth on average.  A random-direction audit quantifies the surrogate
+accuracy and is reported alongside every pass/fail (never folded into it:
+concavity deficits are typically far larger than the surrogate error, and
+the caller sees both).
 """
 
 from __future__ import annotations
@@ -19,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .bodies import ConvexBody, Polytope, Scale, Smoothed, Translate, intersection_support_batch
+from .bodies import (ConvexBody, DegenerateIntersectionError, Polytope, Scale, Smoothed,
+                     Translate, intersection_support_batch)
 from .harness import HarnessError, InequalityReport, _meta, _report
 from .solver import SolveConfig, _mode_chain, _richardson, capacity_from_lambda
-
-
-class DegenerateIntersectionError(HarnessError):
-    """The intersection is empty or has (numerically) no interior."""
 
 
 # Sharpness of the surrogate's Smoothed hull, size of the accuracy audit's
@@ -79,10 +78,9 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
                             seed: int = 0) -> tuple[ConvexBody, SurrogateAudit]:
     """Smoothed inner-hull surrogate for K cap T, recentred at a deep point.
 
-    The support points of the intersection are the common support points of
-    the infimal-convolution splits (the split gradient of the active side).
-    The surrogate is Scale(1/rho, Smoothed(hull)) where rho calibrates the
-    smoothed support to the sampled true support on the design: the l^s
+    The surrogate's vertices are the intersection's support points on the
+    design.  The surrogate is Scale(1/rho, Smoothed(hull)) where rho
+    calibrates the smoothed support to the sampled true support on the design: the l^s
     aggregation over a dense vertex cloud carries a nearly uniform
     multiplicative bias that the rescaling removes.  Near-duplicate support
     points (direction fans hitting one corner) are merged so corner clusters
@@ -94,23 +92,11 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
     if design_size < 2 * d:
         raise HarnessError(f"design_size must be at least 2*dim = {2 * d}, got {design_size}")
     U = direction_design(d, design_size, seed)
-    vals, splits = intersection_support_batch(K, T, U)
+    vals, points = intersection_support_batch(K, T, U)
     x0, depth = deep_point(U, vals)
     if depth <= MIN_DEPTH:
         raise DegenerateIntersectionError(
             f"intersection depth {depth:.3g} below {MIN_DEPTH:g}")
-
-    # support point of the intersection: gradient of the active split side
-    _, grad_K = K.support_batch(splits)
-    _, grad_T = T.support_batch(U - splits)
-    nsplit = np.linalg.norm(splits, axis=1)
-    nrest = np.linalg.norm(U - splits, axis=1)
-    unorm = np.linalg.norm(U, axis=1)
-    points = 0.5 * (grad_K + grad_T)
-    only_T = nsplit < 1e-3 * unorm
-    only_K = nrest < 1e-3 * unorm
-    points[only_T] = grad_T[only_T]
-    points[only_K] = grad_K[only_K]
 
     vertices = points - x0
     scale = float(np.median(np.linalg.norm(vertices, axis=1)))

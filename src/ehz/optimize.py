@@ -29,9 +29,8 @@ last SLOW_WINDOW iterations cut it by less than SLOW_FACTOR.  It only stops
 a run, so a run that ends "slow" is the same run cut short.
 
 `batched_descent` runs many small gradient descents in lockstep with per-row
-adaptive steps.  It is deliberately simple; its one caller, the infimal
-convolution of support functions, has a convex landscape and needs
-throughput over asymptotic rate.
+adaptive steps.  Nothing in the package calls it any more (intersection
+supports are closed form); `perfbench/spans.py` still patches it by name.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from scipy.optimize import minimize
 
-from ehz.bodies import (Ball, BodyError, Ellipsoid, GeneralEllipsoid, LinearImage,
-                        MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate,
-                        build_body, intersection_support_batch)
-from ehz.randbodies import random_symmetric_polytope
+from ehz.bodies import (Ball, BodyError, DegenerateIntersectionError, Ellipsoid,
+                        GeneralEllipsoid, LinearImage, MinkowskiSum, Polytope, PSum, Scale,
+                        Smoothed, Translate, build_body, intersection_support_batch, quadric)
+from ehz.randbodies import random_general_ellipsoid, random_symmetric_polytope
 
 RNG = np.random.default_rng(2024)
 
@@ -45,6 +45,15 @@ def test_polytope_origin_interior_enforced():
     # all vertices in a half-space: origin outside the hull
     with pytest.raises(BodyError, match="origin"):
         Polytope([[1, 1], [1, -1], [2, 0], [3, 1]])
+
+
+def test_polytope_origin_on_the_boundary_rejected():
+    with pytest.raises(BodyError, match="origin"):      # origin on an edge
+        Polytope([[0, 1], [0, -1], [2, 1], [2, -1]])
+    with pytest.raises(BodyError, match="origin"):      # origin at a vertex
+        Polytope([[0, 0], [1, 0], [0, 1], [1, 1]])
+    with pytest.raises(BodyError, match="origin"):      # origin on a facet in R^4
+        Polytope(np.vstack([np.eye(4), -np.eye(4)]) + np.eye(4)[0])
 
 
 def test_polytope_degenerate_rejected():
@@ -550,7 +559,7 @@ def test_intersection_lens_against_arc_oracle():
     thetas = np.linspace(0, 2 * np.pi, 17, endpoint=False)
     U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     vals, _ = intersection_support_batch(K, T, U)
-    assert vals == pytest.approx([_lens_support_oracle(t) for t in thetas], abs=2e-6)
+    assert vals == pytest.approx([_lens_support_oracle(t) for t in thetas], abs=1e-12)
 
 
 def test_intersection_lens_axis_values():
@@ -559,9 +568,91 @@ def test_intersection_lens_axis_values():
     K = Ball(1.0, 2)
     T = Translate(np.array([1.0, 0.0]), Ball(1.0, 2))
     vals, _ = intersection_support_batch(K, T, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
-    assert vals[0] == pytest.approx(1.0, abs=1e-7)
-    assert vals[1] == pytest.approx(np.sqrt(3) / 2, abs=1e-7)
-    assert vals[2] == pytest.approx(0.0, abs=1e-9)
+    assert vals[0] == pytest.approx(1.0, abs=1e-12)
+    assert vals[1] == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
+    assert vals[2] == pytest.approx(0.0, abs=1e-12)
+
+
+def _criterion_12_pairs(count):
+    """The first `count` (K, x + T) pairs of criterion 12 (and of the seed-0
+    intersection benchmark), at the first shift x of each."""
+    rng = np.random.default_rng(900)
+    pairs = []
+    for i in range(count):
+        K = random_general_ellipsoid(4, 900 + 2 * i, cond_max=4.0)
+        T = Ball(float(rng.uniform(0.8, 1.1)), 4)
+        x = rng.uniform(-0.4, 0.4, 4)
+        rng.uniform(-0.4, 0.4, 4), rng.uniform(0.2, 0.8)   # y and lambda
+        pairs.append((K, Translate(x, T)))
+    return pairs
+
+
+def _quadric_values(body, X):
+    A, c = quadric(body)
+    return np.einsum("bi,ij,bj->b", X - c, A, X - c)
+
+
+@pytest.mark.parametrize("pair", range(5))
+def test_intersection_support_points_lie_on_the_boundary(pair):
+    K, T = _criterion_12_pairs(5)[pair]
+    U = random_directions(4, 256, np.random.default_rng(pair))
+    vals, X = intersection_support_batch(K, T, U)
+    qK, qT = _quadric_values(K, X), _quadric_values(T, X)
+    assert np.all(qK <= 1 + 1e-10) and np.all(qT <= 1 + 1e-10)
+    assert np.all(np.abs(np.maximum(qK, qT) - 1) <= 1e-10)    # one of them active
+    assert np.abs(np.sum(U * X, axis=1) - vals).max() <= 1e-14
+    # both sides of the lens occur: the point is not always K's or T's own
+    assert np.any(qK < 1 - 1e-6) and np.any(qT < 1 - 1e-6)
+
+
+def test_intersection_support_matches_constrained_maximization():
+    for K, T in _criterion_12_pairs(2):
+        U = random_directions(4, 6, np.random.default_rng(7))
+        vals, _ = intersection_support_batch(K, T, U)
+        (A, a), (B, b) = quadric(K), quadric(T)
+        cons = [{"type": "ineq", "fun": lambda x, M=M, c=c: 1 - (x - c) @ M @ (x - c),
+                 "jac": lambda x, M=M, c=c: -2 * M @ (x - c)} for M, c in ((A, a), (B, b))]
+        for u, h in zip(U, vals):
+            res = minimize(lambda x: -u @ x, np.zeros(4), jac=lambda x: -u, constraints=cons,
+                           method="SLSQP", options={"ftol": 1e-15, "maxiter": 500})
+            assert -res.fun == pytest.approx(h, abs=1e-9)
+
+
+def test_intersection_support_of_images_matches_general_ellipsoids():
+    M = np.array([[1.0, 0.3, 0.0, -0.2], [0.1, 0.9, 0.4, 0.0],
+                  [0.0, -0.3, 1.2, 0.2], [0.2, 0.0, 0.1, 0.8]])
+    radii = np.array([0.9, 1.3])
+    d2 = np.repeat(radii ** 2, 2)
+    shift = np.array([0.2, -0.1, 0.3, 0.05])
+    image = Translate(shift, LinearImage(M, Scale(1.5, Ellipsoid(radii))))
+    general = Translate(shift, GeneralEllipsoid(2.25 * M @ np.diag(d2) @ M.T))
+    T = Translate([-0.1, 0.2, 0.0, 0.1], Scale(0.7, Ball(2.0, 4)))
+    T_general = Translate([-0.1, 0.2, 0.0, 0.1], GeneralEllipsoid(1.96 * np.eye(4)))
+    U = random_directions(4, 64, np.random.default_rng(3))
+    vals, X = intersection_support_batch(image, T, U)
+    vals_g, X_g = intersection_support_batch(general, T_general, U)
+    assert vals == pytest.approx(vals_g, abs=1e-12)
+    assert np.abs(X - X_g).max() <= 1e-12
+
+
+@pytest.mark.parametrize("leaf, name", [
+    (Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]]), "Polytope"),
+    (Translate([0.1, 0.0], PSum(2.0, [Ball(1.0, 2), Ball(0.5, 2)])), "PSum"),
+    (Scale(2.0, Smoothed(Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]]))), "Smoothed"),
+])
+def test_intersection_rejects_non_quadratic_leaves(leaf, name):
+    for K, T in ((leaf, Ball(1.0, 2)), (Ball(1.0, 2), leaf)):
+        with pytest.raises(BodyError, match=name):
+            intersection_support_batch(K, T, np.eye(2))
+
+
+def test_empty_intersection_detected():
+    disc = Ball(1.0, 2)
+    with pytest.raises(DegenerateIntersectionError, match="empty"):
+        intersection_support_batch(disc, Translate([2.1, 0.0], disc), np.eye(2))
+    K = GeneralEllipsoid(np.diag([1.0, 0.25, 4.0, 1.0]))
+    with pytest.raises(DegenerateIntersectionError):
+        intersection_support_batch(K, Translate([0.0, 0.0, 2.5, 0.5], Ball(0.4, 4)), np.eye(4))
 
 
 # -- recipes --------------------------------------------------------------------

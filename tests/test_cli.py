@@ -124,6 +124,24 @@ def test_dimension_mismatch_between_files(bodies, capsys):
     assert "dimension mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", [0, 1])
+def test_intersect_rejects_a_non_quadratic_body(side, bodies, tmp_path, capsys):
+    square = _write(tmp_path, "square.json", json.dumps(
+        {"type": "polytope", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}))
+    pair = [bodies["ball2"], square][::1 - 2 * side]
+    assert main(["intersect", *pair, "--x", "0.1,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {square}: ") and "Polytope" in err
+    assert "Traceback" not in err
+
+
+def test_intersect_rejects_an_empty_intersection(bodies, capsys):
+    assert main(["intersect", bodies["ball2"], bodies["ball2"], "--x", "2.5,0",
+                 "--y", "2.5,0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "empty" in err
+
+
 def test_unknown_flag_rejected(bodies):
     assert main(["capacity", bodies["ball4"], "--frobnicate"]) == 2
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ehz.bodies import Ball, Ellipsoid, Translate
+from ehz.bodies import Ball, BodyError, Ellipsoid, Polytope, Translate, intersection_support_batch
 from ehz.harness import HarnessError
 from ehz.intersections import (DegenerateIntersectionError, build_intersection_body,
                                deep_point, direction_design, intersection_capacity,
@@ -53,6 +53,23 @@ def test_degenerate_intersection_rejected():
     with pytest.raises(DegenerateIntersectionError):
         build_intersection_body(disc, Translate(np.array([2.1, 0.0]), disc),
                                 design_size=256)
+
+
+def test_surrogate_hull_contains_the_deep_point_strictly():
+    # the first pair of criterion 12 at its first shift: the 768 support
+    # points of the design, recentred at the deep point, pass the polytope's
+    # interior-origin LP; recentred at one of them, they fail it
+    rng = np.random.default_rng(900)
+    K = random_general_ellipsoid(4, 900, cond_max=4.0)
+    T = Ball(float(rng.uniform(0.8, 1.1)), 4)
+    T = Translate(rng.uniform(-0.4, 0.4, 4), T)
+    U = direction_design(4, 768, 0)
+    vals, points = intersection_support_batch(K, T, U)
+    x0, depth = deep_point(U, vals)
+    assert depth > 0.1
+    assert Polytope(points - x0).vertices.shape == (768, 4)
+    with pytest.raises(BodyError, match="origin"):
+        Polytope(points - points[0])
 
 
 @pytest.mark.parametrize("design_size", [-5, 0, 1, 7])

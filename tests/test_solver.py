@@ -7,7 +7,7 @@ from scipy.linalg import cho_factor, cho_solve
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ehz import bodies, optimize, solver
+from ehz import optimize, solver
 from ehz.bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
                         MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
 from ehz.intersections import build_intersection_body
@@ -707,9 +707,8 @@ def test_carrier_gauges_start_from_the_carrier_normals(name, monkeypatch):
         return original(self, X, directions)
 
     monkeypatch.setattr(ConvexBody, "gauge_batch", spy)
-    for module in (bodies, optimize):
-        monkeypatch.setattr(module, "batched_descent",
-                            lambda *a, **k: descents.append(a) or (None, None))
+    monkeypatch.setattr(optimize, "batched_descent",
+                        lambda *a, **k: descents.append(a) or (None, None))
     r = capacity(K, SolveConfig(modes=4, starts=4))
     assert r.certificates.gauge_tol > 0  # no analytic polar: the iterative gauge ran
     from_carrier(K, r.carrier, r.p, fit_tol=1.0)
