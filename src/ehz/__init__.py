@@ -10,8 +10,8 @@ corollaries.
 """
 
 from .bodies import (Ball, BodyError, ConvexBody, Ellipsoid, GeneralEllipsoid,
-                     LinearImage, MinkowskiSum, Polytope, PSum, Scale, Smoothed,
-                     Translate, build_body)
+                     Intersection, LinearImage, MinkowskiSum, Polytope, PSum, Scale,
+                     Smoothed, Translate, build_body)
 from .harness import (AsymmetricBodyError, HarnessError, InequalityReport,
                       MeanWidthEstimate, bm_check, capacity_area_2d,
                       directional_derivative, equality_certificate,
@@ -26,7 +26,7 @@ from .suite import run_suite
 from .symplectic import apply_J, apply_J_inverse, random_symplectic, symplectic_form
 
 __all__ = [
-    "Ball", "BodyError", "ConvexBody", "Ellipsoid", "GeneralEllipsoid",
+    "Ball", "BodyError", "ConvexBody", "Ellipsoid", "GeneralEllipsoid", "Intersection",
     "LinearImage", "MinkowskiSum", "Polytope", "PSum", "Scale", "Smoothed",
     "Translate", "build_body",
     "AsymmetricBodyError", "HarnessError", "InequalityReport", "MeanWidthEstimate",

@@ -24,10 +24,10 @@ pass it as a warm start, and Newton then converges within a few steps.  The
 Newton Hessians take D^2 h_K from central differences of support points
 (`support_hessians`), the device the capacity solver's Newton phase uses.
 
-The intersection of two quadratic bodies is served by
-`intersection_support_batch`: its support function is the minimum over
-t in [0, 1] of the support of the ellipsoid pencil {t q_K + (1 - t) q_T <= 1},
-closed form after one generalized eigendecomposition.
+The intersection of two quadratic bodies is the `Intersection` node: its
+support function is the minimum over t in [0, 1] of the support of the
+ellipsoid pencil {t q_K + (1 - t) q_T <= 1}, closed form after one
+generalized eigendecomposition, which the node makes once.
 
 All evaluation entry points are batched over rows so that samplers and the
 capacity solver can amortize the tree walk.
@@ -745,13 +745,12 @@ def _pencil_minimum(derivatives, n: int) -> np.ndarray:
     return t
 
 
-def intersection_support_batch(K: ConvexBody, T: ConvexBody, U: np.ndarray
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """Support values and support points of K cap T at the rows of U.
+class Intersection(ConvexBody):
+    """Intersection K cap T of two quadratic bodies (`quadric`).
 
-    K and T must be quadratic (`quadric`): K = {q_K <= 1}, T = {q_T <= 1}
-    with q_K(x) = (x - a)^T A (x - a) and q_T(x) = (x - b)^T B (x - b).
-    Lagrangian duality for the two convex constraints gives
+    With K = {q_K <= 1} and T = {q_T <= 1}, q_K(x) = (x - a)^T A (x - a)
+    and q_T(x) = (x - b)^T B (x - b), Lagrangian duality for the two convex
+    constraints gives
 
         h_{K cap T}(u) = min_{t in [0, 1]} h_{E_t}(u),
         E_t = {t q_K + (1 - t) q_T <= 1},
@@ -776,63 +775,100 @@ def intersection_support_batch(K: ConvexBody, T: ConvexBody, U: np.ndarray
     `_pencil_minimum` finds its minimum, and the values at t = 0 and t = 1
     join the comparison.
 
-    Returns (values, points): the support values and the support points,
-    which lie in both bodies with <u, x> = h_{K cap T}(u).  Raises BodyError
-    for a non-quadratic body and DegenerateIntersectionError for an empty
-    or single-point intersection.
+    The constructor reduces both bodies (a BodyError names a non-quadratic
+    one), decomposes the pencil and checks rho, raising
+    DegenerateIntersectionError for an empty or single-point intersection;
+    `support_batch` only minimizes over t.  Its support points lie in both
+    bodies with <u, x> = h_{K cap T}(u).  Both bodies are strictly convex,
+    so the intersection is too, and its support function is differentiable.
     """
-    if K.dim != T.dim:
-        raise BodyError(f"dimension mismatch: {K.dim} vs {T.dim}")
-    (A, a), (B, b) = quadric(K), quadric(T)
-    lam, W = eigh(A, B)
-    a_, b_ = W.T @ (B @ a), W.T @ (B @ b)
-    alpha, beta = float(np.sum(lam * a_ ** 2)), float(np.sum(b_ ** 2))
-    dP, dD, N = lam * a_ - b_, lam - 1.0, lam * (a_ - b_)
 
-    def pencil(t):
-        # D, m, rho, rho' and rho'' at the column of values t
-        D = t * lam + (1.0 - t)
-        m = (t * lam * a_ + (1.0 - t) * b_) / D
+    def __init__(self, K: ConvexBody, T: ConvexBody):
+        if K.dim != T.dim:
+            raise BodyError(f"dimension mismatch: {K.dim} vs {T.dim}")
+        self.quadrics = (quadric(K), quadric(T))
+        (A, a), (B, b) = self.quadrics
+        self.terms = (K, T)
+        self.dim = K.dim
+        lam, self._W = eigh(A, B)
+        a_, b_ = self._W.T @ (B @ a), self._W.T @ (B @ b)
+        self._lam, self._a, self._b = lam, a_, b_
+        self._alpha, self._beta = float(np.sum(lam * a_ ** 2)), float(np.sum(b_ ** 2))
+        self._dP, self._dD, self._N = lam * a_ - b_, lam - 1.0, lam * (a_ - b_)
+        self._dD2, self._NN = self._dD ** 2, self._N * self._N
+        t_rho = _pencil_minimum(lambda t, rows: self._pencil(t[:, None])[3:5], 1)
+        rho_min = self._pencil(t_rho[:, None])[2][0]
+        if not rho_min > 0:
+            raise DegenerateIntersectionError(
+                f"the intersection is empty or a point (pencil radius^2 {rho_min:.3g} "
+                f"at t = {t_rho[0]:.6g})")
+
+    def _pencil(self, t):
+        # D, m, rho, rho', rho'' and D^3 at the column of values t.  Keep the
+        # order of every operation here and in support_batch: the tests hold
+        # the support bit for bit against a reference written without caching.
+        tl, s = t * self._lam, 1.0 - t
+        D = tl + s
+        m = (tl * self._a + s * self._b) / D
+        D3 = D ** 3
         t = t[:, 0]
-        rho = 1.0 - t * alpha - (1.0 - t) * beta + np.sum(D * m * m, axis=1)
-        drho = beta - alpha + np.sum(2.0 * m * dP - m * m * dD, axis=1)
-        return D, m, rho, drho, 2.0 * np.sum(N * N / D ** 3, axis=1)
+        rho = 1.0 - t * self._alpha - (1.0 - t) * self._beta + (D * m * m).sum(axis=1)
+        drho = self._beta - self._alpha + (2.0 * m * self._dP - m * m * self._dD).sum(axis=1)
+        return D, m, rho, drho, 2.0 * (self._NN / D3).sum(axis=1), D3
 
-    t_rho = _pencil_minimum(lambda t, rows: pencil(t[:, None])[3:], 1)
-    rho_min = pencil(t_rho[:, None])[2][0]
-    if not rho_min > 0:
-        raise DegenerateIntersectionError(
-            f"the intersection is empty or a point (pencil radius^2 {rho_min:.3g} "
-            f"at t = {t_rho[0]:.6g})")
+    def support_batch(self, U):
+        U = np.asarray(U, dtype=float)
+        if U.shape[0] == 1:
+            # numpy multiplies one row on BLAS's matrix-vector path, whose
+            # bits differ from the same row's in a batch (in R^4)
+            vals, X = self.support_batch(np.repeat(U, 2, axis=0))
+            return vals[:1], X[:1]
+        V = U @ self._W
+        VV = V * V
+        dD, dD2, N = self._dD, self._dD2, self._N
 
-    V = np.asarray(U, dtype=float) @ W
+        def h_derivatives(t, rows):
+            D, m, rho, drho, d2rho, D3 = self._pencil(t[:, None])
+            v, vv, D2 = V[rows], VV[rows], D ** 2
+            q = vv / D2
+            S = (vv / D).sum(axis=1)
+            dS, d2S = -(q * dD).sum(axis=1), 2.0 * (q * dD2 / D).sum(axis=1)
+            Pr, dPr = rho * S, drho * S + rho * dS
+            d2Pr = d2rho * S + 2.0 * drho * dS + rho * d2S
+            root = np.sqrt(Pr)
+            root2 = 2.0 * root
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g = (v * N / D2).sum(axis=1) + dPr / root2
+                dg = ((-2.0 * v * N * dD / D3).sum(axis=1) + d2Pr / root2
+                      - dPr ** 2 / (4.0 * Pr * root))
+            return g, dg
 
-    def h_derivatives(t, rows):
-        D, m, rho, drho, d2rho = pencil(t[:, None])
-        v = V[rows]
-        q = v * v / D ** 2
-        S = np.sum(v * v / D, axis=1)
-        dS, d2S = -np.sum(q * dD, axis=1), 2.0 * np.sum(q * dD ** 2 / D, axis=1)
-        Pr, dPr = rho * S, drho * S + rho * dS
-        d2Pr = d2rho * S + 2.0 * drho * dS + rho * d2S
-        root = np.sqrt(Pr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.sum(v * N / D ** 2, axis=1) + dPr / (2.0 * root)
-            dg = (np.sum(-2.0 * v * N * dD / D ** 3, axis=1) + d2Pr / (2.0 * root)
-                  - dPr ** 2 / (4.0 * Pr * root))
-        return g, dg
+        n = V.shape[0]
+        best_vals, best_Y = np.full(n, np.inf), np.zeros_like(V)
+        for t in (_pencil_minimum(h_derivatives, n), np.zeros(n), np.ones(n)):
+            D, m, rho = self._pencil(t[:, None])[:3]
+            S = (VV / D).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                Y = m + np.where(S[:, None] > 0, np.sqrt(rho / S)[:, None] * V / D, 0.0)
+            vals = (V * m).sum(axis=1) + np.sqrt(rho * S)
+            better = vals < best_vals
+            best_vals[better], best_Y[better] = vals[better], Y[better]
+        return best_vals, best_Y @ self._W.T
 
-    n = V.shape[0]
-    best_vals, best_Y = np.full(n, np.inf), np.zeros_like(V)
-    for t in (_pencil_minimum(h_derivatives, n), np.zeros(n), np.ones(n)):
-        D, m, rho, _, _ = pencil(t[:, None])
-        S = np.sum(V * V / D, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Y = m + np.where(S[:, None] > 0, np.sqrt(rho / S)[:, None] * V / D, 0.0)
-        vals = np.sum(V * m, axis=1) + np.sqrt(rho * S)
-        better = vals < best_vals
-        best_vals[better], best_Y[better] = vals[better], Y[better]
-    return best_vals, best_Y @ W.T
+    def excess(self, X: np.ndarray) -> np.ndarray:
+        """max(q_K(x), q_T(x)) - 1 at the rows of X: positive outside K cap T."""
+        qK, qT = (np.einsum("bi,ij,bj->b", X - c, A, X - c) for A, c in self.quadrics)
+        return np.maximum(qK, qT) - 1.0
+
+    def recipe(self):
+        return {"type": "intersection", "terms": [t.recipe() for t in self.terms]}
+
+
+def intersection_support_batch(K: ConvexBody, T: ConvexBody, U: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """Support values and support points of K cap T at the rows of U: the
+    support of `Intersection(K, T)`, whose constructor raises the errors."""
+    return Intersection(K, T).support_batch(U)
 
 
 # ---------------------------------------------------------------------------
@@ -903,6 +939,15 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
         if kind == "smoothed":
             return Smoothed(build_body(need("body"), f"{path}.body"),
                             number("sharpness", default=64.0))
+        if kind == "intersection":
+            terms = [build_body(t, f"{path}.terms[{i}]") for i, t in enumerate(need("terms"))]
+            if len(terms) != 2:
+                raise BodyError(f"{path}.terms: an intersection takes two bodies, "
+                                f"got {len(terms)}")
+            try:
+                return Intersection(*terms)
+            except DegenerateIntersectionError as e:
+                raise BodyError(f"{path}: {e}") from None
     except BodyError as e:
         msg = str(e)
         if not msg.startswith(path):

@@ -1,16 +1,12 @@
 """Capacity checks on intersections of convex bodies.
 
-Intersections are not descriptor nodes.  Their support values and support
-points are exact for quadratic bodies (balls, ellipsoids, general ellipsoids
-and their translates, scalings and linear images), through the ellipsoid
-pencil of `bodies.intersection_support_batch`.  To solve for a capacity the
-intersection is replaced by a smoothed surrogate: its support points on a
-quasi-uniform direction design are recentred at a deep interior point, their
-hull is smoothed, and the result is rescaled so its support matches the
-sampled truth on average.  A random-direction audit quantifies the surrogate
-accuracy and is reported alongside every pass/fail (never folded into it:
-concavity deficits are typically far larger than the surrogate error, and
-the caller sees both).
+The intersection of two quadratic bodies (balls, ellipsoids, general
+ellipsoids and their translates, scalings and linear images) is the exact
+body `bodies.Intersection`, whose support comes from the ellipsoid pencil.
+Before a solve it is recentred at a deep interior point, found by a linear
+program over its support on a quasi-uniform direction design.  An audit
+reports, on a second design, how far the support points stray outside the
+two bodies, alongside every pass/fail.
 """
 
 from __future__ import annotations
@@ -21,16 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .bodies import (ConvexBody, DegenerateIntersectionError, Polytope, Scale, Smoothed,
-                     Translate, intersection_support_batch)
+from .bodies import ConvexBody, DegenerateIntersectionError, Intersection, Translate
 from .harness import HarnessError, InequalityReport, _meta, _report
 from .solver import SolveConfig, _mode_chain, _richardson, capacity_from_lambda
 
 
-# Sharpness of the surrogate's Smoothed hull, size of the accuracy audit's
-# direction design, and the inradius below which an intersection counts as
-# degenerate.
-SURROGATE_SHARPNESS = 1024.0
+# Size of the audit's direction design, and the inradius below which an
+# intersection counts as degenerate.
 AUDIT_SIZE = 128
 MIN_DEPTH = 1e-6
 
@@ -62,6 +55,16 @@ def deep_point(U: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass
 class SurrogateAudit:
+    """What `build_intersection_body` did.
+
+    max_rel_error and mean_rel_error are the constraint residual
+    max(q_K(x), q_T(x)) - 1, floored at 0, of the support points x on
+    `directions` audit directions: a support point outside either body
+    shows as a positive residual.  design_size is the size of the deep-point
+    design and depth the deep point's inradius.  vertex_count (always 0)
+    and calibration (always 1.0) are placeholders that the benchmark's
+    tracer reads; they go at its next change.
+    """
     max_rel_error: float
     mean_rel_error: float
     directions: int
@@ -76,61 +79,43 @@ class SurrogateAudit:
 
 def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 1024,
                             seed: int = 0) -> tuple[ConvexBody, SurrogateAudit]:
-    """Smoothed inner-hull surrogate for K cap T, recentred at a deep point.
+    """K cap T as `Translate(-x0, Intersection(K, T))`, recentred at a deep point x0.
 
-    The surrogate's vertices are the intersection's support points on the
-    design.  The surrogate is Scale(1/rho, Smoothed(hull)) where rho
-    calibrates the smoothed support to the sampled true support on the design: the l^s
-    aggregation over a dense vertex cloud carries a nearly uniform
-    multiplicative bias that the rescaling removes.  Near-duplicate support
-    points (direction fans hitting one corner) are merged so corner clusters
-    do not skew the aggregation.
+    x0 and its depth come from `deep_point` over the exact support on a
+    `design_size`-direction design; a depth at most MIN_DEPTH raises
+    DegenerateIntersectionError.
     """
     if K.dim != T.dim:
         raise HarnessError(f"dimension mismatch: {K.dim} vs {T.dim}")
     d = K.dim
     if design_size < 2 * d:
         raise HarnessError(f"design_size must be at least 2*dim = {2 * d}, got {design_size}")
+    exact = Intersection(K, T)
     U = direction_design(d, design_size, seed)
-    vals, points = intersection_support_batch(K, T, U)
-    x0, depth = deep_point(U, vals)
+    x0, depth = deep_point(U, exact.support_batch(U)[0])
     if depth <= MIN_DEPTH:
         raise DegenerateIntersectionError(
             f"intersection depth {depth:.3g} below {MIN_DEPTH:g}")
 
-    vertices = points - x0
-    scale = float(np.median(np.linalg.norm(vertices, axis=1)))
-    grid = max(1e-4 * scale, 1e-12)
-    vertices = np.unique(np.round(vertices / grid).astype(np.int64), axis=0) * grid
-    surrogate = Smoothed(Polytope(vertices), SURROGATE_SHARPNESS)
-
-    centered_true = vals - U @ x0
-    h_s, _ = surrogate.support_batch(U)
-    rho = float(np.mean(h_s / centered_true))
-    body = Scale(1.0 / rho, surrogate)
-
-    W = direction_design(d, AUDIT_SIZE, seed + 1)
-    true_vals, _ = intersection_support_batch(K, T, W)
-    true_centered = true_vals - W @ x0
-    approx, _ = body.support_batch(W)
-    rel = np.abs(approx - true_centered) / np.maximum(true_centered, 1e-300)
+    _, points = exact.support_batch(direction_design(d, AUDIT_SIZE, seed + 1))
+    residual = np.maximum(exact.excess(points), 0.0)
     audit = SurrogateAudit(
-        max_rel_error=float(np.max(rel)),
-        mean_rel_error=float(np.mean(rel)),
+        max_rel_error=float(np.max(residual)),
+        mean_rel_error=float(np.mean(residual)),
         directions=AUDIT_SIZE, design_size=U.shape[0],
-        vertex_count=int(vertices.shape[0]), depth=depth, calibration=rho,
+        vertex_count=0, depth=depth, calibration=1.0,
     )
-    return body, audit
+    return Translate(-x0, exact), audit
 
 
 def intersection_capacity(K: ConvexBody, T: ConvexBody, shift: np.ndarray,
                           cfg: SolveConfig | None = None, design_size: int = 1024,
                           seed: int = 0) -> tuple[float, SurrogateAudit]:
-    """Capacity of K cap (shift + T) through the smoothed surrogate.
+    """Capacity of K cap (shift + T), with the audit of its body.
 
-    The sharp surrogate needs modes beyond the configured count to resolve;
-    solving at (M, 2M) and Richardson-extrapolating removes the leading
-    truncation error (the same device as the raw-polytope pipeline).
+    The intersection's boundary has a ridge where the two bodies meet, which
+    the configured modes resolve slowly; solving at (M, 2M) and
+    Richardson-extrapolating removes most of the truncation error.
     """
     cfg = cfg or SolveConfig()
     body, audit = build_intersection_body(K, Translate(np.asarray(shift, dtype=float), T),
@@ -184,4 +169,4 @@ def intersection_concavity_check(K: ConvexBody, T: ConvexBody, x: np.ndarray,
             "ok": bool(caps["A"] <= caps["C"] * (1 + slack_rel) + slack),
         }
     return _report("intersection-concavity", lhs, rhs, lhs - rhs, slack,
-                   witnesses, _meta(cfg, design=design_size, sharpness=SURROGATE_SHARPNESS))
+                   witnesses, _meta(cfg, design=design_size))

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from scipy.optimize import minimize
 
+from scipy.linalg import eigh
+
 from ehz.bodies import (Ball, BodyError, DegenerateIntersectionError, Ellipsoid,
-                        GeneralEllipsoid, LinearImage, MinkowskiSum, Polytope, PSum, Scale,
-                        Smoothed, Translate, build_body, intersection_support_batch, quadric)
+                        GeneralEllipsoid, Intersection, LinearImage, MinkowskiSum, Polytope,
+                        PSum, Scale, Smoothed, Translate, _pencil_minimum, build_body,
+                        intersection_support_batch, quadric)
 from ehz.randbodies import random_general_ellipsoid, random_symmetric_polytope
 
 RNG = np.random.default_rng(2024)
@@ -655,6 +658,93 @@ def test_empty_intersection_detected():
         intersection_support_batch(K, Translate([0.0, 0.0, 2.5, 0.5], Ball(0.4, 4)), np.eye(4))
 
 
+
+def _pencil_reference_batch(K, T, U):
+    """The pencil support written as one function of (K, T, U), which solves
+    the pencil on every call: the arithmetic `Intersection` keeps bit for bit."""
+    (A, a), (B, b) = quadric(K), quadric(T)
+    lam, W = eigh(A, B)
+    a_, b_ = W.T @ (B @ a), W.T @ (B @ b)
+    alpha, beta = float(np.sum(lam * a_ ** 2)), float(np.sum(b_ ** 2))
+    dP, dD, N = lam * a_ - b_, lam - 1.0, lam * (a_ - b_)
+
+    def pencil(t):
+        D = t * lam + (1.0 - t)
+        m = (t * lam * a_ + (1.0 - t) * b_) / D
+        t = t[:, 0]
+        rho = 1.0 - t * alpha - (1.0 - t) * beta + np.sum(D * m * m, axis=1)
+        drho = beta - alpha + np.sum(2.0 * m * dP - m * m * dD, axis=1)
+        return D, m, rho, drho, 2.0 * np.sum(N * N / D ** 3, axis=1)
+
+    V = np.asarray(U, dtype=float) @ W
+
+    def h_derivatives(t, rows):
+        D, m, rho, drho, d2rho = pencil(t[:, None])
+        v = V[rows]
+        q = v * v / D ** 2
+        S = np.sum(v * v / D, axis=1)
+        dS, d2S = -np.sum(q * dD, axis=1), 2.0 * np.sum(q * dD ** 2 / D, axis=1)
+        Pr, dPr = rho * S, drho * S + rho * dS
+        d2Pr = d2rho * S + 2.0 * drho * dS + rho * d2S
+        root = np.sqrt(Pr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.sum(v * N / D ** 2, axis=1) + dPr / (2.0 * root)
+            dg = (np.sum(-2.0 * v * N * dD / D ** 3, axis=1) + d2Pr / (2.0 * root)
+                  - dPr ** 2 / (4.0 * Pr * root))
+        return g, dg
+
+    n = V.shape[0]
+    best_vals, best_Y = np.full(n, np.inf), np.zeros_like(V)
+    for t in (_pencil_minimum(h_derivatives, n), np.zeros(n), np.ones(n)):
+        D, m, rho, _, _ = pencil(t[:, None])
+        S = np.sum(V * V / D, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Y = m + np.where(S[:, None] > 0, np.sqrt(rho / S)[:, None] * V / D, 0.0)
+        vals = np.sum(V * m, axis=1) + np.sqrt(rho * S)
+        better = vals < best_vals
+        best_vals[better], best_Y[better] = vals[better], Y[better]
+    return best_vals, best_Y @ W.T
+
+
+def _lens():
+    return Ball(1.0, 2), Translate([1.0, 0.0], Ball(1.0, 2))
+
+
+@pytest.mark.parametrize("pair", ["criterion_12", "lens"])
+def test_intersection_node_matches_the_pencil_reference_bitwise(pair):
+    K, T = _criterion_12_pairs(1)[0] if pair == "criterion_12" else _lens()
+    node = Intersection(K, T)
+    for rows in (2, 3, 7, 64, 768):
+        U = random_directions(K.dim, rows, np.random.default_rng(rows))
+        vals, X = node.support_batch(U)
+        ref_vals, ref_X = _pencil_reference_batch(K, T, U)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(X, ref_X)
+        assert np.array_equal(intersection_support_batch(K, T, U)[0], vals)
+
+
+@pytest.mark.parametrize("pair", ["criterion_12", "lens"])
+def test_intersection_rows_do_not_depend_on_their_batch_mates(pair):
+    # a lone row goes through as two, off BLAS's matrix-vector path
+    K, T = _criterion_12_pairs(1)[0] if pair == "criterion_12" else _lens()
+    node = Intersection(K, T)
+    U = random_directions(K.dim, 7, np.random.default_rng(11))
+    vals, X = node.support_batch(U)
+    for rows in (1, 2, 3, 7):
+        for i in range(7 - rows + 1):
+            v, x = node.support_batch(U[i:i + rows])
+            assert np.array_equal(v, vals[i:i + rows]) and np.array_equal(x, X[i:i + rows])
+
+
+def test_intersection_excess_is_the_constraint_residual():
+    K, T = _criterion_12_pairs(1)[0]
+    node = Intersection(K, T)
+    _, X = node.support_batch(random_directions(4, 64, np.random.default_rng(2)))
+    excess = node.excess(X)
+    assert np.abs(excess).max() <= 1e-12            # on the boundary of K cap T
+    assert np.array_equal(excess, np.maximum(_quadric_values(K, X), _quadric_values(T, X)) - 1)
+    assert np.all(node.excess(1.1 * X) > 0) and np.all(node.excess(0.0 * X) < 0)
+
+
 # -- recipes --------------------------------------------------------------------
 
 def test_build_body_roundtrip():
@@ -666,6 +756,12 @@ def test_build_body_roundtrip():
     K = build_body(doc)
     assert K.dim == 4
     assert build_body(K.recipe()).recipe() == K.recipe()
+    lens = Intersection(Ball(1.0, 2), Translate([1.0, 0.0], Ellipsoid([0.8])))
+    assert lens.recipe()["type"] == "intersection"
+    rebuilt = build_body(lens.recipe())
+    assert isinstance(rebuilt, Intersection) and rebuilt.recipe() == lens.recipe()
+    U = random_directions(2, 16)
+    assert np.array_equal(rebuilt.support_batch(U)[0], lens.support_batch(U)[0])
 
 
 def test_build_body_error_paths_name_fields():
@@ -679,6 +775,21 @@ def test_build_body_error_paths_name_fields():
         build_body({"type": "cube"})
     with pytest.raises(BodyError, match="type"):
         build_body({"r": 1})
+
+
+
+def test_build_body_intersection_errors_name_the_field():
+    disc = {"type": "ball", "r": 1, "dim": 2}
+    far = {"type": "translate", "vector": [2.1, 0], "body": disc}
+    square = {"type": "polytope", "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
+    with pytest.raises(BodyError, match=r"body\.terms: an intersection takes two bodies, got 3"):
+        build_body({"type": "intersection", "terms": [disc, disc, disc]})
+    with pytest.raises(BodyError, match=r"^body: the intersection is empty"):
+        build_body({"type": "intersection", "terms": [disc, far]})
+    with pytest.raises(BodyError, match=r"^body: .*got a Polytope"):
+        build_body({"type": "intersection", "terms": [disc, square]})
+    with pytest.raises(BodyError, match=r"body\.terms\[1\]: ball radius"):
+        build_body({"type": "intersection", "terms": [disc, {"type": "ball", "r": -1, "dim": 2}]})
 
 
 def test_build_body_rejects_a_non_integral_dim():

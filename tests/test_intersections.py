@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ehz.bodies import Ball, BodyError, Ellipsoid, Polytope, Translate, intersection_support_batch
+from ehz import bodies
+from ehz.bodies import (Ball, BodyError, Ellipsoid, Intersection, Polytope, Translate,
+                        intersection_support_batch)
 from ehz.harness import HarnessError
 from ehz.intersections import (DegenerateIntersectionError, build_intersection_body,
                                deep_point, direction_design, intersection_capacity,
@@ -40,12 +42,25 @@ def test_deep_point_shifted():
     assert r == pytest.approx(1.0, abs=1e-6)
 
 
-def test_build_intersection_surrogate_lens_accuracy():
-    disc = Ball(1.0, 2)
-    body, audit = build_intersection_body(disc, Translate(np.array([1.0, 0.0]), disc),
-                                          design_size=720, seed=0)
-    assert audit.mean_rel_error <= 2e-3
+def test_build_intersection_body_on_the_lens():
+    disc, shift = Ball(1.0, 2), Translate(np.array([1.0, 0.0]), Ball(1.0, 2))
+    body, audit = build_intersection_body(disc, shift, design_size=720, seed=0)
+    assert isinstance(body, Translate) and isinstance(body.body, Intersection)
+    assert body.recipe()["body"] == Intersection(disc, shift).recipe()
+    assert body.vector == pytest.approx([-0.5, 0.0], abs=1e-2)
     assert audit.depth == pytest.approx(0.5, abs=1e-3)
+    assert 0.0 <= audit.mean_rel_error <= audit.max_rel_error <= 1e-12
+    assert (audit.vertex_count, audit.calibration, audit.design_size) == (0, 1.0, 720)
+
+
+def test_audit_catches_support_points_off_the_pencil_minimum(monkeypatch):
+    # t = 1/2 for every direction: the points lie on E_{1/2}, outside K or T
+    K, T = random_general_ellipsoid(4, 900, cond_max=4.0), Translate([0.3, 0, 0, 0], Ball(1.0, 4))
+    _, audit = build_intersection_body(K, T, design_size=256)
+    assert audit.max_rel_error <= 1e-12
+    monkeypatch.setattr(bodies, "_pencil_minimum", lambda derivatives, n: np.full(n, 0.5))
+    _, audit = build_intersection_body(K, T, design_size=256)
+    assert audit.max_rel_error > 1e-3
 
 
 def test_degenerate_intersection_rejected():
@@ -55,7 +70,7 @@ def test_degenerate_intersection_rejected():
                                 design_size=256)
 
 
-def test_surrogate_hull_contains_the_deep_point_strictly():
+def test_support_point_hull_contains_the_deep_point_strictly():
     # the first pair of criterion 12 at its first shift: the 768 support
     # points of the design, recentred at the deep point, pass the polytope's
     # interior-origin LP; recentred at one of them, they fail it
@@ -112,19 +127,26 @@ def test_concavity_x_equals_y_is_equality():
 
 
 def test_concavity_containing_body_recovers_capacity():
-    # T contains K and x = y = 0: all three intersections are K itself.  The
-    # R^4 hull surrogate carries a few-percent absolute bias at this design
-    # size (visible in the audit); the concavity check relies on the bias
-    # cancelling across the three identical intersections.
+    # T contains K and x = y = 0: all three intersections are K itself
     K = Ball(1.0, 4)
     T = Ball(3.0, 4)
     rep = intersection_concavity_check(K, T, np.zeros(4), np.zeros(4), 0.5, CFG4,
                                        design_size=512)
     caps = rep.witnesses["capacities"]
-    assert rep.lhs == pytest.approx(math.sqrt(math.pi), rel=0.05)
+    assert rep.lhs == pytest.approx(math.sqrt(math.pi), rel=1e-9)
     assert max(abs(caps[k] - caps["C"]) for k in "AB") <= 1e-6 * caps["C"]
-    assert rep.witnesses["audits"]["C"]["mean_rel_error"] < 0.03
+    assert rep.witnesses["audits"]["C"]["max_rel_error"] <= 1e-12
     assert rep.passed
+
+
+def test_ellipsoid_inside_a_translated_ball_recovers_its_capacity():
+    # E(1, 1.5) lies inside (0.1, 0, 0, 0.2) + B(2), so the intersection is
+    # E(1, 1.5), of capacity pi r_1^2
+    shift = np.array([0.1, 0.0, 0.0, 0.2])
+    c, audit = intersection_capacity(Ellipsoid([1.0, 1.5]), Ball(2.0, 4), shift, CFG4,
+                                     design_size=512)
+    assert c == pytest.approx(math.pi, rel=1e-9)
+    assert audit.max_rel_error <= 1e-12
 
 
 def test_concavity_generic_pair_strict():
@@ -137,7 +159,7 @@ def test_concavity_generic_pair_strict():
     assert rep.passed
     assert rep.deficit > 0.05  # genuinely strict for offset intersections
     for k in "ABC":
-        assert rep.witnesses["audits"][k]["mean_rel_error"] < 0.05
+        assert rep.witnesses["audits"][k]["max_rel_error"] <= 1e-12
 
 
 def test_concavity_symmetric_special_case_flag():

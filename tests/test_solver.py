@@ -264,9 +264,7 @@ def test_minimize_lockstep_through_newton_and_resumed_lbfgs():
     assert any(d.newton_steps == 0 for d in diags)
 
 
-@pytest.mark.xfail(strict=False, reason="planar Smoothed rows depend on the BLAS block shape, "
-                   "so on the 2D lens surrogate a start's values depend on its batch-mates")
-def test_minimize_lockstep_on_the_planar_lens_surrogate():
+def test_minimize_lockstep_on_the_exact_planar_lens():
     disc = Ball(1.0, 2)
     lens, _ = build_intersection_body(disc, Translate(np.array([1.0, 0.0]), disc), 720)
     _assert_lockstep(lens, SolveConfig(modes=16, starts=2, grad_tol=1e-9, max_iter=2500))
