@@ -8,9 +8,10 @@ support values and support points by the standard rules.  The gradient of
 h_K at a smooth direction is the support point, i.e. the boundary point
 where the supremum is attained.
 
-Gauges ||x||_K = inf{r > 0 : x/r in K} are served analytically whenever a
-polar descriptor exists (ellipsoidal families and their linear images and
-scalings).  Otherwise the gauge is max_u <x, u>/h_K(u) by polarity, found by
+Gauges ||x||_K = inf{r > 0 : x/r in K} are closed form on the quadratic
+bodies of `quadric` (balls, ellipsoids and general ellipsoids under
+translations, scalings and linear images): the gauge is the positive root of
+a quadratic.  Otherwise the gauge is max_u <x, u>/h_K(u) by polarity, found by
 damped Newton steps on f(u) = log h_K(u) - log <x, u>, batched over all
 points, and one start suffices: every local maximum of the ratio is global.
 The ratio is quasi-concave on {<x, u> > 0}, since its superlevel sets
@@ -107,21 +108,18 @@ class ConvexBody:
     def is_smooth(self) -> bool:
         return True
 
-    # -- polarity and gauge -------------------------------------------------
-
-    def polar(self) -> "ConvexBody | None":
-        """Analytic polar body, or None when only iterative gauges exist."""
-        return None
+    # -- gauge ---------------------------------------------------------------
 
     def gauge_batch(self, X: np.ndarray, directions: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray, float]:
         """Gauge values and gradients for points X; returns (vals, grads, tol).
 
-        `directions` optionally gives each row a warm start for the iterative
+        A quadratic body (`quadric`) gets the closed-form gauge of
+        `_quadric_gauge`, any other body the Newton gauge of `_gauge_by_newton`.
+        `directions` optionally gives each row a warm start for the Newton
         gauge: a guess of the outer normal of K at the boundary point on the
-        ray through x, up to a positive factor.  Bodies with an analytic polar
-        ignore it.  `tol` estimates the relative gauge error left (0 when
-        analytic).
+        ray through x, up to a positive factor.  Quadratic bodies ignore it.
+        `tol` estimates the relative gauge error left (0 for quadratic bodies).
         """
         X = np.asarray(X, dtype=float)
         if directions is not None:
@@ -129,13 +127,16 @@ class ConvexBody:
             if directions.shape != X.shape:
                 raise BodyError(f"directions have shape {directions.shape}, "
                                 f"points have shape {X.shape}")
-        polar = self.polar()
+        try:
+            form = quadric(self)
+        except BodyError:
+            form = None
         nz = np.linalg.norm(X, axis=1) > 0
         vals = np.zeros(X.shape[0])
         grads = np.zeros_like(X)
         tol = 0.0
-        if np.any(nz) and polar is not None:
-            vals[nz], grads[nz] = polar.support_batch(X[nz])
+        if np.any(nz) and form is not None:
+            vals[nz], grads[nz] = _quadric_gauge(*form, X[nz])
         elif np.any(nz):
             vals[nz], grads[nz], tol = _gauge_by_newton(
                 self, X[nz], None if directions is None else directions[nz])
@@ -177,9 +178,6 @@ class Ball(ConvexBody):
             grads = np.where(norms[:, None] > 0, self.radius * U / norms[:, None], 0.0)
         return vals, grads
 
-    def polar(self):
-        return Ball(1.0 / self.radius, self.dim)
-
     def recipe(self):
         return {"type": "ball", "r": self.radius, "dim": self.dim}
 
@@ -204,9 +202,6 @@ class Ellipsoid(ConvexBody):
         with np.errstate(invalid="ignore", divide="ignore"):
             grads = np.where(vals[:, None] > 0, q / vals[:, None], 0.0)
         return vals, grads
-
-    def polar(self):
-        return GeneralEllipsoid(np.diag(1.0 / self._d2))
 
     def recipe(self):
         return {"type": "ellipsoid", "radii": self.radii.tolist()}
@@ -236,10 +231,6 @@ class GeneralEllipsoid(ConvexBody):
         with np.errstate(invalid="ignore", divide="ignore"):
             grads = np.where(vals[:, None] > 0, q / vals[:, None], 0.0)
         return vals, grads
-
-    def polar(self):
-        Qinv = np.linalg.inv(self.Q)
-        return GeneralEllipsoid(0.5 * (Qinv + Qinv.T))
 
     def recipe(self):
         return {"type": "general_ellipsoid", "Q": self.Q.tolist()}
@@ -414,12 +405,6 @@ class LinearImage(ConvexBody):
     def is_smooth(self) -> bool:
         return self.body.is_smooth
 
-    def polar(self):
-        inner = self.body.polar()
-        if inner is None:
-            return None
-        return LinearImage(np.linalg.inv(self.matrix).T, inner)
-
     def recipe(self):
         return {"type": "linear", "matrix": self.matrix.tolist(), "body": self.body.recipe()}
 
@@ -464,12 +449,6 @@ class Scale(ConvexBody):
     @property
     def is_smooth(self) -> bool:
         return self.body.is_smooth
-
-    def polar(self):
-        inner = self.body.polar()
-        if inner is None:
-            return None
-        return Scale(1.0 / self.factor, inner)
 
     def recipe(self):
         return {"type": "scale", "factor": self.factor, "body": self.body.recipe()}
@@ -603,7 +582,10 @@ def _gauge_by_newton(body: ConvexBody, X: np.ndarray, U0: np.ndarray | None = No
     step predicts, -grad f . step / 2, is at most GAUGE_STOP, once no
     fraction passes, or after GAUGE_STEPS steps.  Directions with
     <x, u> <= 0 or h(u) <= 0 lie outside the domain.  Every row is computed
-    from its own values alone, so it does not depend on its batch-mates.
+    from its own values alone, and a lone row goes through `support_batch`
+    as two (numpy multiplies one row on BLAS's matrix-vector path, whose
+    bits differ, as in `LinearImage`), so a row does not depend on its
+    batch-mates where the body's support rows do not.
 
     A row starts from its U0 row, normalized, when that is inside the
     domain, and otherwise from x/|x|, which is inside whenever the origin is
@@ -614,7 +596,9 @@ def _gauge_by_newton(body: ConvexBody, X: np.ndarray, U0: np.ndarray | None = No
     """
     def fg(U, Xr):
         dots = np.sum(Xr * U, axis=1)
-        h, grad_h = body.support_batch(U)
+        n = U.shape[0]
+        h, grad_h = body.support_batch(np.repeat(U, 2, axis=0) if n == 1 else U)
+        h, grad_h = h[:n], grad_h[:n]
         bad = (dots <= 0) | (h <= 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             f = np.log(h) - np.log(dots)
@@ -704,6 +688,31 @@ def quadric(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
         return 0.5 * (A + A.T), body.matrix @ c
     raise BodyError(f"intersections take balls, ellipsoids and general ellipsoids under "
                     f"translations, scalings and linear images; got a {type(body).__name__}")
+
+
+def _quadric_gauge(A: np.ndarray, c: np.ndarray, X: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Gauge values and gradients of {y : (y - c)^T A (y - c) <= 1} at the
+    nonzero rows of X, in closed form.
+
+    x/r is on the boundary when (x - r c)^T A (x - r c) = r^2, so the gauge
+    is the positive root of a r^2 + 2 b r - q = 0 with q = x^T A x,
+    b = c^T A x and a = 1 - c^T A c, which is positive exactly when the
+    origin is interior.  With s = sqrt(b^2 + a q) the root is taken as
+    q / (b + s) for b > 0 and (s - b) / a otherwise, so that nothing
+    cancels (and r = s for c = 0).  Differentiating the boundary equation
+    gives the gradient A (x - r c) / (c^T A (x - r c) + r).
+    """
+    a = 1.0 - c @ A @ c
+    if not a > 0:
+        raise BodyError("gauge undefined: the origin is not interior to the body")
+    AX = X @ A
+    q = np.sum(X * AX, axis=1)
+    b = AX @ c
+    s = np.sqrt(b * b + a * q)
+    r = np.where(b > 0, q / (b + s), (s - b) / a)
+    AY = (X - r[:, None] * c) @ A
+    return r, AY / (AY @ c + r)[:, None]
 
 
 # Newton steps of the pencil minimization in t (`_pencil_minimum`): a row

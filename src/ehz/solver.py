@@ -132,10 +132,10 @@ class CertificateBundle:
     """How well a computed minimizer satisfies the optimality identities.
 
     `gauge_tol` estimates the relative error left in the gauge values behind
-    `boundary_residual`: 0 for bodies with an analytic polar, otherwise the
-    largest decrease of the log gauge that one more step of the Newton gauge
-    predicts at any carrier sample where it stopped, floored at 1e-14
-    (`bodies._gauge_by_newton`).
+    `boundary_residual`: 0 for the quadratic bodies of `bodies.quadric`,
+    whose gauge is closed form, otherwise the largest decrease of the log
+    gauge that one more step of the Newton gauge predicts at any carrier
+    sample where it stopped, floored at 1e-14 (`bodies._gauge_by_newton`).
     """
 
     euler_residual_rel: float
@@ -298,6 +298,20 @@ class _Discretization:
     def position(self, a, b) -> np.ndarray:
         return self.C @ a + self.S @ b
 
+    def quotient_terms(self, Theta: np.ndarray) -> tuple[np.ndarray, ...]:
+        """For rows Theta of velocity coefficients (k a_k, k b_k): the
+        coefficients b (R, M, d), the velocity samples (R, N, d), J a and the
+        action A (R,), as `_quotient_fg` and `_quotient_hessian` share them."""
+        R, M, d = Theta.shape[0], self.modes, self.dim
+        kinv = (1.0 / self.k)[:, None]
+        av = Theta[:, :M * d].reshape(R, M, d)
+        bv = Theta[:, M * d:].reshape(R, M, d)
+        a, b = kinv * av, kinv * bv
+        dz = -self.S @ av + self.C @ bv
+        Ja = apply_J(a)
+        A = np.pi * (self.k * (Ja * b).sum(axis=2)).sum(axis=1)
+        return b, dz, Ja, A
+
 
 def _quotient_fg(K: ConvexBody, disc: _Discretization, p: float):
     """log of the scale-invariant quotient and its gradient, batched over rows.
@@ -317,21 +331,14 @@ def _quotient_fg(K: ConvexBody, disc: _Discretization, p: float):
     get +inf and a zero gradient.
     """
     half_p = 0.5 * p
-    Npts = disc.N
-    M, d = disc.modes, disc.dim
-    kinv = (1.0 / disc.k)[:, None]
+    Npts, d = disc.N, disc.dim
 
     def fg(Theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         B = Theta.shape[0]
-        av = Theta[:, :M * d].reshape(B, M, d)   # velocity coefficients
-        bv = Theta[:, M * d:].reshape(B, M, d)
-        a, b = kinv * av, kinv * bv
-        dz = -disc.S @ av + disc.C @ bv
+        b, dz, Ja, A = disc.quotient_terms(Theta)
         h, gh = K.support_batch(dz.reshape(B * Npts, d))
         h = h.reshape(B, Npts)
         gh = gh.reshape(B, Npts, d)
-        Ja = apply_J(a)
-        A = np.pi * (disc.k * (Ja * b).sum(axis=2)).sum(axis=1)
         inside = (A > 0) & (h > 0).all(axis=1)
         F = np.full(B, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -379,7 +386,6 @@ def _quotient_hessian(K: ConvexBody, disc: _Discretization, p: float):
     Npts, M, d = disc.N, disc.modes, disc.dim
     n = 2 * M * d
     B = np.hstack([-disc.S, disc.C])    # (N, 2M): u_j = B_j (av, bv), coordinate by coordinate
-    kinv = (1.0 / disc.k)[:, None]
     # D^2A: d^2/(d av_{k,2l} d bv_{k,2l+1}) = pi/k and d^2/(d av_{k,2l+1} d bv_{k,2l}) = -pi/k
     ax = (d * np.arange(M)[:, None] + np.arange(0, d, 2)).ravel()
     rows = np.concatenate([ax, ax + 1])
@@ -389,13 +395,8 @@ def _quotient_hessian(K: ConvexBody, disc: _Discretization, p: float):
 
     def hessians(Theta: np.ndarray, F: np.ndarray, G: np.ndarray):
         R = Theta.shape[0]
-        av = Theta[:, :M * d].reshape(R, M, d)
-        bv = Theta[:, M * d:].reshape(R, M, d)
-        a, b = kinv * av, kinv * bv
-        U = -disc.S @ av + disc.C @ bv                        # (R, N, d)
+        b, U, Ja, A = disc.quotient_terms(Theta)
         D2 = support_hessians(K, U.reshape(-1, d), p).reshape(R, Npts, d, d)
-        Ja = apply_J(a)
-        A = np.pi * (disc.k * (Ja * b).sum(axis=2)).sum(axis=1)
         gradA = np.concatenate([(-np.pi * apply_J(b)).reshape(R, -1),
                                 (np.pi * Ja).reshape(R, -1)], axis=1)
         for r in range(R):

@@ -15,6 +15,7 @@ from ehz.bodies import (Ball, BodyError, DegenerateIntersectionError, Ellipsoid,
                         PSum, Scale, Smoothed, Translate, _pencil_minimum, build_body,
                         intersection_support_batch, quadric)
 from ehz.randbodies import random_general_ellipsoid, random_symmetric_polytope
+from ehz.symplectic import random_symplectic
 
 RNG = np.random.default_rng(2024)
 
@@ -373,7 +374,7 @@ def test_ball_gauge():
     K = Ball(2.0, 4)
     vals, _, tol = K.gauge_batch(np.array([[0.0, 1.0, 0.0, 0.0]]))
     assert vals[0] == pytest.approx(0.5)
-    assert K.polar() is not None and tol == 0.0
+    assert tol == 0.0
 
 
 def test_ellipsoid_gauge_boundary_point():
@@ -390,7 +391,6 @@ def test_psum_gauge_iterative_matches_analytic_value():
     K = PSum(2.0, [Ball(1.0, 4), Ball(1.0, 4)])
     x = np.array([1.0, 0.0, 0.0, 0.0])
     value = K.gauge_batch(x[None, :])[0][0]
-    assert K.polar() is None
     assert value == pytest.approx(1.0 / np.sqrt(2), abs=1e-13)
     # sampled lower bound: sup over directions of <x,u>/h(u) cannot exceed the gauge
     U = random_directions(4, 2000)
@@ -415,11 +415,18 @@ def test_translated_ellipsoid_gauge_is_the_quadratic_root():
     K = Translate(c, E)
     A = np.diag(1.0 / np.repeat(E.radii**2, 2))
     X = np.random.default_rng(5).normal(size=(12, 4))
-    vals, _, tol = K.gauge_batch(X)
-    assert K.polar() is None and 1e-14 <= tol < 1e-9
+    vals, grads, tol = K.gauge_batch(X)
+    assert tol == 0.0
     for x, value in zip(X, vals):
         roots = np.roots([c @ A @ c - 1.0, -2.0 * (x @ A @ c), x @ A @ x])
-        assert value == pytest.approx(max(roots.real), rel=1e-12)
+        assert value == pytest.approx(max(roots.real), rel=1e-14)
+    # the gradient against central differences, and Euler's identity for a
+    # 1-homogeneous function: <grad g(x), x> = g(x)
+    step = 1e-6
+    central = np.stack([(K.gauge_batch(X + step * e)[0] - K.gauge_batch(X - step * e)[0])
+                        / (2.0 * step) for e in np.eye(4)], axis=1)
+    assert np.max(np.abs(grads - central)) <= 2e-9
+    assert np.max(np.abs(np.sum(grads * X, axis=1) - vals) / vals) <= 1e-14
 
 
 def _sampled_gauge(K, x, samples=20000, seed=0):
@@ -450,8 +457,14 @@ def test_smoothed_polytope_gauge_matches_sampled_polished_maximum():
 GAUGE_BODIES = {
     "psum": PSum(1.7, [Ball(1.0, 4), Ellipsoid([0.5, 2.0])]),
     "minkowski": MinkowskiSum([Ellipsoid([1.0, 1.5]), Ball(0.5, 4)], [1.0, 0.7]),
-    "translate": Translate([0.1, 0.2, -0.1, 0.0], Ellipsoid([1.0, 2.0])),
+    "translate": Translate([0.1, 0.2, -0.1, 0.0],
+                           PSum(2.0, [Ball(1.0, 4), Ellipsoid([1.0, 2.0])])),
     "smoothed": random_symmetric_polytope(4, 7, sharpness=16.0),
+    # a lone row's `U @ matrix` in LinearImage takes BLAS's matrix-vector path
+    "linear_psum": LinearImage(random_symplectic(4, 17, 0.5),
+                               PSum(1.7, [Ball(1.0, 4), Ellipsoid([0.5, 2.0])])),
+    "linear_smoothed": LinearImage(random_symplectic(4, 17, 0.5),
+                                   random_symmetric_polytope(4, 7, sharpness=16.0)),
 }
 
 
@@ -469,7 +482,7 @@ def test_gauge_warm_and_cold_starts_agree(name):
     assert np.max(np.abs(flipped[0] - cold[0]) / cold[0]) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["smoothed", "psum"])
+@pytest.mark.parametrize("name", ["smoothed", "psum", "linear_psum", "linear_smoothed"])
 def test_gauge_rows_are_independent_of_their_batch_mates(name):
     K = GAUGE_BODIES[name]
     rng = np.random.default_rng(9)
@@ -499,9 +512,11 @@ def test_gauge_warm_start_at_the_normal_stops_at_once():
 
 
 def test_gauge_rejects_a_body_without_interior_origin():
-    K = Translate([3.0, 0.0, 0.0, 0.0], PSum(2.0, [Ball(1.0, 4), Ball(1.0, 4)]))
-    with pytest.raises(BodyError, match="origin"):
-        K.gauge_batch(np.array([[-1.0, 0.0, 0.0, 0.0]]))
+    # the Newton gauge's body and a quadric's (closed-form gauge)
+    for inner in (PSum(2.0, [Ball(1.0, 4), Ball(1.0, 4)]), Ball(1.0, 4)):
+        K = Translate([3.0, 0.0, 0.0, 0.0], inner)
+        with pytest.raises(BodyError, match="origin"):
+            K.gauge_batch(np.array([[-1.0, 0.0, 0.0, 0.0]]))
     with pytest.raises(BodyError, match="shape"):
         K.gauge_batch(np.ones((2, 4)), np.ones((3, 4)))
 
@@ -510,11 +525,12 @@ def test_linear_image_gauge_analytic():
     rng = np.random.default_rng(8)
     M = rng.normal(size=(4, 4)) + 3 * np.eye(4)
     K = LinearImage(M, Ellipsoid([1.0, 2.0]))
-    assert K.polar() is not None
     # gauge of Ax in AK equals gauge of x in K
     X = rng.normal(size=(5, 4))
     inner = Ellipsoid([1.0, 2.0])
-    assert K.gauge_batch(X @ M.T)[0] == pytest.approx(inner.gauge_batch(X)[0], rel=1e-10)
+    vals, _, tol = K.gauge_batch(X @ M.T)
+    assert tol == 0.0
+    assert vals == pytest.approx(inner.gauge_batch(X)[0], rel=1e-10)
 
 
 # -- intersection support -------------------------------------------------------

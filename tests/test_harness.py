@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from ehz.bodies import (Ball, Ellipsoid, GeneralEllipsoid, MinkowskiSum, Polytope,
-                        PSum, Translate)
+from ehz.bodies import (Ball, Ellipsoid, GeneralEllipsoid, LinearImage, MinkowskiSum,
+                        Polytope, PSum, Translate)
 from ehz.harness import (AsymmetricBodyError, bm_check, capacity_area_2d,
                          directional_derivative, equality_certificate,
                          isoperimetric_check, mean_width, mean_width_bound_check,
                          p_combination)
 from ehz.randbodies import random_body, random_general_ellipsoid
 from ehz.solver import SolveConfig, capacity
+from ehz.symplectic import random_symplectic
 
 FAST = SolveConfig(modes=8, starts=4)
 MED = SolveConfig(modes=12, starts=4, grad_tol=1e-9)
@@ -40,6 +41,39 @@ def test_bm_equal_balls_p2():
     rep = bm_check(Ball(1.0, 4), Ball(1.0, 4), 2.0, FAST)
     assert rep.witnesses["c_combined"] == pytest.approx(2 * math.pi, rel=1e-9)
     assert abs(rep.deficit) <= 1e-9 * rep.rhs
+
+
+# The paper's equality case: E(a) and E(b) with their smallest radii a_1, b_1
+# in one symplectic plane.  For p >= 1 the inequality bounds c(E(a) +_p E(b))
+# below by pi (a_1^p + b_1^p)^{2/p}, and the cylinder over that plane bounds
+# it above by the same value.  Under a symplectic image, so that the solver's
+# first planar-circle start is not already the minimizer.
+EQ_A, EQ_B = np.array([1.0, 2.0]), np.array([1.5, 1.7])
+EQ_MAP = random_symplectic(4, seed=3)
+EQ_CFG = SolveConfig(modes=16, starts=8)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_bm_equality_on_ellipsoids_sharing_their_smallest_plane(p):
+    K = LinearImage(EQ_MAP, Ellipsoid(EQ_A))
+    T = LinearImage(EQ_MAP, Ellipsoid(EQ_B))
+    r = capacity(p_combination(K, T, p), EQ_CFG)
+    assert r.converged
+    assert r.capacity == pytest.approx(math.pi * (EQ_A[0] ** p + EQ_B[0] ** p) ** (2.0 / p),
+                                       rel=1e-12)
+
+
+def test_bm_equality_fails_when_the_smallest_planes_differ():
+    # T's radii swapped between the planes: (1.7, 1.5).  At p = 2 the sum is
+    # the ellipsoid with radii^2 a_i^2 + b_sigma(i)^2, above c(K) + c(T)
+    swap = np.eye(4)[[2, 3, 0, 1]]
+    K = LinearImage(EQ_MAP, Ellipsoid(EQ_A))
+    T = LinearImage(EQ_MAP @ swap, Ellipsoid(EQ_B))
+    r = capacity(p_combination(K, T, 2.0), EQ_CFG)
+    assert r.converged
+    expected = math.pi * np.min(EQ_A ** 2 + EQ_B[::-1] ** 2)
+    assert r.capacity == pytest.approx(expected, rel=1e-12)
+    assert r.capacity > math.pi * (EQ_A[0] ** 2 + EQ_B[0] ** 2) + 1.0
 
 
 def test_bm_report_invariants():

@@ -689,7 +689,8 @@ def test_certify_and_euler_residual_reproduce_the_finish_bitwise(name):
 WARM_GAUGE_BODIES = {
     "psum": FINISH_BODIES["psum"],
     "minkowski": MinkowskiSum([Ellipsoid([1.0, 1.5]), Ball(0.5, 4)], [1.0, 0.7]),
-    "translate": Translate([0.1, -0.2, 0.05, 0.1], Ellipsoid([1.0, 1.4])),
+    "translate": Translate([0.1, -0.2, 0.05, 0.1],
+                           PSum(2.0, [Ball(0.8, 4), Ellipsoid([1.0, 1.4])])),
     "smoothed": FINISH_BODIES["smoothed"],
 }
 
@@ -708,7 +709,7 @@ def test_carrier_gauges_start_from_the_carrier_normals(name, monkeypatch):
     monkeypatch.setattr(optimize, "batched_descent",
                         lambda *a, **k: descents.append(a) or (None, None))
     r = capacity(K, SolveConfig(modes=4, starts=4))
-    assert r.certificates.gauge_tol > 0  # no analytic polar: the iterative gauge ran
+    assert r.certificates.gauge_tol > 0  # not a quadric: the Newton gauge ran
     from_carrier(K, r.carrier, r.p, fit_tol=1.0)
     assert descents == []
     assert warm and all(warm)
