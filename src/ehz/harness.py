@@ -19,12 +19,12 @@ intersection checks are its corollaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
-                     MinkowskiSum, Polytope, PSum, Scale, Translate)
+from .bodies import (Ball, BodyError, ConvexBody, LinearImage, MinkowskiSum, Polytope, PSum,
+                     Scale, Translate, quadric)
 from .loops import length_in_gauge, resample_by_clock
 from .solver import SolveConfig, capacity
 from .symplectic import apply_J
@@ -94,6 +94,12 @@ def _meta(cfg: SolveConfig, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _bm_sides(c_K: float, c_T: float, c_combined: float, p: float) -> tuple[float, float]:
+    """The sides c(K +_p T)^{p/2} and c(K)^{p/2} + c(T)^{p/2}."""
+    half_p = 0.5 * p
+    return c_combined**half_p, c_K**half_p + c_T**half_p
+
+
 def bm_check(K: ConvexBody, T: ConvexBody, p: float, cfg: SolveConfig | None = None,
              slack_rel: float = 1e-3) -> InequalityReport:
     """Superadditivity of c^{p/2} under the p-sum of K and T."""
@@ -101,9 +107,7 @@ def bm_check(K: ConvexBody, T: ConvexBody, p: float, cfg: SolveConfig | None = N
     r_K = capacity(K, cfg)
     r_T = capacity(T, cfg)
     r_KT = capacity(p_combination(K, T, p), cfg)
-    half_p = 0.5 * p
-    lhs = r_KT.capacity**half_p
-    rhs = r_K.capacity**half_p + r_T.capacity**half_p
+    lhs, rhs = _bm_sides(r_K.capacity, r_T.capacity, r_KT.capacity, p)
     slack = slack_rel * abs(rhs)
     witnesses = {
         "c_K": r_K.capacity, "c_T": r_T.capacity, "c_combined": r_KT.capacity,
@@ -184,6 +188,8 @@ def equality_certificate(K: ConvexBody, T: ConvexBody, p: float,
     minimizer: in the equality case the two bodies share a minimizing loop,
     and warm-starting selects the corresponding characteristic when the
     minimizer is not unique (e.g. balls carry one circle per complex line).
+    The witnesses `bm_deficit` and `bm_rhs` are those of `bm_check`, from
+    the K and T solves above and one solve of K +_p T.
     """
     cfg = cfg or SolveConfig()
     r_K = capacity(K, cfg)
@@ -210,11 +216,12 @@ def equality_certificate(K: ConvexBody, T: ConvexBody, p: float,
         if residual2 < residual:
             residual, phi, l_K, r_K = residual2, phi2, l_K2, r_K2
     beta = l_T.offset - alpha * l_K.offset
-    bm = bm_check(K, T, p, cfg)
+    bm_lhs, bm_rhs = _bm_sides(r_K.capacity, r_T.capacity,
+                               capacity(p_combination(K, T, p), cfg).capacity, p)
     witnesses = {
         "alpha": alpha, "beta": beta.tolist(), "phase": phi,
         "homothety_residual": residual,
-        "bm_deficit": bm.deficit, "bm_rhs": bm.rhs,
+        "bm_deficit": bm_lhs - bm_rhs, "bm_rhs": bm_rhs,
         "c_K": r_K.capacity, "c_T": r_T.capacity,
     }
     return _report("bm-equality", residual, 0.0, -residual, tol, witnesses,
@@ -224,6 +231,18 @@ def equality_certificate(K: ConvexBody, T: ConvexBody, p: float,
 # ---------------------------------------------------------------------------
 # isoperimetric-type inequality
 # ---------------------------------------------------------------------------
+
+
+def _eps_sweep(K: ConvexBody, T: ConvexBody, cfg: SolveConfig,
+               eps_schedule) -> tuple[float, float, float, list[float]]:
+    """c(K), c(T), the length of K's carrier in the gauge of (JT) polar, and
+    c(K + eps T) for each eps of the schedule, solved in that order: what
+    the isoperimetric and directional-derivative checks both read."""
+    r_K = capacity(K, cfg)
+    r_T = capacity(T, cfg)
+    length = length_in_gauge(r_K.carrier, T, max(4 * r_K.carrier.loop.modes, 64))
+    c_eps = [capacity(MinkowskiSum([K, T], [1.0, eps]), cfg).capacity for eps in eps_schedule]
+    return r_K.capacity, r_T.capacity, length, c_eps
 
 
 def isoperimetric_check(K: ConvexBody, T: ConvexBody, cfg: SolveConfig | None = None,
@@ -236,30 +255,25 @@ def isoperimetric_check(K: ConvexBody, T: ConvexBody, cfg: SolveConfig | None = 
     at eps = 1, 0.5 and 0.1.
     """
     cfg = cfg or SolveConfig()
-    r_K = capacity(K, cfg)
-    r_T = capacity(T, cfg)
-    N = max(4 * r_K.carrier.loop.modes, 64)
-    length = length_in_gauge(r_K.carrier, T, N)
+    eps_schedule = (1.0, 0.5, 0.1)
+    c_K, c_T, length, c_eps = _eps_sweep(K, T, cfg, eps_schedule)
     lhs = length**2
-    rhs = 4.0 * r_K.capacity * r_T.capacity
+    rhs = 4.0 * c_K * c_T
     slack = slack_rel * abs(rhs)
 
     chain = []
-    chain_ok = True
-    sqrt_cK = math.sqrt(r_K.capacity)
-    sqrt_cT = math.sqrt(r_T.capacity)
+    sqrt_cK = math.sqrt(c_K)
+    sqrt_cT = math.sqrt(c_T)
     upper = length / (2.0 * sqrt_cK)
-    for eps in (1.0, 0.5, 0.1):
-        r_eps = capacity(MinkowskiSum([K, T], [1.0, eps]), cfg)
-        quot = (math.sqrt(r_eps.capacity) - sqrt_cK) / eps
+    for eps, c in zip(eps_schedule, c_eps):
+        quot = (math.sqrt(c) - sqrt_cK) / eps
         lo_ok = quot >= sqrt_cT - slack_rel * sqrt_cT
         hi_ok = quot <= upper + slack_rel * max(upper, 1.0)
-        chain_ok = chain_ok and lo_ok and hi_ok
         chain.append({"eps": eps, "quotient": quot, "lower": sqrt_cT,
                       "upper": upper, "ok": lo_ok and hi_ok})
     witnesses = {
-        "length_JT_polar": length, "c_K": r_K.capacity, "c_T": r_T.capacity,
-        "chain": chain, "chain_ok": chain_ok,
+        "length_JT_polar": length, "c_K": c_K, "c_T": c_T,
+        "chain": chain, "chain_ok": all(row["ok"] for row in chain),
     }
     return _report("isoperimetric", lhs, rhs, lhs - rhs, slack, witnesses, _meta(cfg))
 
@@ -287,23 +301,15 @@ def directional_derivative(K: ConvexBody, T: ConvexBody,
     if not (all(0 < e < math.inf for e in eps_schedule)
             and all(a > b for a, b in zip(eps_schedule, eps_schedule[1:]))):
         raise HarnessError("eps schedule must be finite, positive and strictly decreasing")
-    r_K = capacity(K, cfg)
-    r_T = capacity(T, cfg)
-    sqrt_cK = math.sqrt(r_K.capacity)
-    bound = 2.0 * math.sqrt(r_K.capacity * r_T.capacity)
-    N = max(4 * r_K.carrier.loop.modes, 64)
-    length = length_in_gauge(r_K.carrier, T, N)
+    c_K, c_T, length, c_eps = _eps_sweep(K, T, cfg, eps_schedule)
+    sqrt_cK = math.sqrt(c_K)
+    bound = 2.0 * math.sqrt(c_K * c_T)
     upper_sqrt = length / (2.0 * sqrt_cK)
 
-    rows = []
-    quots = []
-    for eps in eps_schedule:
-        r_eps = capacity(MinkowskiSum([K, T], [1.0, eps]), cfg)
-        quot = (r_eps.capacity - r_K.capacity) / eps
-        sqrt_quot = (math.sqrt(r_eps.capacity) - sqrt_cK) / eps
-        rows.append({"eps": eps, "quotient": quot, "sqrt_quotient": sqrt_quot,
-                     "c_eps": r_eps.capacity})
-        quots.append(quot)
+    rows = [{"eps": eps, "quotient": (c - c_K) / eps,
+             "sqrt_quotient": (math.sqrt(c) - sqrt_cK) / eps, "c_eps": c}
+            for eps, c in zip(eps_schedule, c_eps)]
+    quots = [row["quotient"] for row in rows]
 
     scale = max(abs(q) for q in quots)
     mono_tol = slack_rel * scale
@@ -316,7 +322,7 @@ def directional_derivative(K: ConvexBody, T: ConvexBody,
         "lower_bound": bound, "carrier_length_upper": length,
         "upper_sqrt_bound": upper_sqrt, "schedule": rows,
         "monotone": monotone, "sqrt_upper_ok": sqrt_upper_ok,
-        "c_K": r_K.capacity, "c_T": r_T.capacity,
+        "c_K": c_K, "c_T": c_T,
     }
     return _report("directional-derivative", min(quots), bound, deficit, slack,
                    witnesses, _meta(cfg))
@@ -335,8 +341,7 @@ class MeanWidthEstimate:
     seed: int
 
     def to_dict(self) -> dict:
-        return {"estimate": self.estimate, "stderr": self.stderr,
-                "samples": self.samples, "seed": self.seed}
+        return asdict(self)
 
 
 def _check_symmetry(K: ConvexBody, seed: int, tol: float = 1e-10) -> None:
@@ -406,24 +411,25 @@ def mean_width_bound_check(K: ConvexBody, cfg: SolveConfig | None = None,
 def capacity_area_2d(K: ConvexBody, n: int = 40_000) -> float:
     """Area of a 2D convex body; in the plane every capacity equals the area.
 
-    Exact (shoelace) for polytopes; support-function quadrature
+    pi / sqrt(det A) for a body that `bodies.quadric` reduces to (A, c);
+    exact (shoelace) for polytopes, also under affine wrappers, which are
+    peeled off exactly; support-function quadrature
     1/2 * integral(h^2 - h'^2) otherwise, with h' taken from the support
-    point.  Affine wrappers are peeled off exactly.
+    point.
     """
     if K.dim != 2:
         raise HarnessError("the area oracle is only valid in dimension 2")
+    try:
+        A, _ = quadric(K)
+        return math.pi / math.sqrt(float(np.linalg.det(A)))
+    except BodyError:
+        pass
     if isinstance(K, Translate):
         return capacity_area_2d(K.body, n)
     if isinstance(K, Scale):
         return K.factor**2 * capacity_area_2d(K.body, n)
     if isinstance(K, LinearImage):
         return abs(np.linalg.det(K.matrix)) * capacity_area_2d(K.body, n)
-    if isinstance(K, Ball):
-        return math.pi * K.radius**2
-    if isinstance(K, Ellipsoid):
-        return math.pi * float(K.radii[0])**2
-    if isinstance(K, GeneralEllipsoid):
-        return math.pi * math.sqrt(float(np.linalg.det(K.Q)))
     if isinstance(K, Polytope):
         V = K.vertices
         order = np.argsort(np.arctan2(V[:, 1], V[:, 0]))

@@ -41,7 +41,7 @@ smoothed solve's carrier visits (`_polish`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -153,17 +153,7 @@ class CertificateBundle:
                    self.boundary_residual, self.action_mismatch_rel)
 
     def to_dict(self) -> dict:
-        return {
-            "euler_residual_rel": self.euler_residual_rel,
-            "support_const_cv": self.support_const_cv,
-            "boundary_residual": self.boundary_residual,
-            "action_mismatch_rel": self.action_mismatch_rel,
-            "support_const_mean": self.support_const_mean,
-            "support_const_expected": self.support_const_expected,
-            "paper_constant_matched": self.paper_constant_matched,
-            "gauge_tol": self.gauge_tol,
-            "p_cross": dict(self.p_cross),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -184,7 +174,9 @@ class StartDiagnostics:
     the L-BFGS run's last point.  A line_search
     exit's last, failed search stops once its steps no longer move the
     coefficients by more than roundoff, so it costs fewer than a bisection
-    of the step to 1e-16.
+    of the step to 1e-16.  `winner` marks the one start whose loop
+    `minimize` returns: the lowest quotient, whatever its status, so a
+    winner need not be `converged`.
     """
 
     index: int
@@ -532,7 +524,16 @@ def _default_grid(K: ConvexBody, cfg: SolveConfig) -> int:
 
 
 def _built_on_smoothed(recipe: dict) -> bool:
-    """Whether a body's recipe tree holds a smoothed polytope."""
+    """Whether a body's recipe tree holds a smoothed polytope.
+
+    This key, with the ray shift that `minimize` keys on `Smoothed`, pays
+    for itself in cost only.  With the slow exit and the ray shift on every
+    body, capacities moved by at most 3.6e-14, but the seed-0 `intersection`
+    workload took 268 Newton steps instead of 139 and the median `wall_s`
+    of `perfbench/run.py` rose from 2.26 to 2.62 s on `intersection` and
+    from 0.66 to 0.77 s on `smooth` (6 alternating pairs of 20 s runs,
+    2 CPUs, one BLAS thread).
+    """
     children = list(recipe.get("terms", [])) + ([recipe["body"]] if "body" in recipe else [])
     return recipe["type"] == "smoothed" or any(_built_on_smoothed(c) for c in children)
 
@@ -594,11 +595,11 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     wherever the objective's rows do not depend on their batch-mates, as
     tested on bodies in R^4.  On a smoothed polygon they do
     (`_quotient_fg`), and a start's values can differ in the last bits.
-    The winning start is the lowest quotient among the usable starts, ties
-    broken by start index; when no start is usable the lowest quotient of
-    all wins, and the finishing step reports the result unconverged.  An
-    `initial` loop (e.g. a warm start from a nearby body) is prepended to
-    the standard starts.
+    The winning start is the lowest quotient of all starts, whatever their
+    exits, with quotients within 1e-9 relative tied and the earliest start
+    winning a tie; the finishing step reports the result unconverged when
+    the winner is not stationary.  An `initial` loop (e.g. a warm start
+    from a nearby body) is prepended to the standard starts.
     """
     if isinstance(K, Polytope):
         raise SolverError("raw polytopes are not smooth; wrap in Smoothed or use capacity()")
@@ -612,9 +613,12 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     theta0 = np.stack([disc.pack(kcol * start.a, kcol * start.b) for start in starts])
     # Loops on a body whose support the quadrature resolves can be shifted in
     # time at no cost to the quotient, so its Hessian is singular off the ray
-    # as well: only a Smoothed body's Newton steps shift the ray alone.  Slow
-    # L-BFGS runs go to Newton early on any body built on a smoothed
-    # polytope (`_descend`).
+    # as well: only a Smoothed body's Newton steps shift the ray alone.  On
+    # every body, the ray-only Cholesky failed on 255 of the 336 Newton
+    # directions of the `smooth` workload (591 factorizations instead of
+    # 336, same steps and results) and its median `wall_s` rose from 0.82 to
+    # 0.95 s.  Slow L-BFGS runs go to Newton early on any body built on a
+    # smoothed polytope (`_built_on_smoothed`, `_descend`).
     slow_exit, ray_shift = _built_on_smoothed(K.recipe()), isinstance(K, Smoothed)
     outcomes, rows = lockstep(_quotient_fg(K, disc, cfg.p),
                               [_descend(theta, cfg, slow_exit, ray_shift) for theta in theta0],
@@ -623,18 +627,14 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
                                     res.converged, res.status, n_rows, steps,
                                     *(entry or (None, None)))
                    for i, ((res, steps, entry), n_rows) in enumerate(zip(outcomes, rows))]
-    # a stall at the roundoff floor or a small-gradient iteration cap is the
-    # numerical floor of a stationary point; the certificates grade the
-    # winner's quality downstream
-    usable = [d.index for d in diagnostics
-              if d.converged or d.status in ("line_search", "stall")
-              or d.grad_norm <= max(1e3 * cfg.grad_tol, 1e-6)]
-    winner = None
-    for i in usable or range(len(diagnostics)):
-        # quotients within a relative 1e-9 band count as ties, which the
-        # earliest start wins (degenerate minimizers, e.g. every plane of a
-        # ball, would otherwise be picked by roundoff noise)
-        if winner is None or diagnostics[i].lam < diagnostics[winner].lam * (1.0 - 1e-9):
+    # every start's quotient bounds the discrete minimum from above, so the
+    # lowest wins whatever its exit; `_finish` grades its convergence.
+    # Quotients within a relative 1e-9 band count as ties, which the earliest
+    # start wins (degenerate minimizers, e.g. every plane of a ball, would
+    # otherwise be picked by roundoff noise)
+    winner = 0
+    for i in range(1, len(diagnostics)):
+        if diagnostics[i].lam < diagnostics[winner].lam * (1.0 - 1e-9):
             winner = i
     diagnostics[winner].winner = True
     av, bv = disc.unpack(outcomes[winner][0].x)
@@ -675,22 +675,18 @@ def euler_residual(K: ConvexBody, z: FourierLoop, lam: float, p: float,
 
 
 def to_carrier(K: ConvexBody, z: FourierLoop, lam: float, alpha: np.ndarray,
-               p: float, boundary_tol: float | None = None) -> CarrierLoop:
+               p: float) -> CarrierLoop:
     """Map a certified critical loop to the closed characteristic on the boundary.
 
     l = (2pi/lam)^{1/q} ((lam/2) J z + alpha/p); its action equals the
-    capacity and gauge_K(l(t)) = 1 for all t.  If boundary_tol is given,
-    raises when max_t |gauge(l(t)) - 1| exceeds it.
+    capacity and gauge_K(l(t)) = 1 for all t.  The map does not read K:
+    `boundary_residual(K, carrier)` measures how far the carrier is from
+    that, and every certificate reports it.
     """
     q = p / (p - 1.0)
     kappa = (TWO_PI / lam) ** (1.0 / q)
     osc = FourierLoop(kappa * (lam / 2.0) * apply_J(z.a), kappa * (lam / 2.0) * apply_J(z.b))
-    carrier = CarrierLoop(kappa * np.asarray(alpha, dtype=float) / p, osc)
-    if boundary_tol is not None:
-        res, _ = boundary_residual(K, carrier)
-        if res > boundary_tol:
-            raise SolverError(f"carrier misses the boundary by {res:.3g} (> {boundary_tol:g})")
-    return carrier
+    return CarrierLoop(kappa * np.asarray(alpha, dtype=float) / p, osc)
 
 
 def boundary_residual(K: ConvexBody, carrier: CarrierLoop,
@@ -944,32 +940,6 @@ def _polish(K: Smoothed, carrier: CarrierLoop, smoothed: float) -> tuple[float, 
     return polished, record
 
 
-def _capacity_single(K_solve: ConvexBody, cfg: SolveConfig, smoothing: float | None,
-                     initial: FourierLoop | None = None, polish: bool = False) -> CapacityResult:
-    """One mode chain on K_solve, finished at M; with `stability_check` the
-    drift against its 2M level.  With `polish` (K_solve a smoothed
-    polytope) the capacity reported at each level is polished (`_polish`)
-    from that level's carrier."""
-    _origin_interior_check(K_solve, cfg.seed)
-    chain = _mode_chain(K_solve, cfg, initial, 2 if cfg.stability_check else 1)
-    result = _finish(K_solve, cfg, *chain[0], smoothing)
-    if polish:
-        result.capacity, result.polish = _polish(K_solve, result.carrier, result.capacity)
-        if result.polish["accepted"]:
-            result.lam = lambda_from_capacity(result.capacity, cfg.p)
-        else:
-            result.converged = False
-    if cfg.stability_check:
-        lam2, z2, _ = chain[1]
-        cap2 = capacity_from_lambda(lam2, cfg.p)
-        if polish:
-            alpha2, _, _ = _evaluate(K_solve, z2, lam2, cfg.p,
-                                     _default_grid(K_solve, cfg.replace(modes=z2.modes)))
-            cap2, _ = _polish(K_solve, to_carrier(K_solve, z2, lam2, alpha2, cfg.p), cap2)
-        result.stability_drift = float(abs(cap2 - result.capacity) / result.capacity)
-    return result
-
-
 def capacity(K: ConvexBody, cfg: SolveConfig | None = None,
              initial: FourierLoop | None = None) -> CapacityResult:
     """Capacity, minimizer, carrier and certificates for a convex body.
@@ -979,15 +949,33 @@ def capacity(K: ConvexBody, cfg: SolveConfig | None = None,
     polytope's own: the facet word of the smoothed solve's carrier is
     polished by Haim-Kislev's formula (`_polish`), and the minimizer,
     carrier, alpha and certificates stay those of the smoothed solve, whose
-    capacity `polish["smoothed_capacity"]` records.  With `stability_check`
-    the mode chain goes one level further (2M), warm-started from the
-    reported solve, and the relative drift of the capacity against that
-    level (polished there too) is recorded.  An `initial` loop warm-starts
-    the minimization.
+    capacity `polish["smoothed_capacity"]` records; a rejected polish
+    reports the smoothed capacity, unconverged.  With `stability_check` the
+    mode chain goes one level further (2M), warm-started from the reported
+    solve, and the relative drift of the capacity against that level
+    (polished there too) is recorded.  An `initial` loop warm-starts the
+    minimization.
     """
     cfg = cfg or SolveConfig()
-    if isinstance(K, Polytope):
-        return _capacity_single(Smoothed(K, cfg.polytope_sharpness), cfg,
-                                smoothing=cfg.polytope_sharpness, initial=initial,
-                                polish=cfg.sharpness_extrapolate)
-    return _capacity_single(K, cfg, smoothing=None, initial=initial)
+    smoothing = cfg.polytope_sharpness if isinstance(K, Polytope) else None
+    if smoothing is not None:
+        K = Smoothed(K, smoothing)
+    polish = smoothing is not None and cfg.sharpness_extrapolate
+    _origin_interior_check(K, cfg.seed)
+    chain = _mode_chain(K, cfg, initial, 2 if cfg.stability_check else 1)
+    result = _finish(K, cfg, *chain[0], smoothing)
+    if polish:
+        result.capacity, result.polish = _polish(K, result.carrier, result.capacity)
+        if result.polish["accepted"]:
+            result.lam = lambda_from_capacity(result.capacity, cfg.p)
+        else:
+            result.converged = False
+    if cfg.stability_check:
+        lam2, z2, _ = chain[1]
+        cap2 = capacity_from_lambda(lam2, cfg.p)
+        if polish:
+            alpha2, _, _ = _evaluate(K, z2, lam2, cfg.p,
+                                     _default_grid(K, cfg.replace(modes=z2.modes)))
+            cap2, _ = _polish(K, to_carrier(K, z2, lam2, alpha2, cfg.p), cap2)
+        result.stability_drift = float(abs(cap2 - result.capacity) / result.capacity)
+    return result

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ehz.bodies import (Ball, Ellipsoid, GeneralEllipsoid, LinearImage, MinkowskiSum,
-                        Polytope, PSum, Translate)
+                        Polytope, PSum, Scale, Translate)
 from ehz.harness import (AsymmetricBodyError, bm_check, capacity_area_2d,
                          directional_derivative, equality_certificate,
                          isoperimetric_check, mean_width, mean_width_bound_check,
@@ -125,6 +125,18 @@ def test_equality_negative_control():
     assert rep.witnesses["bm_deficit"] > 0.1
 
 
+@pytest.mark.parametrize("K, T, p", [
+    (Ball(1.0, 4), Ball(2.0, 4), 1.0), (Ball(1.0, 4), Ball(2.0, 4), 2.0),
+    (Ball(1.0, 4), Translate(np.array([0.1, 0.2, 0.0, -0.1]), Ball(1.0, 4)), 1.0),
+    (Ellipsoid([1.0, 2.0]), GeneralEllipsoid(np.diag([4.0, 4.0, 1.0, 1.0])), 1.0)])
+def test_equality_certificate_bm_witnesses_match_bm_check(K, T, p):
+    # the certificate reads the p-sum sides off its own K and T solves
+    w = equality_certificate(K, T, p, FAST).witnesses
+    bm = bm_check(K, T, p, FAST)
+    assert w["bm_rhs"] == pytest.approx(bm.rhs, rel=1e-12)
+    assert w["bm_deficit"] == pytest.approx(bm.deficit, rel=1e-12, abs=1e-12 * bm.rhs)
+
+
 # -- isoperimetric ----------------------------------------------------------------------
 
 def test_isoperimetric_ball_equality():
@@ -228,6 +240,21 @@ def test_area_oracle_cases():
     # generic support-quadrature fallback agrees with the exact value
     psum = PSum(2.0, [Ball(1.0, 2), Ball(1.0, 2)])
     assert capacity_area_2d(psum) == pytest.approx(2 * math.pi, rel=1e-8)
+
+
+def test_area_oracle_is_exact_on_quadrics_under_affine_wrappers():
+    # pi sqrt(det Q) for {x : x^T Q^{-1} x <= 1}, times the squared scale or
+    # |det M| of the wrapper; a translation changes nothing
+    Q = np.array([[1.0, 0.3], [0.3, 2.0]])
+    M = np.array([[1.2, 0.4], [-0.3, 0.9]])
+    area = math.pi * math.sqrt(np.linalg.det(Q))
+    cases = [(Ellipsoid([1.5]), math.pi * 1.5**2),
+             (GeneralEllipsoid(Q), area),
+             (Translate(np.array([0.2, -0.1]), GeneralEllipsoid(Q)), area),
+             (Scale(1.7, GeneralEllipsoid(Q)), 1.7**2 * area),
+             (LinearImage(M, GeneralEllipsoid(Q)), abs(np.linalg.det(M)) * area)]
+    for body, exact in cases:
+        assert capacity_area_2d(body) == pytest.approx(exact, rel=1e-14)
 
 
 def test_area_oracle_matches_solver_on_2d_bodies():
