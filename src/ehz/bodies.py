@@ -28,7 +28,11 @@ Newton Hessians take D^2 h_K from central differences of support points
 The intersection of two quadratic bodies is the `Intersection` node: its
 support function is the minimum over t in [0, 1] of the support of the
 ellipsoid pencil {t q_K + (1 - t) q_T <= 1}, closed form after one
-generalized eigendecomposition, which the node makes once.
+generalized eigendecomposition, which the node makes once, together with
+the pencil's constants at t = 0 and t = 1.  A support call reads every
+row's value and slope at both ends from those constants, runs Newton in t
+only on the rows whose minimum is interior, evaluates those rows once at
+their minimum, and builds each support point once, at its winning t.
 
 All evaluation entry points are batched over rows so that samplers and the
 capacity solver can amortize the tree walk.
@@ -717,28 +721,35 @@ def _quadric_gauge(A: np.ndarray, c: np.ndarray, X: np.ndarray
 
 # Newton steps of the pencil minimization in t (`_pencil_minimum`): a row
 # stops once its step is at most PENCIL_STEP_TOL, and after at most
-# PENCIL_STEPS steps, enough for bisection alone to reach it.
+# PENCIL_STEPS steps, enough for bisection alone to reach it.  At the
+# rounding floor the first derivative is noise: +-5e-17 against a second
+# derivative of 0.05 bounces t between two values 10-20 ulps apart, in steps
+# of about 1.2e-15.  So a row also stops once a step below PENCIL_FLOOR_STEP
+# is no shorter than the step before it.  (A bracket
+# collapsed to a few ulps of t <= 1 needs no rule of its own: its steps are
+# below PENCIL_STEP_TOL.)
 PENCIL_STEP_TOL = 1e-15
 PENCIL_STEPS = 64
+PENCIL_FLOOR_STEP = 1e-12
 
 
-def _pencil_minimum(derivatives, n: int) -> np.ndarray:
+def _pencil_minimum(derivatives, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
     """Per row, the t in [0, 1] that minimizes a quasi-convex function of t.
 
+    g0 and g1 are its first derivatives at t = 0 and t = 1, and
     `derivatives(t, rows)` gives its first and second derivatives at t for
-    those rows.  A row whose first derivative is >= 0 at t = 0 (<= 0 at
-    t = 1) has its minimum at that endpoint.  The others take safeguarded
-    Newton steps on the first derivative, from the root of its chord over
-    [0, 1]: the bracket [lo, hi] keeps a negative derivative at lo and a
-    positive one at hi, and a step that leaves it, or meets a second
-    derivative <= 0, is replaced by bisection.
+    those rows.  A row with g0 >= 0 (g1 <= 0) has its minimum at that
+    endpoint.  The others take safeguarded Newton steps on the first
+    derivative, from the root of its chord over [0, 1]: the bracket [lo, hi]
+    keeps a negative derivative at lo and a positive one at hi, and a step
+    that leaves it, or meets a second derivative <= 0, is replaced by
+    bisection.
     """
-    g0, _ = derivatives(np.zeros(n), np.arange(n))
-    g1, _ = derivatives(np.ones(n), np.arange(n))
     t = np.where(g0 >= 0, 0.0, 1.0)
     live = np.flatnonzero((g0 < 0) & (g1 > 0))
     lo, hi = np.zeros(live.size), np.ones(live.size)
     x = g0[live] / (g0[live] - g1[live])
+    step = np.full(live.size, np.inf)
     for _ in range(PENCIL_STEPS):
         if live.size == 0:
             break
@@ -749,9 +760,14 @@ def _pencil_minimum(derivatives, n: int) -> np.ndarray:
             newton = x - g / dg
         x_new = np.where((dg > 0) & (newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
         t[live] = x_new
-        go = np.abs(x_new - x) > PENCIL_STEP_TOL
-        live, x, lo, hi = live[go], x_new[go], lo[go], hi[go]
+        new_step = np.abs(x_new - x)
+        go = (new_step > PENCIL_STEP_TOL) & ((new_step < step) | (new_step >= PENCIL_FLOOR_STEP))
+        live, x, lo, hi, step = live[go], x_new[go], lo[go], hi[go], new_step[go]
     return t
+
+
+# which of 1/D, 1/D^2 and 1/D^3 each row sum of `Intersection._derivatives` takes
+_SUM_POWERS = np.array([0, 1, 2, 0, 1, 2, 1, 2])
 
 
 class Intersection(ConvexBody):
@@ -770,7 +786,8 @@ class Intersection(ConvexBody):
     (a' = W^{-1} a, b' = W^{-1} b), E_t is the ellipsoid
 
         sum_i D_i (y_i - m_i)^2 <= rho(t),   m = P / D,
-        rho(t) = 1 - t sum lam a'^2 - (1 - t) sum b'^2 + sum P^2 / D,
+        rho(t) = 1 - t sum lam a'^2 - (1 - t) sum b'^2 + sum P^2 / D
+               = 1 - t (1 - t) sum L / D,   L = lam (a' - b')^2,
 
     so h_{E_t}(u) = <v, m> + sqrt(rho S) with v = W^T u and S = sum v^2 / D,
     attained at y = m + sqrt(rho / S) v / D.  In t, P and D are linear and
@@ -781,15 +798,20 @@ class Intersection(ConvexBody):
     quasi-convex in t: it is the infimum over s > 0 of the dual function,
     which is convex in the multipliers (s t, s (1 - t)), so its sublevel
     sets are the radial shadows of convex sets on the segment, intervals.
-    `_pencil_minimum` finds its minimum, and the values at t = 0 and t = 1
-    join the comparison.
 
     The constructor reduces both bodies (a BodyError names a non-quadratic
     one), decomposes the pencil and checks rho, raising
-    DegenerateIntersectionError for an empty or single-point intersection;
-    `support_batch` only minimizes over t.  Its support points lie in both
-    bodies with <u, x> = h_{K cap T}(u).  Both bodies are strictly convex,
-    so the intersection is too, and its support function is differentiable.
+    DegenerateIntersectionError for an empty or single-point intersection.
+    It also caches the pencil at the ends t = 0 and t = 1, where D, m, rho
+    and rho' do not depend on the row.  `support_batch` then makes one pass
+    per class of rows.  Every row's h and h' at both ends are products of v
+    and v^2 with those cached constants.  Only the rows with h'(0) < 0 <
+    h'(1) have an interior minimum t*; only they run `_pencil_minimum` on
+    `_derivatives`, and only they are evaluated at t*, against the lower end.
+    Each row's support point is built once, at its winning t.  Support
+    points lie in both bodies with <u, x> = h_{K cap T}(u).  Both bodies are
+    strictly convex, so the intersection is too, and its support function is
+    differentiable.
     """
 
     def __init__(self, K: ConvexBody, T: ConvexBody):
@@ -802,10 +824,23 @@ class Intersection(ConvexBody):
         lam, self._W = eigh(A, B)
         a_, b_ = self._W.T @ (B @ a), self._W.T @ (B @ b)
         self._lam, self._a, self._b = lam, a_, b_
-        self._alpha, self._beta = float(np.sum(lam * a_ ** 2)), float(np.sum(b_ ** 2))
-        self._dP, self._dD, self._N = lam * a_ - b_, lam - 1.0, lam * (a_ - b_)
-        self._dD2, self._NN = self._dD ** 2, self._N * self._N
-        t_rho = _pencil_minimum(lambda t, rows: self._pencil(t[:, None])[3:5], 1)
+        dD, N = lam - 1.0, lam * (a_ - b_)
+        self._dD, self._L = dD, N * (a_ - b_)
+        # numerators of `_derivatives`' row sums: the pencil's own, then
+        # those of v^2 and of v
+        self._rho_num = np.vstack([self._L, self._L * dD, N * N])
+        self._vv_num = np.vstack([np.ones_like(dD), -dD, dD * dD])
+        self._v_num = np.vstack([N, -2.0 * N * dD])
+        # the ends t = 0, 1: <v, m> and <v, N / D^2> are the columns of
+        # V @ _end_V, and S and -S' those of (V * V) @ _end_VV; rho' is
+        # -sum L at t = 0 and sum (a' - b')^2 at t = 1
+        D, m, _ = self._ends = self._pencil(np.array([[0.0], [1.0]]))
+        self._end_V = np.vstack([m, N / D ** 2]).T
+        self._end_VV = np.vstack([1.0 / D, dD / D ** 2]).T
+        self._end_drho = np.array([-self._L.sum(), ((a_ - b_) ** 2).sum()])
+        Z = self._sum_terms(np.zeros((1, self.dim)))   # a zero row: only rho's sums
+        t_rho = _pencil_minimum(lambda t, rows: self._derivatives(t, Z)[:2],
+                                self._end_drho[:1], self._end_drho[1:])
         rho_min = self._pencil(t_rho[:, None])[2][0]
         if not rho_min > 0:
             raise DegenerateIntersectionError(
@@ -813,17 +848,40 @@ class Intersection(ConvexBody):
                 f"at t = {t_rho[0]:.6g})")
 
     def _pencil(self, t):
-        # D, m, rho, rho', rho'' and D^3 at the column of values t.  Keep the
-        # order of every operation here and in support_batch: the tests hold
-        # the support bit for bit against a reference written without caching.
+        # D, m and rho at the column of values t
         tl, s = t * self._lam, 1.0 - t
         D = tl + s
         m = (tl * self._a + s * self._b) / D
-        D3 = D ** 3
-        t = t[:, 0]
-        rho = 1.0 - t * self._alpha - (1.0 - t) * self._beta + (D * m * m).sum(axis=1)
-        drho = self._beta - self._alpha + (2.0 * m * self._dP - m * m * self._dD).sum(axis=1)
-        return D, m, rho, drho, 2.0 * (self._NN / D3).sum(axis=1), D3
+        return D, m, 1.0 - (t * s)[:, 0] * (self._L / D).sum(axis=1)
+
+    def _sum_terms(self, V):
+        # the numerators of `_derivatives`' eight row sums at the rows V
+        C = np.empty((V.shape[0], 8, self.dim))
+        C[:, :3] = self._rho_num
+        np.multiply((V * V)[:, None], self._vv_num, out=C[:, 3:6])
+        np.multiply(V[:, None], self._v_num, out=C[:, 6:])
+        return C
+
+    def _derivatives(self, t, C):
+        """rho', rho'' and the first two t-derivatives of h_{E_t} at t[i] for
+        the row whose `_sum_terms` are C[i].  1/D is formed once, and the
+        eight row sums (sum L / D, sum L D' / D^2 and sum N^2 / D^3 of the
+        pencil; S, S', S'' / 2, <v, m'> and <v, m''> of the row) are one
+        reduction."""
+        R = np.empty((t.size, 3, self.dim))     # 1/D, 1/D^2, 1/D^3
+        np.divide(1.0, t[:, None] * self._dD + 1.0, out=R[:, 0])
+        np.multiply(R[:, 0], R[:, 0], out=R[:, 1])
+        np.multiply(R[:, 1], R[:, 0], out=R[:, 2])
+        sL, sLD, sNN, S, dS, d2S, dvm, d2vm = (C * R[:, _SUM_POWERS]).sum(axis=2).T
+        u = t * (1.0 - t)
+        rho, drho = 1.0 - u * sL, (2.0 * t - 1.0) * sL + u * sLD
+        Pr, dPr = rho * S, drho * S + rho * dS
+        d2Pr = 2.0 * (sNN * S + drho * dS + rho * d2S)
+        root2 = 2.0 * np.sqrt(Pr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = dvm + dPr / root2
+            dg = d2vm + (d2Pr - dPr * dPr / (2.0 * Pr)) / root2
+        return drho, 2.0 * sNN, g, dg
 
     def support_batch(self, U):
         U = np.asarray(U, dtype=float)
@@ -834,35 +892,30 @@ class Intersection(ConvexBody):
             return vals[:1], X[:1]
         V = U @ self._W
         VV = V * V
-        dD, dD2, N = self._dD, self._dD2, self._N
-
-        def h_derivatives(t, rows):
-            D, m, rho, drho, d2rho, D3 = self._pencil(t[:, None])
-            v, vv, D2 = V[rows], VV[rows], D ** 2
-            q = vv / D2
-            S = (vv / D).sum(axis=1)
-            dS, d2S = -(q * dD).sum(axis=1), 2.0 * (q * dD2 / D).sum(axis=1)
-            Pr, dPr = rho * S, drho * S + rho * dS
-            d2Pr = d2rho * S + 2.0 * drho * dS + rho * d2S
-            root = np.sqrt(Pr)
-            root2 = 2.0 * root
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g = (v * N / D2).sum(axis=1) + dPr / root2
-                dg = ((-2.0 * v * N * dD / D3).sum(axis=1) + d2Pr / root2
-                      - dPr ** 2 / (4.0 * Pr * root))
-            return g, dg
-
-        n = V.shape[0]
-        best_vals, best_Y = np.full(n, np.inf), np.zeros_like(V)
-        for t in (_pencil_minimum(h_derivatives, n), np.zeros(n), np.ones(n)):
-            D, m, rho = self._pencil(t[:, None])[:3]
-            S = (VV / D).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                Y = m + np.where(S[:, None] > 0, np.sqrt(rho / S)[:, None] * V / D, 0.0)
-            vals = (V * m).sum(axis=1) + np.sqrt(rho * S)
-            better = vals < best_vals
-            best_vals[better], best_Y[better] = vals[better], Y[better]
-        return best_vals, best_Y @ self._W.T
+        D, m, rho = self._ends
+        Vm, VD = V @ self._end_V, VV @ self._end_VV
+        S = VD[:, :2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.sqrt(rho * S)
+            h = Vm[:, :2] + root
+            g = Vm[:, 2:] + (self._end_drho * S - rho * VD[:, 2:]) / (2.0 * root)
+        # every row at its lower end, then the rows with an interior minimum at t*
+        end = (h[:, 1] < h[:, 0]).astype(np.intp)
+        rows = np.arange(V.shape[0])
+        vals, S, rho, D, m = h[rows, end], S[rows, end], rho[end], D[end], m[end]
+        inner = np.flatnonzero((g[:, 0] < 0) & (g[:, 1] > 0))
+        C = self._sum_terms(V[inner])
+        t = _pencil_minimum(lambda t, live: self._derivatives(t, C[live])[2:],
+                            g[inner, 0], g[inner, 1])
+        Di, mi, rhoi = self._pencil(t[:, None])
+        Si = (VV[inner] / Di).sum(axis=1)
+        h_in = (V[inner] * mi).sum(axis=1) + np.sqrt(rhoi * Si)
+        win = h_in <= vals[inner]
+        j = inner[win]
+        vals[j], S[j], rho[j], D[j], m[j] = h_in[win], Si[win], rhoi[win], Di[win], mi[win]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Y = m + np.where(S[:, None] > 0, np.sqrt(rho / S)[:, None] * V / D, 0.0)
+        return vals, Y @ self._W.T
 
     def excess(self, X: np.ndarray) -> np.ndarray:
         """max(q_K(x), q_T(x)) - 1 at the rows of X: positive outside K cap T."""

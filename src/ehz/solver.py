@@ -674,14 +674,14 @@ def euler_residual(K: ConvexBody, z: FourierLoop, lam: float, p: float,
     return alpha, residual
 
 
-def to_carrier(K: ConvexBody, z: FourierLoop, lam: float, alpha: np.ndarray,
-               p: float) -> CarrierLoop:
-    """Map a certified critical loop to the closed characteristic on the boundary.
+def to_carrier(z: FourierLoop, lam: float, alpha: np.ndarray, p: float) -> CarrierLoop:
+    """Map a certified critical loop of K to the closed characteristic on its boundary.
 
     l = (2pi/lam)^{1/q} ((lam/2) J z + alpha/p); its action equals the
-    capacity and gauge_K(l(t)) = 1 for all t.  The map does not read K:
-    `boundary_residual(K, carrier)` measures how far the carrier is from
-    that, and every certificate reports it.
+    capacity and gauge_K(l(t)) = 1 for all t.  The map is algebra on z, lam
+    and alpha and needs no body: `boundary_residual(K, carrier)` measures
+    how far the carrier is from the boundary of K, and every certificate
+    reports it.
     """
     q = p / (p - 1.0)
     kappa = (TWO_PI / lam) ** (1.0 / q)
@@ -828,7 +828,7 @@ def _finish(K: ConvexBody, cfg: SolveConfig, lam: float, zstar: FourierLoop,
     cap = capacity_from_lambda(lam, cfg.p)
     grid = _default_grid(K, cfg)
     alpha, residual, h = _evaluate(K, zstar, lam, cfg.p, grid)
-    carrier = to_carrier(K, zstar, lam, alpha, cfg.p)
+    carrier = to_carrier(zstar, lam, alpha, cfg.p)
     certificates = _certificates(K, h, residual, carrier, cap, grid)
     winner = next(s for s in diagnostics if s.winner)
     solver_ok = winner.converged or winner.grad_norm <= max(1e2 * cfg.grad_tol, 1e-8)
@@ -976,6 +976,6 @@ def capacity(K: ConvexBody, cfg: SolveConfig | None = None,
         if polish:
             alpha2, _, _ = _evaluate(K, z2, lam2, cfg.p,
                                      _default_grid(K, cfg.replace(modes=z2.modes)))
-            cap2, _ = _polish(K, to_carrier(K, z2, lam2, alpha2, cfg.p), cap2)
+            cap2, _ = _polish(K, to_carrier(z2, lam2, alpha2, cfg.p), cap2)
         result.stability_drift = float(abs(cap2 - result.capacity) / result.capacity)
     return result

@@ -10,10 +10,11 @@ from scipy.optimize import minimize
 
 from scipy.linalg import eigh
 
+from ehz import bodies
 from ehz.bodies import (Ball, BodyError, DegenerateIntersectionError, Ellipsoid,
                         GeneralEllipsoid, Intersection, LinearImage, MinkowskiSum, Polytope,
-                        PSum, Scale, Smoothed, Translate, _pencil_minimum, build_body,
-                        intersection_support_batch, quadric)
+                        PENCIL_STEPS, PSum, Scale, Smoothed, Translate, _pencil_minimum,
+                        build_body, intersection_support_batch, quadric)
 from ehz.randbodies import random_general_ellipsoid, random_symmetric_polytope
 from ehz.symplectic import random_symplectic
 
@@ -677,7 +678,8 @@ def test_empty_intersection_detected():
 
 def _pencil_reference_batch(K, T, U):
     """The pencil support written as one function of (K, T, U), which solves
-    the pencil on every call: the arithmetic `Intersection` keeps bit for bit."""
+    the pencil on every call, without caching, and finds each interior t* by
+    bisection on the sign of h' instead of by Newton steps."""
     (A, a), (B, b) = quadric(K), quadric(T)
     lam, W = eigh(A, B)
     a_, b_ = W.T @ (B @ a), W.T @ (B @ b)
@@ -690,29 +692,31 @@ def _pencil_reference_batch(K, T, U):
         t = t[:, 0]
         rho = 1.0 - t * alpha - (1.0 - t) * beta + np.sum(D * m * m, axis=1)
         drho = beta - alpha + np.sum(2.0 * m * dP - m * m * dD, axis=1)
-        return D, m, rho, drho, 2.0 * np.sum(N * N / D ** 3, axis=1)
+        return D, m, rho, drho
 
     V = np.asarray(U, dtype=float) @ W
 
-    def h_derivatives(t, rows):
-        D, m, rho, drho, d2rho = pencil(t[:, None])
+    def h_slope(t, rows):
+        D, m, rho, drho = pencil(t[:, None])
         v = V[rows]
-        q = v * v / D ** 2
         S = np.sum(v * v / D, axis=1)
-        dS, d2S = -np.sum(q * dD, axis=1), 2.0 * np.sum(q * dD ** 2 / D, axis=1)
-        Pr, dPr = rho * S, drho * S + rho * dS
-        d2Pr = d2rho * S + 2.0 * drho * dS + rho * d2S
-        root = np.sqrt(Pr)
+        dS = -np.sum(v * v / D ** 2 * dD, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.sum(v * N / D ** 2, axis=1) + dPr / (2.0 * root)
-            dg = (np.sum(-2.0 * v * N * dD / D ** 3, axis=1) + d2Pr / (2.0 * root)
-                  - dPr ** 2 / (4.0 * Pr * root))
-        return g, dg
+            return np.sum(v * N / D ** 2, axis=1) + (drho * S + rho * dS) / (2.0 * np.sqrt(rho * S))
 
     n = V.shape[0]
+    g0, g1 = h_slope(np.zeros(n), np.arange(n)), h_slope(np.ones(n), np.arange(n))
+    t_star = np.where(g0 >= 0, 0.0, 1.0)
+    inner = np.flatnonzero((g0 < 0) & (g1 > 0))
+    lo, hi = np.zeros(inner.size), np.ones(inner.size)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = h_slope(mid, inner) < 0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    t_star[inner] = 0.5 * (lo + hi)
     best_vals, best_Y = np.full(n, np.inf), np.zeros_like(V)
-    for t in (_pencil_minimum(h_derivatives, n), np.zeros(n), np.ones(n)):
-        D, m, rho, _, _ = pencil(t[:, None])
+    for t in (t_star, np.zeros(n), np.ones(n)):
+        D, m, rho, _ = pencil(t[:, None])
         S = np.sum(V * V / D, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             Y = m + np.where(S[:, None] > 0, np.sqrt(rho / S)[:, None] * V / D, 0.0)
@@ -727,15 +731,74 @@ def _lens():
 
 
 @pytest.mark.parametrize("pair", ["criterion_12", "lens"])
-def test_intersection_node_matches_the_pencil_reference_bitwise(pair):
+def test_intersection_node_matches_the_pencil_reference(pair):
     K, T = _criterion_12_pairs(1)[0] if pair == "criterion_12" else _lens()
     node = Intersection(K, T)
     for rows in (2, 3, 7, 64, 768):
         U = random_directions(K.dim, rows, np.random.default_rng(rows))
         vals, X = node.support_batch(U)
         ref_vals, ref_X = _pencil_reference_batch(K, T, U)
-        assert np.array_equal(vals, ref_vals) and np.array_equal(X, ref_X)
+        assert np.all(np.abs(vals - ref_vals) <= 1e-14 * np.abs(ref_vals))
+        assert np.abs(X - ref_X).max() <= 1e-14
         assert np.array_equal(intersection_support_batch(K, T, U)[0], vals)
+        # and without the reference: a point of K cap T on its boundary that
+        # attains the value, which is no higher than either body's own support
+        assert np.abs(node.excess(X)).max() <= 1e-12
+        assert np.abs(np.sum(U * X, axis=1) - vals).max() <= 1e-15
+        ends = np.minimum(K.support_batch(U)[0], T.support_batch(U)[0])
+        assert np.all(vals <= ends + 1e-14)
+
+
+def test_pencil_newton_stops_at_the_rounding_floor(monkeypatch):
+    # h' at the rounding floor: near the root the sign of its 5e-17 rounding
+    # error follows t, so that every Newton step lands 1.25e-15 past the root
+    root, calls = math.pi / 10, []
+
+    def derivatives(t, rows):
+        calls.append(t.copy())
+        return 0.04 * (t - root) + 5e-17 * np.sign(t - root), np.full(t.size, 0.04)
+
+    g0, g1 = np.array([-1.0]), np.array([1.0])     # the chord starts Newton at t = 1/2
+    monkeypatch.setattr(bodies, "PENCIL_FLOOR_STEP", 0.0)
+    _pencil_minimum(derivatives, g0, g1)
+    assert len(calls) == PENCIL_STEPS           # without the rule: bounces to the cap
+    calls.clear()
+    monkeypatch.undo()
+    t = _pencil_minimum(derivatives, g0, g1)
+    assert len(calls) <= 6
+    assert abs(t[0] - root) <= 2.5e-15
+
+
+def test_pencil_newton_stops_early_on_a_criterion_12_floor_row(monkeypatch):
+    # criterion 12's fourth pair at its middle shift, and a direction of the
+    # seed-0 round whose Newton iterates, without the floor rule, bounce
+    # 1e-15 apart for all PENCIL_STEPS rounds (numpy 2.4, OpenBLAS)
+    rng = np.random.default_rng(900)
+    for i in range(4):
+        K = random_general_ellipsoid(4, 900 + 2 * i, cond_max=4.0)
+        r = float(rng.uniform(0.8, 1.1))
+        x, y = rng.uniform(-0.4, 0.4, 4), rng.uniform(-0.4, 0.4, 4)
+        lam = rng.uniform(0.2, 0.8)
+    node = Intersection(K, Translate(lam * x + (1 - lam) * y, Ball(r, 4)))
+    u = np.array([0.013706921160823081, -0.03728282445250139,
+                  -0.3397061527785111, -0.31289837744070054])
+    calls, seen = [], {}
+
+    def counted(derivatives, g0, g1):
+        def count(t, rows):
+            calls.append(rows.size)
+            return derivatives(t, rows)
+        seen["slope"] = lambda t: derivatives(np.array([t, t]), np.arange(2))[0]
+        seen["t"] = _pencil_minimum(count, g0, g1)
+        return seen["t"]
+
+    monkeypatch.setattr(bodies, "_pencil_minimum", counted)
+    node.support_batch(u[None])              # goes through as two equal rows
+    assert len(calls) <= 10 < PENCIL_STEPS
+    t = seen["t"][0]
+    assert 0 < t < 1
+    # t is inside its bracket: h' changes sign across it
+    assert np.all(seen["slope"](t - 1e-13) < 0) and np.all(seen["slope"](t + 1e-13) > 0)
 
 
 @pytest.mark.parametrize("pair", ["criterion_12", "lens"])

@@ -58,7 +58,8 @@ def test_audit_catches_support_points_off_the_pencil_minimum(monkeypatch):
     K, T = random_general_ellipsoid(4, 900, cond_max=4.0), Translate([0.3, 0, 0, 0], Ball(1.0, 4))
     _, audit = build_intersection_body(K, T, design_size=256)
     assert audit.max_rel_error <= 1e-12
-    monkeypatch.setattr(bodies, "_pencil_minimum", lambda derivatives, n: np.full(n, 0.5))
+    monkeypatch.setattr(bodies, "_pencil_minimum",
+                        lambda derivatives, g0, g1: np.full(g0.size, 0.5))
     _, audit = build_intersection_body(K, T, design_size=256)
     assert audit.max_rel_error > 1e-3
 

@@ -520,7 +520,7 @@ def test_euler_residual_rejects_non_minimizer():
 
 def test_to_carrier_ball_unit_circle():
     z = action_one_circle(dim=4)
-    carrier = to_carrier(BALL4, z, 2.0, np.zeros(4), 2.0)
+    carrier = to_carrier(z, 2.0, np.zeros(4), 2.0)
     assert np.max(np.abs(carrier.offset)) <= 1e-15
     t = np.linspace(0, 2 * np.pi, 32)
     pts = carrier.evaluate(t)
@@ -533,7 +533,7 @@ def test_to_carrier_ball_unit_circle():
 def test_to_carrier_off_boundary_shows_in_its_residual():
     # lam = 2.5 is not the ball's, so the carrier misses the unit sphere
     z = action_one_circle(dim=4)
-    assert boundary_residual(BALL4, to_carrier(BALL4, z, 2.5, np.zeros(4), 2.0))[0] > 1e-6
+    assert boundary_residual(BALL4, to_carrier(z, 2.5, np.zeros(4), 2.0))[0] > 1e-6
 
 
 def test_carrier_scale_conformality():
