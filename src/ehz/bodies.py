@@ -108,10 +108,6 @@ class ConvexBody:
         """Support values (B,) and support points (B, dim) for directions U."""
         raise NotImplementedError
 
-    @property
-    def is_smooth(self) -> bool:
-        return True
-
     # -- gauge ---------------------------------------------------------------
 
     def gauge_batch(self, X: np.ndarray, directions: np.ndarray | None = None
@@ -294,10 +290,6 @@ class Polytope(ConvexBody):
         grads = self.vertices[idx]
         return vals, grads
 
-    @property
-    def is_smooth(self) -> bool:
-        return False
-
     def recipe(self):
         return {"type": "polytope", "vertices": self.vertices.tolist()}
 
@@ -339,10 +331,6 @@ class PSum(ConvexBody):
         grads = np.einsum("kb,kbd->bd", w, np.stack(grads_k))
         return vals, grads
 
-    @property
-    def is_smooth(self) -> bool:
-        return all(t.is_smooth for t in self.terms)
-
     def recipe(self):
         return {"type": "psum", "p": self.p, "terms": [t.recipe() for t in self.terms]}
 
@@ -379,10 +367,6 @@ class MinkowskiSum(ConvexBody):
             grads += w * g
         return vals, grads
 
-    @property
-    def is_smooth(self) -> bool:
-        return all(t.is_smooth for w, t in zip(self.weights, self.terms) if w > 0)
-
     def recipe(self):
         return {"type": "minkowski", "terms": [t.recipe() for t in self.terms],
                 "weights": self.weights.tolist()}
@@ -405,10 +389,6 @@ class LinearImage(ConvexBody):
         v, g = self.body.support_batch(U @ self.matrix)
         return v, g @ self.matrix.T
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.body.is_smooth
-
     def recipe(self):
         return {"type": "linear", "matrix": self.matrix.tolist(), "body": self.body.recipe()}
 
@@ -428,10 +408,6 @@ class Translate(ConvexBody):
         v, g = self.body.support_batch(U)
         return v + U @ self.vector, g + self.vector
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.body.is_smooth
-
     def recipe(self):
         return {"type": "translate", "vector": self.vector.tolist(), "body": self.body.recipe()}
 
@@ -449,10 +425,6 @@ class Scale(ConvexBody):
     def support_batch(self, U):
         v, g = self.body.support_batch(U)
         return self.factor * v, self.factor * g
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.body.is_smooth
 
     def recipe(self):
         return {"type": "scale", "factor": self.factor, "body": self.body.recipe()}

@@ -47,7 +47,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize as scipy_minimize
 
-from .bodies import ConvexBody, Polytope, Smoothed, support_hessians
+from .bodies import (ConvexBody, LinearImage, MinkowskiSum, Polytope, PSum, Scale, Smoothed,
+                     Translate, support_hessians)
 from .loops import (CarrierLoop, FourierLoop, action, normalize_action, random_loop,
                     resample_by_clock)
 from .optimize import EPS, MinimizeResult, lbfgs_run, lockstep
@@ -92,7 +93,8 @@ class SolveConfig:
                            polished from the smoothed solve's facet word
 
     The quadrature grid is not a setting: it has 4M nodes, or 8M for a
-    Smoothed body, whose integrand carries features on the 1/s scale.
+    Smoothed body and its linear images, translates and scalings, whose
+    integrand carries features on the 1/s scale.
     """
 
     p: float = 2.0
@@ -235,14 +237,9 @@ class CapacityResult:
             "smoothing": self.smoothing,
             "polish": self.polish,
             "certificates": self.certificates.to_dict(),
-            "per_start": [
-                {"index": s.index, "lambda": s.lam, "grad_norm": s.grad_norm,
-                 "iterations": s.iterations, "converged": s.converged,
-                 "status": s.status, "evaluations": s.evaluations,
-                 "newton_steps": s.newton_steps, "newton_entry": s.newton_entry,
-                 "newton_entry_grad": s.newton_entry_grad, "winner": s.winner}
-                for s in self.per_start
-            ],
+            # `lam` is renamed in place: the key order reaches CSV cells
+            "per_start": [{("lambda" if k == "lam" else k): v for k, v in asdict(s).items()}
+                          for s in self.per_start],
         }
 
 
@@ -517,25 +514,30 @@ def _starts(K: ConvexBody, cfg: SolveConfig) -> list[FourierLoop]:
     return out
 
 
+def _unwrapped(K: ConvexBody) -> ConvexBody:
+    """K without its outer LinearImage, Translate and Scale nodes."""
+    while isinstance(K, (LinearImage, Translate, Scale)):
+        K = K.body
+    return K
+
+
+def _leaf_types(K: ConvexBody) -> set[type]:
+    """The types of the leaves of K's support: the nodes that do not compose
+    their children's support functions, so a Smoothed and an Intersection
+    are leaves.  Minkowski terms of weight 0 do not enter it and are skipped."""
+    K = _unwrapped(K)
+    if isinstance(K, MinkowskiSum):
+        return set().union(*(_leaf_types(t) for w, t in zip(K.weights, K.terms) if w > 0))
+    if isinstance(K, PSum):
+        return set().union(*map(_leaf_types, K.terms))
+    return {type(K)}
+
+
 def _default_grid(K: ConvexBody, cfg: SolveConfig) -> int:
-    """Smoothed polytopes get a denser quadrature: their integrands carry
-    features on the 1/sharpness scale that 4M nodes underresolve."""
-    return 8 * cfg.modes if isinstance(K, Smoothed) else 4 * cfg.modes
-
-
-def _built_on_smoothed(recipe: dict) -> bool:
-    """Whether a body's recipe tree holds a smoothed polytope.
-
-    This key, with the ray shift that `minimize` keys on `Smoothed`, pays
-    for itself in cost only.  With the slow exit and the ray shift on every
-    body, capacities moved by at most 3.6e-14, but the seed-0 `intersection`
-    workload took 268 Newton steps instead of 139 and the median `wall_s`
-    of `perfbench/run.py` rose from 2.26 to 2.62 s on `intersection` and
-    from 0.66 to 0.77 s on `smooth` (6 alternating pairs of 20 s runs,
-    2 CPUs, one BLAS thread).
-    """
-    children = list(recipe.get("terms", [])) + ([recipe["body"]] if "body" in recipe else [])
-    return recipe["type"] == "smoothed" or any(_built_on_smoothed(c) for c in children)
+    """Smoothed polytopes, and their linear images, translates and scalings,
+    get a denser quadrature: their integrands carry features on the
+    1/sharpness scale that 4M nodes underresolve."""
+    return 8 * cfg.modes if isinstance(_unwrapped(K), Smoothed) else 4 * cfg.modes
 
 
 def _descend(theta0: np.ndarray, cfg: SolveConfig, slow_exit: bool, ray_shift: bool):
@@ -601,9 +603,10 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     the winner is not stationary.  An `initial` loop (e.g. a warm start
     from a nearby body) is prepended to the standard starts.
     """
+    leaves = _leaf_types(K)
     if isinstance(K, Polytope):
         raise SolverError("raw polytopes are not smooth; wrap in Smoothed or use capacity()")
-    if not K.is_smooth:
+    if Polytope in leaves:
         raise SolverError("body support is not differentiable; capacity needs a smooth body")
     disc = _Discretization(cfg.modes, K.dim, _default_grid(K, cfg))
     kcol = np.arange(1, cfg.modes + 1, dtype=float)[:, None]
@@ -613,13 +616,19 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     theta0 = np.stack([disc.pack(kcol * start.a, kcol * start.b) for start in starts])
     # Loops on a body whose support the quadrature resolves can be shifted in
     # time at no cost to the quotient, so its Hessian is singular off the ray
-    # as well: only a Smoothed body's Newton steps shift the ray alone.  On
-    # every body, the ray-only Cholesky failed on 255 of the 336 Newton
-    # directions of the `smooth` workload (591 factorizations instead of
-    # 336, same steps and results) and its median `wall_s` rose from 0.82 to
-    # 0.95 s.  Slow L-BFGS runs go to Newton early on any body built on a
-    # smoothed polytope (`_built_on_smoothed`, `_descend`).
-    slow_exit, ray_shift = _built_on_smoothed(K.recipe()), isinstance(K, Smoothed)
+    # as well: only the Newton steps on a Smoothed body, or on its linear
+    # images, translates and scalings, shift the ray alone.  On every body,
+    # the ray-only Cholesky failed on 255 of the 336 Newton directions of the
+    # `smooth` workload (591 factorizations instead of 336, same steps and
+    # results) and its median `wall_s` rose from 0.82 to 0.95 s.  Slow L-BFGS
+    # runs go to Newton early on any body with a Smoothed leaf (`_descend`).
+    # Both keys pay for themselves in cost only: with the slow exit and the
+    # ray shift on every body, capacities moved by at most 3.6e-14, but the
+    # seed-0 `intersection` workload took 268 Newton steps instead of 139,
+    # and the median `wall_s` of `perfbench/run.py` rose from 2.26 to 2.62 s
+    # on `intersection` and from 0.66 to 0.77 s on `smooth` (6 alternating
+    # pairs of 20 s runs, 2 CPUs, one BLAS thread).
+    slow_exit, ray_shift = Smoothed in leaves, isinstance(_unwrapped(K), Smoothed)
     outcomes, rows = lockstep(_quotient_fg(K, disc, cfg.p),
                               [_descend(theta, cfg, slow_exit, ray_shift) for theta in theta0],
                               _quotient_hessian(K, disc, cfg.p))
@@ -831,6 +840,10 @@ def _finish(K: ConvexBody, cfg: SolveConfig, lam: float, zstar: FourierLoop,
     carrier = to_carrier(zstar, lam, alpha, cfg.p)
     certificates = _certificates(K, h, residual, carrier, cap, grid)
     winner = next(s for s in diagnostics if s.winner)
+    # The band: a winner within max(1e2 grad_tol, 1e-8) of stationary counts.
+    # It decides the flag of Translate([0.1, 0.2, 0, -0.1], Ball(1, 4)) at
+    # modes 8, starts 4: the winner stops in its line search at |g|_inf
+    # 2.4e-9, with certificates at 1.7e-5 and a capacity 1.1e-9 from pi.
     solver_ok = winner.converged or winner.grad_norm <= max(1e2 * cfg.grad_tol, 1e-8)
     return CapacityResult(
         capacity=cap, lam=lam, p=cfg.p, modes=cfg.modes, grid=grid,
@@ -916,8 +929,10 @@ def _polish(K: Smoothed, carrier: CarrierLoop, smoothed: float) -> tuple[float, 
     """The capacity of the polytope K.body from the facet word of the carrier
     of a solve on K, whose capacity is `smoothed`.
 
-    The word (`_carrier_word`) and its reverse are polished by
-    `_maximize_word_form`, and the larger form wins.  The polish is accepted
+    Only the carrier's word (`_carrier_word`) is polished, by
+    `_maximize_word_form`.  Its reverse has the same feasible set and the
+    opposite form, Q(reversed word, reversed beta) = -Q(word, beta), so it
+    could only win on a carrier that runs backwards.  The polish is accepted
     when SLSQP succeeds, every residual is within POLISH_TOL (min beta at
     least -POLISH_TOL) and 1/(2Q) does not exceed the smoothed capacity,
     which a wrong word could.  Returns the capacity to report, polished or
@@ -925,18 +940,13 @@ def _polish(K: Smoothed, carrier: CarrierLoop, smoothed: float) -> tuple[float, 
     """
     normals, h = K.body.facets
     word, beta0 = _carrier_word(normals, carrier)
-    attempts = []
-    for w, b0 in ((word, beta0), (word[::-1], beta0[::-1])):
-        Q, beta, residuals = _maximize_word_form(normals, h, w, b0)
-        feasible = Q > 0 and max(residuals["closure"], residuals["normalization"],
-                                 -residuals["min_beta"]) <= POLISH_TOL
-        attempts.append((Q if feasible else -math.inf, w, beta, residuals))
-    # the first attempt, the carrier's orientation, wins ties
-    Q, w, beta, residuals = max(attempts, key=lambda a: a[0])
-    accepted = Q > 0 and 1.0 / (2.0 * Q) <= smoothed
+    Q, beta, residuals = _maximize_word_form(normals, h, word, beta0)
+    accepted = (Q > 0 and 1.0 / (2.0 * Q) <= smoothed
+                and max(residuals["closure"], residuals["normalization"],
+                        -residuals["min_beta"]) <= POLISH_TOL)
     polished = 1.0 / (2.0 * Q) if accepted else smoothed
     record = {"accepted": accepted, "smoothed_capacity": smoothed, "sharpness": K.sharpness,
-              "word": w.tolist(), "beta": beta.tolist(), **residuals}
+              "word": word.tolist(), "beta": beta.tolist(), **residuals}
     return polished, record
 
 

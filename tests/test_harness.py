@@ -11,6 +11,7 @@ from ehz.harness import (AsymmetricBodyError, bm_check, capacity_area_2d,
                          p_combination)
 from ehz.randbodies import random_body, random_general_ellipsoid
 from ehz.solver import SolveConfig, capacity
+from ehz.suite import canonical_heptagon
 from ehz.symplectic import random_symplectic
 
 FAST = SolveConfig(modes=8, starts=4)
@@ -255,6 +256,22 @@ def test_area_oracle_is_exact_on_quadrics_under_affine_wrappers():
              (LinearImage(M, GeneralEllipsoid(Q)), abs(np.linalg.det(M)) * area)]
     for body, exact in cases:
         assert capacity_area_2d(body) == pytest.approx(exact, rel=1e-14)
+
+
+def test_area_oracle_peels_affine_wrappers_off_a_polygon():
+    # each wrapper's area is the shoelace area of the transformed vertices
+    P = canonical_heptagon()
+    M = np.array([[1.2, 0.4], [-0.3, 0.9]])
+    v = np.array([0.2, -0.1])
+
+    def shoelace(V):
+        c = V - V.mean(axis=0)
+        x, y = V[np.argsort(np.arctan2(c[:, 1], c[:, 0]))].T
+        return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+
+    for body, V in ((Translate(v, P), P.vertices + v), (Scale(1.7, P), 1.7 * P.vertices),
+                    (LinearImage(M, P), P.vertices @ M.T)):
+        assert capacity_area_2d(body) == pytest.approx(shoelace(V), rel=1e-14, abs=0)
 
 
 def test_area_oracle_matches_solver_on_2d_bodies():

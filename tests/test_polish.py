@@ -113,6 +113,21 @@ def test_polygon_of_the_word_has_the_polished_action(case):
     assert action == pytest.approx(r.capacity, rel=1e-12, abs=0)
 
 
+def test_the_reversed_word_has_the_opposite_form(case):
+    # Q(reversed word, reversed beta) = -Q(word, beta) on the same feasible
+    # set, so only the carrier's own word is polished
+    P, _, _, _, r = case
+    normals, _ = P.facets
+
+    def form(word, beta):
+        Nw = normals[word]
+        return float(beta @ np.triu(apply_J(Nw) @ Nw.T, 1) @ beta)
+
+    word, beta = np.array(r.polish["word"]), np.array(r.polish["beta"])
+    assert form(word, beta) > 0
+    assert abs(form(word, beta) + form(word[::-1], beta[::-1])) <= 1e-15
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_polished_r4_polytopes_lie_below_their_smoothed_solve(seed):
     P = random_symmetric_polytope(4, seed).body

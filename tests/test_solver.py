@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehz import optimize, solver
-from ehz.bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, LinearImage,
-                        MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
+from ehz.bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, Intersection,
+                        LinearImage, MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
 from ehz.intersections import build_intersection_body
 from ehz.loops import CarrierLoop, FourierLoop, action, normalize_action, random_loop
 from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, _Discretization,
@@ -17,6 +17,8 @@ from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, _Discr
                         boundary_residual, capacity, capacity_from_lambda, certify,
                         euler_residual, from_carrier, lambda_from_capacity, minimize,
                         to_carrier)
+from ehz.randbodies import random_symmetric_polytope
+from ehz.suite import RANDOM12
 from ehz.symplectic import apply_J, random_symplectic
 
 BALL4 = Ball(1.0, 4)
@@ -133,6 +135,26 @@ def test_minimize_nonsmooth_rejected():
         minimize(PSum(2.0, [Ball(1.0, 2), P]), FAST)
 
 
+def test_leaf_types_walk_the_body_tree():
+    S = random_symmetric_polytope(4, 0)
+    E = Ellipsoid([1.0, 2.0])
+    inner = PSum(2.0, [Scale(1.5, MinkowskiSum([E, LinearImage(2.0 * np.eye(4), S)])),
+                       Ball(1.0, 4)])
+    nested = Translate(np.full(4, 0.1), Scale(0.5, inner))
+    assert solver._unwrapped(nested) is inner
+    assert solver._leaf_types(nested) == {Ellipsoid, Smoothed, Ball}
+    # a Smoothed is a leaf, a raw polytope is one of its own
+    assert solver._leaf_types(S) == {Smoothed}
+    assert solver._leaf_types(PSum(2.0, [E, S.body])) == {Ellipsoid, Polytope}
+    # a term of weight 0 does not enter the support
+    assert solver._leaf_types(MinkowskiSum([E, S], [1.0, 0.0])) == {Ellipsoid}
+    assert solver._leaf_types(MinkowskiSum([E, S.body], [1.0, 0.0])) == {Ellipsoid}
+    # an intersection evaluates its own support from its two quadrics
+    lens = Intersection(Ball(1.0, 4), Translate([0.3, 0.0, 0.0, 0.0], E))
+    assert solver._leaf_types(Scale(2.0, lens)) == {Intersection}
+    assert solver._leaf_types(MinkowskiSum([lens, S])) == {Intersection, Smoothed}
+
+
 # -- batched quotient and lockstep multistarts ------------------------------------
 
 def _reference_quotient(K, disc, p, theta):
@@ -212,7 +234,8 @@ def _minimize_one_start_at_a_time(K, cfg, initial=None):
     starts = _starts(K, cfg)
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
-    slow_exit, ray_shift = solver._built_on_smoothed(K.recipe()), isinstance(K, Smoothed)
+    slow_exit = Smoothed in solver._leaf_types(K)
+    ray_shift = isinstance(solver._unwrapped(K), Smoothed)
     alone = []
     for z in starts:
         (res, steps, entry), res.evaluations = _alone(
@@ -427,6 +450,19 @@ def test_capacity_linear_symplectic_invariance():
     assert mapped == pytest.approx(base, rel=1e-3)
 
 
+def test_affine_images_of_a_smoothed_polytope_get_its_solve():
+    # c(s K) = s^2 c(K), and c(S K) = c(K) for a symplectic S: the images
+    # get the Smoothed body's 8M grid and ray shift, so they match it to
+    # roundoff (on a 4M grid both read 1.85e-4 low)
+    K = random_symmetric_polytope(4, 2)
+    base = capacity(K, RANDOM12)
+    for factor, image in ((4.0, Scale(2.0, K)),
+                          (1.0, LinearImage(random_symplectic(4, 17, 0.5), K))):
+        r = capacity(image, RANDOM12)
+        assert r.grid == base.grid == 8 * RANDOM12.modes
+        assert r.capacity == pytest.approx(factor * base.capacity, rel=1e-12, abs=0)
+
+
 def test_capacity_monotonicity_chain():
     c_small = capacity(BALL4, FAST).capacity
     c_mid = capacity(Ellipsoid([1.0, 2.0]), FAST).capacity
@@ -474,6 +510,19 @@ def test_minimize_without_a_stationary_start_returns_an_unconverged_winner():
     assert action(zstar) == pytest.approx(1.0, rel=1e-12)
     r = capacity(K, cfg)
     assert r.lam == lam and not r.converged
+
+
+def test_finish_band_grades_a_winner_just_short_of_grad_tol():
+    # the winner stops in its line search at |g|_inf 2.4e-9, above grad_tol
+    # but within the band max(1e2 grad_tol, 1e-8), with certificates at
+    # 1.7e-5 and a capacity 1.1e-9 from pi: the band alone sets the flag
+    r = capacity(Translate([0.1, 0.2, 0.0, -0.1], BALL4), FAST)
+    winner = next(s for s in r.per_start if s.winner)
+    assert winner.status == "line_search" and not winner.converged
+    assert 1e-9 < winner.grad_norm <= max(1e2 * FAST.grad_tol, 1e-8)
+    assert r.certificates.worst() < 2e-5
+    assert r.capacity == pytest.approx(np.pi, rel=0, abs=1.1e-9)
+    assert r.converged
 
 
 def test_capacity_origin_not_interior_rejected():
