@@ -155,6 +155,16 @@ class ConvexBody:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
+def direction_design(dim: int, count: int, seed: int = 0) -> np.ndarray:
+    """Antipodally symmetric quasi-uniform directions on the sphere: rows i and
+    i + count/2 (count rounded up to even) are opposite."""
+    half = (count + 1) // 2
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD12)))
+    U = rng.normal(size=(half, dim))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    return np.vstack([U, -U])
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
@@ -774,6 +784,9 @@ class Intersection(ConvexBody):
     The constructor reduces both bodies (a BodyError names a non-quadratic
     one), decomposes the pencil and checks rho, raising
     DegenerateIntersectionError for an empty or single-point intersection.
+    It stores `centre`, the centre W m of E_t at rho's minimum t: by minimax,
+    max(q_K, q_T) = 1 - min rho there, so the centre is interior exactly when
+    the rho check passes.
     It also caches the pencil at the ends t = 0 and t = 1, where D, m, rho
     and rho' do not depend on the row.  `support_batch` then makes one pass
     per class of rows.  Every row's h and h' at both ends are products of v
@@ -813,7 +826,8 @@ class Intersection(ConvexBody):
         Z = self._sum_terms(np.zeros((1, self.dim)))   # a zero row: only rho's sums
         t_rho = _pencil_minimum(lambda t, rows: self._derivatives(t, Z)[:2],
                                 self._end_drho[:1], self._end_drho[1:])
-        rho_min = self._pencil(t_rho[:, None])[2][0]
+        _, (m_rho,), (rho_min,) = self._pencil(t_rho[:, None])
+        self.centre = self._W @ m_rho
         if not rho_min > 0:
             raise DegenerateIntersectionError(
                 f"the intersection is empty or a point (pencil radius^2 {rho_min:.3g} "

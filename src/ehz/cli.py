@@ -79,20 +79,20 @@ def _vector(text: str, dim: int, flag: str) -> np.ndarray:
     return vec
 
 
-# the SolveConfig field each solver flag sets
-_CONFIG_FLAGS = {"p": "--p", "modes": "--modes", "starts": "--starts", "seed": "--seed",
-                 "grad_tol": "--tol"}
+# the SolveConfig field each solver flag sets, and the flag's argparse dest
+# (the flag is --dest)
+_CONFIG_DESTS = {"p": "p", "modes": "modes", "starts": "starts", "seed": "seed",
+                 "grad_tol": "tol"}
 
 
 def _config(args, **overrides) -> SolveConfig:
-    fields = dict(p=args.p, modes=args.modes, starts=args.starts, seed=args.seed,
-                  grad_tol=args.tol) | overrides
+    fields = {name: getattr(args, dest) for name, dest in _CONFIG_DESTS.items()} | overrides
     # each field is validated alone, so that the message can name its flag
-    for name, flag in _CONFIG_FLAGS.items():
+    for name, dest in _CONFIG_DESTS.items():
         try:
             SolveConfig(**{name: fields[name]})
         except ValueError as e:
-            raise UsageError(f"{flag}: {e}") from None
+            raise UsageError(f"--{dest}: {e}") from None
     return SolveConfig(**fields)
 
 
@@ -133,11 +133,7 @@ def _flatten(payload: dict, prefix: str = ""):
 
 
 def _resolved(args, extra=None) -> dict:
-    conf = {"p": args.p, "modes": args.modes, "starts": args.starts,
-            "seed": args.seed, "tol": args.tol}
-    if extra:
-        conf.update(extra)
-    return conf
+    return {dest: getattr(args, dest) for dest in _CONFIG_DESTS.values()} | (extra or {})
 
 
 def _body_meta(path: str, body: ConvexBody) -> dict:

@@ -22,9 +22,10 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .bodies import (Ball, BodyError, ConvexBody, LinearImage, MinkowskiSum, Polytope, PSum,
-                     Scale, Translate, quadric)
+                     Scale, Translate, direction_design, quadric)
 from .loops import length_in_gauge, resample_by_clock
 from .solver import SolveConfig, capacity
 from .symplectic import apply_J
@@ -150,31 +151,21 @@ def _phase_aligned_residual(l_K, l_T, alpha: float, N: int = 256) -> tuple[float
     t = 2 * np.pi * np.arange(N) / N
     target = l_T.loop.evaluate(t)
     scale = max(float(np.linalg.norm(target) / math.sqrt(N)), 1e-300)
-    # coarse scan then golden-section refinement on the best bracket
-    phis = 2 * np.pi * np.arange(720) / 720
 
     def resid(phi):
         probe = alpha * l_K.loop.evaluate(t + phi)
         return float(np.linalg.norm(probe - target) / math.sqrt(N)) / scale
 
-    vals = [resid(p) for p in phis]
-    i0 = int(np.argmin(vals))
-    a = phis[i0] - 2 * np.pi / 720
-    b = phis[i0] + 2 * np.pi / 720
-    gr = (math.sqrt(5) - 1) / 2
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = resid(c), resid(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = resid(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = resid(d)
-    phi = 0.5 * (a + b)
-    return resid(phi), phi
+    # a scan over 720 phases in one evaluation, then a refinement of the
+    # offset from the best one, not of the phase: the bounded method's
+    # tolerance includes sqrt(eps) |x|, 1e-7 for a phase near 2 pi
+    phis, step = 2 * np.pi * np.arange(720) / 720, 2 * np.pi / 720
+    scan = np.linalg.norm(alpha * l_K.loop.evaluate(np.add.outer(phis, t)) - target,
+                          axis=(1, 2))
+    phi = phis[np.argmin(scan)]
+    best = minimize_scalar(lambda d: resid(phi + d), bounds=(-step, step), method="bounded",
+                           options={"xatol": 1e-12})
+    return float(best.fun), float(phi + best.x)
 
 
 def equality_certificate(K: ConvexBody, T: ConvexBody, p: float,
@@ -345,11 +336,9 @@ class MeanWidthEstimate:
 
 
 def _check_symmetry(K: ConvexBody, seed: int, tol: float = 1e-10) -> None:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5E1)))
-    U = rng.normal(size=(64, K.dim))
-    U /= np.linalg.norm(U, axis=1)[:, None]
-    hp, _ = K.support_batch(U)
-    hm, _ = K.support_batch(-U)
+    # the two halves of the design are antipodal
+    h, _ = K.support_batch(direction_design(K.dim, 128, seed))
+    hp, hm = np.split(h, 2)
     if np.max(np.abs(hp - hm)) > tol * max(np.max(hp), 1.0):
         raise AsymmetricBodyError("body is not centrally symmetric")
 

@@ -3,10 +3,10 @@
 The intersection of two quadratic bodies (balls, ellipsoids, general
 ellipsoids and their translates, scalings and linear images) is the exact
 body `bodies.Intersection`, whose support comes from the ellipsoid pencil.
-Before a solve it is recentred at a deep interior point, found by a linear
-program over its support on a quasi-uniform direction design.  An audit
-reports, on a second design, how far the support points stray outside the
-two bodies, alongside every pass/fail.
+Before a solve it is recentred at its pencil centre `Intersection.centre`.
+One support evaluation on a quasi-uniform direction design gives both the
+depth of that centre and an audit of how far the support points stray
+outside the two bodies, reported alongside every pass/fail.
 """
 
 from __future__ import annotations
@@ -17,24 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .bodies import ConvexBody, DegenerateIntersectionError, Intersection, Translate
+from .bodies import (ConvexBody, DegenerateIntersectionError, Intersection, Translate,
+                     direction_design)
 from .harness import HarnessError, InequalityReport, _meta, _report
 from .solver import SolveConfig, _mode_chain, _richardson, capacity_from_lambda
 
 
-# Size of the audit's direction design, and the inradius below which an
-# intersection counts as degenerate.
-AUDIT_SIZE = 128
+# The depth below which an intersection counts as degenerate.
 MIN_DEPTH = 1e-6
-
-
-def direction_design(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """Antipodally symmetric quasi-uniform directions on the sphere."""
-    half = (count + 1) // 2
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD12)))
-    U = rng.normal(size=(half, dim))
-    U /= np.linalg.norm(U, axis=1)[:, None]
-    return np.vstack([U, -U])
 
 
 def deep_point(U: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, float]:
@@ -42,6 +32,9 @@ def deep_point(U: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, float]:
 
     Maximizes r subject to <x, u_i> + r <= h_i; returns (x, r).  r is the
     inradius of the sampled outer polyhedron, so r <= inradius of the body.
+    Nothing in this package calls it now: intersections are recentred at
+    their pencil centre.  It is the Chebyshev-centre program for a body
+    given by its facets.
     """
     m, d = U.shape
     c = np.zeros(d + 1)
@@ -58,20 +51,18 @@ class SurrogateAudit:
     """What `build_intersection_body` did.
 
     max_rel_error and mean_rel_error are the constraint residual
-    max(q_K(x), q_T(x)) - 1, floored at 0, of the support points x on
-    `directions` audit directions: a support point outside either body
-    shows as a positive residual.  design_size is the size of the deep-point
-    design and depth the deep point's inradius.  vertex_count (always 0)
-    and calibration (always 1.0) are placeholders that the benchmark's
-    tracer reads; they go at its next change.
+    max(q_K(x), q_T(x)) - 1, floored at 0, of the support points x on the
+    `design_size`-direction design: a support point outside either body
+    shows as a positive residual.  depth is min_i h(u_i) - <c, u_i> over
+    the same design, the depth of the pencil centre c.  vertex_count
+    (always 0) is a placeholder that the benchmark's tracer reads; it goes
+    at its next change.
     """
     max_rel_error: float
     mean_rel_error: float
-    directions: int
     design_size: int
     vertex_count: int
     depth: float
-    calibration: float
 
     def to_dict(self) -> dict:
         return self.__dict__.copy()
@@ -79,10 +70,12 @@ class SurrogateAudit:
 
 def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 1024,
                             seed: int = 0) -> tuple[ConvexBody, SurrogateAudit]:
-    """K cap T as `Translate(-x0, Intersection(K, T))`, recentred at a deep point x0.
+    """K cap T as `Translate(-c, Intersection(K, T))`, recentred at its pencil
+    centre c.
 
-    x0 and its depth come from `deep_point` over the exact support on a
-    `design_size`-direction design; a depth at most MIN_DEPTH raises
+    One support evaluation on `direction_design(dim, design_size, seed)`
+    gives the depth of c, min_i h(u_i) - <c, u_i>, and the audit residual
+    of the support points; a depth at most MIN_DEPTH raises
     DegenerateIntersectionError.
     """
     if K.dim != T.dim:
@@ -92,20 +85,18 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
         raise HarnessError(f"design_size must be at least 2*dim = {2 * d}, got {design_size}")
     exact = Intersection(K, T)
     U = direction_design(d, design_size, seed)
-    x0, depth = deep_point(U, exact.support_batch(U)[0])
+    h, points = exact.support_batch(U)
+    depth = float(np.min(h - U @ exact.centre))
     if depth <= MIN_DEPTH:
         raise DegenerateIntersectionError(
             f"intersection depth {depth:.3g} below {MIN_DEPTH:g}")
-
-    _, points = exact.support_batch(direction_design(d, AUDIT_SIZE, seed + 1))
     residual = np.maximum(exact.excess(points), 0.0)
     audit = SurrogateAudit(
         max_rel_error=float(np.max(residual)),
         mean_rel_error=float(np.mean(residual)),
-        directions=AUDIT_SIZE, design_size=U.shape[0],
-        vertex_count=0, depth=depth, calibration=1.0,
+        design_size=U.shape[0], vertex_count=0, depth=depth,
     )
-    return Translate(-x0, exact), audit
+    return Translate(-exact.centre, exact), audit
 
 
 def intersection_capacity(K: ConvexBody, T: ConvexBody, shift: np.ndarray,

@@ -33,7 +33,8 @@ are constant in t with value sqrt(c(K))/pi, which pins the conventions
 against the analytic ball case (checked in the tests).
 
 Raw polytopes are not smooth, so `capacity` solves them on a `Smoothed`
-wrapper.  With `sharpness_extrapolate` it then reports the polytope's own
+wrapper; a raw polytope under linear images, translations and scalings is
+first folded into one polytope.  With `sharpness_extrapolate` it then reports the polytope's own
 capacity: Haim-Kislev's formula maximized for the facet word that the
 smoothed solve's carrier visits (`_polish`).
 """
@@ -48,7 +49,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize as scipy_minimize
 
 from .bodies import (ConvexBody, LinearImage, MinkowskiSum, Polytope, PSum, Scale, Smoothed,
-                     Translate, support_hessians)
+                     Translate, direction_design, support_hessians)
 from .loops import (CarrierLoop, FourierLoop, action, normalize_action, random_loop,
                     resample_by_clock)
 from .optimize import EPS, MinimizeResult, lbfgs_run, lockstep
@@ -533,6 +534,22 @@ def _leaf_types(K: ConvexBody) -> set[type]:
     return {type(K)}
 
 
+def _folded(K: ConvexBody) -> ConvexBody:
+    """A raw polytope under LinearImage, Translate and Scale nodes as one
+    Polytope with the mapped vertices; any other body as it is."""
+    if isinstance(K, Polytope) or not isinstance(_unwrapped(K), Polytope):
+        return K
+
+    def vertices(B):
+        if isinstance(B, Polytope):
+            return B.vertices
+        V = vertices(B.body)
+        if isinstance(B, LinearImage):
+            return V @ B.matrix.T
+        return V + B.vector if isinstance(B, Translate) else B.factor * V
+    return Polytope(vertices(K))
+
+
 def _default_grid(K: ConvexBody, cfg: SolveConfig) -> int:
     """Smoothed polytopes, and their linear images, translates and scalings,
     get a denser quadrature: their integrands carry features on the
@@ -818,9 +835,7 @@ def _certificates(K: ConvexBody, h: np.ndarray, residual: float, carrier: Carrie
 
 
 def _origin_interior_check(K: ConvexBody, seed: int = 0) -> None:
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1F)))
-    U = np.vstack([np.eye(K.dim), -np.eye(K.dim), rng.normal(size=(32, K.dim))])
-    U /= np.linalg.norm(U, axis=1)[:, None]
+    U = np.vstack([np.eye(K.dim), -np.eye(K.dim), direction_design(K.dim, 32, seed)])
     h, _ = K.support_batch(U)
     if np.any(h <= 0):
         raise SolverError("origin is not interior to the body; translate it first")
@@ -954,24 +969,26 @@ def capacity(K: ConvexBody, cfg: SolveConfig | None = None,
              initial: FourierLoop | None = None) -> CapacityResult:
     """Capacity, minimizer, carrier and certificates for a convex body.
 
-    Raw polytopes are solved on a Smoothed wrapper (sharpness from the
-    config).  With `sharpness_extrapolate` the reported capacity is the
-    polytope's own: the facet word of the smoothed solve's carrier is
-    polished by Haim-Kislev's formula (`_polish`), and the minimizer,
-    carrier, alpha and certificates stay those of the smoothed solve, whose
-    capacity `polish["smoothed_capacity"]` records; a rejected polish
-    reports the smoothed capacity, unconverged.  With `stability_check` the
-    mode chain goes one level further (2M), warm-started from the reported
-    solve, and the relative drift of the capacity against that level
-    (polished there too) is recorded.  An `initial` loop warm-starts the
-    minimization.
+    Raw polytopes, also under linear images, translations and scalings
+    (folded into one polytope by `_folded`), are solved on a Smoothed
+    wrapper (sharpness from the config).  With `sharpness_extrapolate` the
+    reported capacity is the polytope's own: the facet word of the smoothed
+    solve's carrier is polished by Haim-Kislev's formula (`_polish`), and
+    the minimizer, carrier, alpha and certificates stay those of the
+    smoothed solve, whose capacity `polish["smoothed_capacity"]` records; a
+    rejected polish reports the smoothed capacity, unconverged.  With
+    `stability_check` the mode chain goes one level further (2M),
+    warm-started from the reported solve, and the relative drift of the
+    capacity against that level (polished there too) is recorded.  An
+    `initial` loop warm-starts the minimization.
     """
     cfg = cfg or SolveConfig()
+    _origin_interior_check(K, cfg.seed)
+    K = _folded(K)
     smoothing = cfg.polytope_sharpness if isinstance(K, Polytope) else None
     if smoothing is not None:
         K = Smoothed(K, smoothing)
     polish = smoothing is not None and cfg.sharpness_extrapolate
-    _origin_interior_check(K, cfg.seed)
     chain = _mode_chain(K, cfg, initial, 2 if cfg.stability_check else 1)
     result = _finish(K, cfg, *chain[0], smoothing)
     if polish:

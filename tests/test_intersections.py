@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ehz import bodies
+from ehz import bodies, intersections
 from ehz.bodies import (Ball, BodyError, Ellipsoid, Intersection, Polytope, Translate,
                         intersection_support_batch)
 from ehz.harness import HarnessError
@@ -50,7 +50,55 @@ def test_build_intersection_body_on_the_lens():
     assert body.vector == pytest.approx([-0.5, 0.0], abs=1e-2)
     assert audit.depth == pytest.approx(0.5, abs=1e-3)
     assert 0.0 <= audit.mean_rel_error <= audit.max_rel_error <= 1e-12
-    assert (audit.vertex_count, audit.calibration, audit.design_size) == (0, 1.0, 720)
+    assert (audit.vertex_count, audit.design_size) == (0, 720)
+
+
+def test_the_lens_is_recentred_at_its_pencil_centre():
+    disc, shift = Ball(1.0, 2), Translate(np.array([1.0, 0.0]), Ball(1.0, 2))
+    centre = Intersection(disc, shift).centre
+    assert np.abs(centre - [0.5, 0.0]).max() <= 1e-15
+    body, audit = build_intersection_body(disc, shift, design_size=720, seed=0)
+    assert np.array_equal(body.vector, -centre)
+    assert audit.depth == pytest.approx(0.5, abs=1e-4)
+
+
+def _pencil_radius_min(K, T, n=100_001):
+    """min over a t grid of rho(t) = 1 - min_x (t q_K + (1 - t) q_T)(x),
+    each inner minimum from its own linear solve."""
+    (A, a), (B, b) = bodies.quadric(K), bodies.quadric(T)
+    t = np.linspace(0.0, 1.0, n)[:, None]
+    r = t * (A @ a) + (1 - t) * (B @ b)
+    x = np.linalg.solve(t[:, :, None] * A + (1 - t[:, :, None]) * B, r[:, :, None])[:, :, 0]
+    value = t[:, 0] * (a @ A @ a) + (1 - t[:, 0]) * (b @ B @ b) - (r * x).sum(axis=1)
+    return float((1.0 - value).min())
+
+
+def test_pencil_centre_attains_the_minimax_of_the_two_quadrics():
+    # criterion 12's pairs at their three shifts: max(q_K, q_T) at the centre
+    # is 1 - min rho, so the centre is interior exactly when rho's check passes
+    rng = np.random.default_rng(900)
+    for i in range(10):
+        K = random_general_ellipsoid(4, 900 + 2 * i, cond_max=4.0)
+        T = Ball(float(rng.uniform(0.8, 1.1)), 4)
+        x, y = rng.uniform(-0.4, 0.4, 4), rng.uniform(-0.4, 0.4, 4)
+        lam = float(rng.uniform(0.2, 0.8))
+        for shift in (x, y, lam * x + (1 - lam) * y):
+            Ts = Translate(shift, T)
+            body = Intersection(K, Ts)
+            top = 1.0 + body.excess(body.centre[None])[0]
+            assert top == pytest.approx(1.0 - _pencil_radius_min(K, Ts), rel=0, abs=1e-9)
+            assert top < 1.0
+
+
+def test_building_an_intersection_body_solves_no_linear_program(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no linear program on the build path")
+    monkeypatch.setattr(intersections, "deep_point", refuse)
+    monkeypatch.setattr(intersections, "linprog", refuse)
+    K, T = random_general_ellipsoid(4, 900, cond_max=4.0), Translate([0.3, 0, 0, 0], Ball(1.0, 4))
+    body, audit = build_intersection_body(K, T, design_size=256)
+    assert np.array_equal(body.vector, -Intersection(K, T).centre)
+    assert audit.depth > 0.1 and audit.max_rel_error <= 1e-12
 
 
 def test_audit_catches_support_points_off_the_pencil_minimum(monkeypatch):

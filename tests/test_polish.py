@@ -10,12 +10,12 @@ import pytest
 from scipy.optimize import minimize as scipy_minimize
 
 from ehz import solver
-from ehz.bodies import Polytope, Smoothed
+from ehz.bodies import LinearImage, Polytope, Scale, Smoothed, Translate
 from ehz.harness import capacity_area_2d
 from ehz.randbodies import random_symmetric_polytope
 from ehz.solver import SolveConfig, capacity, certify
 from ehz.suite import canonical_heptagon
-from ehz.symplectic import apply_J, symplectic_form
+from ehz.symplectic import apply_J, random_symplectic, symplectic_form
 
 SQUARE = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
 POLISH24 = SolveConfig(modes=24, starts=2, grad_tol=1e-9, max_iter=2500,
@@ -126,6 +126,21 @@ def test_the_reversed_word_has_the_opposite_form(case):
     word, beta = np.array(r.polish["word"]), np.array(r.polish["beta"])
     assert form(word, beta) > 0
     assert abs(form(word, beta) + form(word[::-1], beta[::-1])) <= 1e-15
+
+
+@pytest.mark.parametrize("image", ["translate", "scale", "symplectic"])
+def test_affine_images_of_a_raw_polytope_are_folded_and_polished(case, image):
+    # a raw polytope under Translate, Scale or LinearImage is solved as one
+    # polytope with the mapped vertices, so its polish is the polytope's own
+    P, cfg, _, _, r = case
+    shift = np.full(P.dim, 0.05)
+    shift[0] = -0.1
+    body, ratio = {"translate": (Translate(shift, P), 1.0),
+                   "scale": (Scale(1.3, P), 1.69),
+                   "symplectic": (LinearImage(random_symplectic(P.dim, 5, 0.3), P), 1.0)}[image]
+    image_result = capacity(body, cfg)
+    assert image_result.polish["accepted"]
+    assert image_result.capacity / ratio == pytest.approx(r.capacity, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
