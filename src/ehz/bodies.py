@@ -647,33 +647,46 @@ def _gauge_by_newton(body: ConvexBody, X: np.ndarray, U0: np.ndarray | None = No
     return vals, grads, max(float(predicted.max()), 1e-14)
 
 
-def quadric(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
-    """(A, c) with body = {x : (x - c)^T A (x - c) <= 1}.
+def affine_part(body: ConvexBody) -> tuple[np.ndarray, np.ndarray, ConvexBody]:
+    """(A, c, core) with body = A core + c, where core is the first node
+    below body's stack of Translate, Scale and LinearImage nodes.
 
-    Defined for the quadratic leaves (Ball, Ellipsoid, GeneralEllipsoid)
-    under any stack of Translate, Scale and LinearImage; any other node
-    raises a BodyError that names it.
+    One pass down the stack: K = A (x0 + K') + c gives c += A x0, K = A (s K') + c
+    gives A <- s A, and K = A (M K') + c gives A <- A M.
     """
-    if isinstance(body, Ball):
-        return np.eye(body.dim) / body.radius ** 2, np.zeros(body.dim)
-    if isinstance(body, Ellipsoid):
-        return np.diag(1.0 / body._d2), np.zeros(body.dim)
-    if isinstance(body, GeneralEllipsoid):
-        A = np.linalg.inv(body.Q)
-        return 0.5 * (A + A.T), np.zeros(body.dim)
-    if isinstance(body, Translate):
-        A, c = quadric(body.body)
-        return A, c + body.vector
-    if isinstance(body, Scale):
-        A, c = quadric(body.body)
-        return A / body.factor ** 2, body.factor * c
-    if isinstance(body, LinearImage):
-        A, c = quadric(body.body)
-        M_inv = np.linalg.inv(body.matrix)
-        A = M_inv.T @ A @ M_inv
-        return 0.5 * (A + A.T), body.matrix @ c
-    raise BodyError(f"intersections take balls, ellipsoids and general ellipsoids under "
-                    f"translations, scalings and linear images; got a {type(body).__name__}")
+    A, c = np.eye(body.dim), np.zeros(body.dim)
+    while isinstance(body, (Translate, Scale, LinearImage)):
+        if isinstance(body, Translate):
+            c = c + A @ body.vector
+        elif isinstance(body, Scale):
+            A = body.factor * A
+        else:
+            A = A @ body.matrix
+        body = body.body
+    return A, c, body
+
+
+def quadric(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, c) with body = {x : (x - c)^T Q (x - c) <= 1}.
+
+    Defined when the core of `affine_part` is a quadratic leaf (Ball,
+    Ellipsoid, GeneralEllipsoid): with body = A core + c, the leaf's form is
+    mapped once to A^-T Q A^-1.  Any other core raises a BodyError that
+    names it.
+    """
+    A, c, core = affine_part(body)
+    if isinstance(core, Ball):
+        Q = np.eye(core.dim) / core.radius ** 2
+    elif isinstance(core, Ellipsoid):
+        Q = np.diag(1.0 / core._d2)
+    elif isinstance(core, GeneralEllipsoid):
+        Q = np.linalg.inv(core.Q)
+    else:
+        raise BodyError(f"intersections take balls, ellipsoids and general ellipsoids under "
+                        f"translations, scalings and linear images; got a {type(core).__name__}")
+    A_inv = np.linalg.inv(A)
+    Q = A_inv.T @ Q @ A_inv
+    return 0.5 * (Q + Q.T), c
 
 
 def _quadric_gauge(A: np.ndarray, c: np.ndarray, X: np.ndarray
@@ -959,6 +972,13 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
         except (TypeError, ValueError):
             raise BodyError(f"{path}.{field}: expected a number, got {value!r}") from None
 
+    def body_list(field):
+        value = need(field)
+        if not isinstance(value, (list, tuple)):
+            raise BodyError(f"{path}.{field}: expected an array of bodies, "
+                            f"got {type(value).__name__}")
+        return [build_body(t, f"{path}.{field}[{i}]") for i, t in enumerate(value)]
+
     try:
         if kind == "ball":
             r, dim = number("r"), number("dim")
@@ -972,10 +992,10 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
         if kind == "polytope":
             return Polytope(array("vertices"))
         if kind == "psum":
-            terms = [build_body(t, f"{path}.terms[{i}]") for i, t in enumerate(need("terms"))]
+            terms = body_list("terms")
             return PSum(number("p"), terms)
         if kind == "minkowski":
-            terms = [build_body(t, f"{path}.terms[{i}]") for i, t in enumerate(need("terms"))]
+            terms = body_list("terms")
             weights = document.get("weights")
             return MinkowskiSum(terms, None if weights is None else array("weights"))
         if kind == "linear":
@@ -988,7 +1008,7 @@ def build_body(document: dict, path: str = "body") -> ConvexBody:
             return Smoothed(build_body(need("body"), f"{path}.body"),
                             number("sharpness", default=64.0))
         if kind == "intersection":
-            terms = [build_body(t, f"{path}.terms[{i}]") for i, t in enumerate(need("terms"))]
+            terms = body_list("terms")
             if len(terms) != 2:
                 raise BodyError(f"{path}.terms: an intersection takes two bodies, "
                                 f"got {len(terms)}")

@@ -23,9 +23,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+from scipy.spatial import ConvexHull
 
-from .bodies import (Ball, BodyError, ConvexBody, LinearImage, MinkowskiSum, Polytope, PSum,
-                     Scale, Translate, direction_design, quadric)
+from .bodies import (Ball, BodyError, ConvexBody, MinkowskiSum, Polytope, PSum, affine_part,
+                     direction_design, quadric)
 from .loops import length_in_gauge, resample_by_clock
 from .solver import SolveConfig, capacity
 from .symplectic import apply_J
@@ -400,31 +401,23 @@ def mean_width_bound_check(K: ConvexBody, cfg: SolveConfig | None = None,
 def capacity_area_2d(K: ConvexBody, n: int = 40_000) -> float:
     """Area of a 2D convex body; in the plane every capacity equals the area.
 
-    pi / sqrt(det A) for a body that `bodies.quadric` reduces to (A, c);
-    exact (shoelace) for polytopes, also under affine wrappers, which are
-    peeled off exactly; support-function quadrature
-    1/2 * integral(h^2 - h'^2) otherwise, with h' taken from the support
-    point.
+    pi / sqrt(det Q) for a body that `bodies.quadric` reduces to (Q, c);
+    exact for a polygon P under affine wrappers, K = A P + c
+    (`bodies.affine_part`): |det A| times the area of P's convex hull;
+    support-function quadrature 1/2 * integral(h^2 - h'^2) on K otherwise,
+    with h' taken from the support point (the formula is
+    translation-invariant).
     """
     if K.dim != 2:
         raise HarnessError("the area oracle is only valid in dimension 2")
     try:
-        A, _ = quadric(K)
-        return math.pi / math.sqrt(float(np.linalg.det(A)))
+        Q, _ = quadric(K)
+        return math.pi / math.sqrt(float(np.linalg.det(Q)))
     except BodyError:
         pass
-    if isinstance(K, Translate):
-        return capacity_area_2d(K.body, n)
-    if isinstance(K, Scale):
-        return K.factor**2 * capacity_area_2d(K.body, n)
-    if isinstance(K, LinearImage):
-        return abs(np.linalg.det(K.matrix)) * capacity_area_2d(K.body, n)
-    if isinstance(K, Polytope):
-        V = K.vertices
-        order = np.argsort(np.arctan2(V[:, 1], V[:, 0]))
-        V = V[order]
-        x, y = V[:, 0], V[:, 1]
-        return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+    A, _, core = affine_part(K)
+    if isinstance(core, Polytope):
+        return abs(float(np.linalg.det(A))) * ConvexHull(core.vertices).volume
     theta = 2 * np.pi * np.arange(n) / n
     U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     Uperp = np.stack([-np.sin(theta), np.cos(theta)], axis=1)

@@ -48,10 +48,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize as scipy_minimize
 
-from .bodies import (ConvexBody, LinearImage, MinkowskiSum, Polytope, PSum, Scale, Smoothed,
-                     Translate, direction_design, support_hessians)
+from .bodies import (ConvexBody, MinkowskiSum, Polytope, PSum, Smoothed, affine_part,
+                     direction_design, support_hessians)
 from .loops import (CarrierLoop, FourierLoop, action, normalize_action, random_loop,
-                    resample_by_clock)
+                    resample_by_clock, sample)
 from .optimize import EPS, MinimizeResult, lbfgs_run, lockstep
 from .symplectic import apply_J, apply_J_inverse
 
@@ -271,8 +271,6 @@ class _Discretization:
         phase = np.outer(t, k)
         self.C = np.cos(phase)
         self.S = np.sin(phase)
-        self.KC = self.C * k
-        self.KS = self.S * k
         self.k = k
 
     def unpack(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,12 +279,6 @@ class _Discretization:
 
     def pack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([a.ravel(), b.ravel()])
-
-    def velocity(self, a, b) -> np.ndarray:
-        return -self.KS @ a + self.KC @ b
-
-    def position(self, a, b) -> np.ndarray:
-        return self.C @ a + self.S @ b
 
     def quotient_terms(self, Theta: np.ndarray) -> tuple[np.ndarray, ...]:
         """For rows Theta of velocity coefficients (k a_k, k b_k): the
@@ -515,18 +507,12 @@ def _starts(K: ConvexBody, cfg: SolveConfig) -> list[FourierLoop]:
     return out
 
 
-def _unwrapped(K: ConvexBody) -> ConvexBody:
-    """K without its outer LinearImage, Translate and Scale nodes."""
-    while isinstance(K, (LinearImage, Translate, Scale)):
-        K = K.body
-    return K
-
-
 def _leaf_types(K: ConvexBody) -> set[type]:
     """The types of the leaves of K's support: the nodes that do not compose
     their children's support functions, so a Smoothed and an Intersection
-    are leaves.  Minkowski terms of weight 0 do not enter it and are skipped."""
-    K = _unwrapped(K)
+    are leaves, and affine wrappers are read through (`affine_part`).
+    Minkowski terms of weight 0 do not enter it and are skipped."""
+    K = affine_part(K)[2]
     if isinstance(K, MinkowskiSum):
         return set().union(*(_leaf_types(t) for w, t in zip(K.weights, K.terms) if w > 0))
     if isinstance(K, PSum):
@@ -535,26 +521,19 @@ def _leaf_types(K: ConvexBody) -> set[type]:
 
 
 def _folded(K: ConvexBody) -> ConvexBody:
-    """A raw polytope under LinearImage, Translate and Scale nodes as one
-    Polytope with the mapped vertices; any other body as it is."""
-    if isinstance(K, Polytope) or not isinstance(_unwrapped(K), Polytope):
+    """A raw polytope P under affine wrappers, K = A P + c (`affine_part`),
+    as one Polytope with the mapped vertices; any other body as it is."""
+    if isinstance(K, Polytope):
         return K
-
-    def vertices(B):
-        if isinstance(B, Polytope):
-            return B.vertices
-        V = vertices(B.body)
-        if isinstance(B, LinearImage):
-            return V @ B.matrix.T
-        return V + B.vector if isinstance(B, Translate) else B.factor * V
-    return Polytope(vertices(K))
+    A, c, core = affine_part(K)
+    return Polytope(core.vertices @ A.T + c) if isinstance(core, Polytope) else K
 
 
 def _default_grid(K: ConvexBody, cfg: SolveConfig) -> int:
     """Smoothed polytopes, and their linear images, translates and scalings,
     get a denser quadrature: their integrands carry features on the
     1/sharpness scale that 4M nodes underresolve."""
-    return 8 * cfg.modes if isinstance(_unwrapped(K), Smoothed) else 4 * cfg.modes
+    return 8 * cfg.modes if isinstance(affine_part(K)[2], Smoothed) else 4 * cfg.modes
 
 
 def _descend(theta0: np.ndarray, cfg: SolveConfig, slow_exit: bool, ray_shift: bool):
@@ -645,7 +624,7 @@ def minimize(K: ConvexBody, cfg: SolveConfig,
     # and the median `wall_s` of `perfbench/run.py` rose from 2.26 to 2.62 s
     # on `intersection` and from 0.66 to 0.77 s on `smooth` (6 alternating
     # pairs of 20 s runs, 2 CPUs, one BLAS thread).
-    slow_exit, ray_shift = Smoothed in leaves, isinstance(_unwrapped(K), Smoothed)
+    slow_exit, ray_shift = Smoothed in leaves, isinstance(affine_part(K)[2], Smoothed)
     outcomes, rows = lockstep(_quotient_fg(K, disc, cfg.p),
                               [_descend(theta, cfg, slow_exit, ray_shift) for theta in theta0],
                               _quotient_hessian(K, disc, cfg.p))
@@ -675,11 +654,11 @@ def _evaluate(K: ConvexBody, z: FourierLoop, lam: float, p: float,
               N: int) -> tuple[np.ndarray, float, np.ndarray]:
     """alpha, the Euler residual and the support values h_K(z'(t_j)), all
     from one support evaluation of z on N nodes."""
-    disc = _Discretization(z.modes, z.dim, N)
-    h, gh = K.support_batch(disc.velocity(z.a, z.b))
+    g = sample(z, N)
+    h, gh = K.support_batch(g.dz)
     W = (p * h ** (p - 1.0))[:, None] * gh
     alpha = W.mean(axis=0)
-    drive = 0.5 * p * lam * apply_J(disc.position(z.a, z.b))
+    drive = 0.5 * p * lam * apply_J(g.z)
     R = W - drive - alpha
     scale = float(np.max(np.linalg.norm(drive, axis=1)))
     return alpha, float(np.max(np.linalg.norm(R, axis=1)) / max(scale, 1e-300)), h

@@ -14,7 +14,7 @@ from ehz import bodies
 from ehz.bodies import (Ball, BodyError, DegenerateIntersectionError, Ellipsoid,
                         GeneralEllipsoid, Intersection, LinearImage, MinkowskiSum, Polytope,
                         PENCIL_STEPS, PSum, Scale, Smoothed, Translate, _pencil_minimum,
-                        build_body, intersection_support_batch, quadric)
+                        affine_part, build_body, intersection_support_batch, quadric)
 from ehz.randbodies import random_general_ellipsoid, random_symmetric_polytope
 from ehz.symplectic import random_symplectic
 
@@ -655,6 +655,39 @@ def test_intersection_support_of_images_matches_general_ellipsoids():
     assert np.abs(X - X_g).max() <= 1e-12
 
 
+def _non_commuting_stack(core):
+    """core under a Translate, LinearImage, Scale, Translate stack whose nodes
+    do not commute, with the A and c of K = A core + c written out."""
+    S = random_symplectic(4, 7, 0.5)
+    v, w = np.array([0.2, -0.1, 0.3, 0.05]), np.array([-0.3, 0.1, 0.0, 0.2])
+    K = Translate(v, LinearImage(S, Scale(1.3, Translate(w, core))))
+    return K, 1.3 * S, v + 1.3 * S @ w
+
+
+def test_affine_part_composes_a_non_commuting_stack():
+    core = random_general_ellipsoid(4, 11, cond_max=4.0)
+    K, A_exact, c_exact = _non_commuting_stack(core)
+    A, c, leaf = affine_part(K)
+    assert leaf is core
+    assert np.allclose(A, A_exact, rtol=1e-14, atol=1e-15)
+    assert np.allclose(c, c_exact, rtol=1e-14, atol=1e-15)
+    U = random_directions(4, 64, np.random.default_rng(5))
+    h, X = K.support_batch(U)
+    h_core, X_core = core.support_batch(U @ A)
+    assert np.abs(h - (h_core + U @ c)).max() <= 1e-14 * np.abs(h).max()
+    assert np.abs(X - (X_core @ A.T + c)).max() <= 1e-14
+    # the quadric's form reads 1 at K's support points
+    Q, centre = quadric(K)
+    assert np.allclose(centre, c, rtol=0, atol=1e-15)
+    assert np.abs(np.einsum("bi,ij,bj->b", X - centre, Q, X - centre) - 1.0).max() <= 1e-14
+
+
+def test_affine_part_of_an_unwrapped_body_is_the_identity():
+    E = Ellipsoid([1.0, 2.0])
+    A, c, core = affine_part(E)
+    assert core is E and np.array_equal(A, np.eye(4)) and np.array_equal(c, np.zeros(4))
+
+
 @pytest.mark.parametrize("leaf, name", [
     (Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]]), "Polytope"),
     (Translate([0.1, 0.0], PSum(2.0, [Ball(1.0, 2), Ball(0.5, 2)])), "PSum"),
@@ -869,6 +902,16 @@ def test_build_body_intersection_errors_name_the_field():
         build_body({"type": "intersection", "terms": [disc, square]})
     with pytest.raises(BodyError, match=r"body\.terms\[1\]: ball radius"):
         build_body({"type": "intersection", "terms": [disc, {"type": "ball", "r": -1, "dim": 2}]})
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "psum", "p": 2, "terms": 5},
+    {"type": "intersection", "terms": None},
+    {"type": "minkowski", "terms": {"a": 1}},
+])
+def test_build_body_requires_terms_to_be_an_array(doc):
+    with pytest.raises(BodyError, match=r"^body\.terms: expected an array of bodies"):
+        build_body(doc)
 
 
 def test_build_body_rejects_a_non_integral_dim():

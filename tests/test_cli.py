@@ -142,6 +142,17 @@ def test_intersect_rejects_an_empty_intersection(bodies, capsys):
     assert err.startswith("error: ") and "empty" in err
 
 
+def test_recipe_terms_that_are_not_an_array_exit_two(tmp_path, capsys):
+    docs = ({"type": "psum", "p": 2, "terms": 5}, {"type": "intersection", "terms": None},
+            {"type": "minkowski", "terms": {"a": 1}})
+    for i, doc in enumerate(docs):
+        path = _write(tmp_path, f"terms{i}.json", json.dumps(doc))
+        assert main(["capacity", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: body.terms: expected an array of bodies")
+        assert "Traceback" not in err
+
+
 def test_unknown_flag_rejected(bodies):
     assert main(["capacity", bodies["ball4"], "--frobnicate"]) == 2
 

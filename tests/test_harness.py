@@ -238,6 +238,9 @@ def test_area_oracle_cases():
     assert capacity_area_2d(GeneralEllipsoid(np.diag([1.0, 4.0]))) == pytest.approx(2 * math.pi)
     square = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
     assert capacity_area_2d(square) == pytest.approx(4.0)
+    # a listed vertex inside the hull does not dent the polygon
+    dented = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1], [0.5, 0]])
+    assert capacity_area_2d(dented) == pytest.approx(4.0, rel=1e-14)
     # generic support-quadrature fallback agrees with the exact value
     psum = PSum(2.0, [Ball(1.0, 2), Ball(1.0, 2)])
     assert capacity_area_2d(psum) == pytest.approx(2 * math.pi, rel=1e-8)

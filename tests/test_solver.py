@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from ehz import optimize, solver
 from ehz.bodies import (Ball, ConvexBody, Ellipsoid, GeneralEllipsoid, Intersection,
-                        LinearImage, MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate)
+                        LinearImage, MinkowskiSum, Polytope, PSum, Scale, Smoothed, Translate,
+                        affine_part)
 from ehz.intersections import build_intersection_body
-from ehz.loops import CarrierLoop, FourierLoop, action, normalize_action, random_loop
+from ehz.loops import CarrierLoop, FourierLoop, action, normalize_action, random_loop, sample
 from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, _Discretization,
                         _default_grid, _quotient_fg, _quotient_hessian, _starts,
                         boundary_residual, capacity, capacity_from_lambda, certify,
@@ -141,7 +142,7 @@ def test_leaf_types_walk_the_body_tree():
     inner = PSum(2.0, [Scale(1.5, MinkowskiSum([E, LinearImage(2.0 * np.eye(4), S)])),
                        Ball(1.0, 4)])
     nested = Translate(np.full(4, 0.1), Scale(0.5, inner))
-    assert solver._unwrapped(nested) is inner
+    assert affine_part(nested)[2] is inner
     assert solver._leaf_types(nested) == {Ellipsoid, Smoothed, Ball}
     # a Smoothed is a leaf, a raw polytope is one of its own
     assert solver._leaf_types(S) == {Smoothed}
@@ -235,7 +236,7 @@ def _minimize_one_start_at_a_time(K, cfg, initial=None):
     if initial is not None:
         starts = [normalize_action(initial.with_modes(cfg.modes))] + starts
     slow_exit = Smoothed in solver._leaf_types(K)
-    ray_shift = isinstance(solver._unwrapped(K), Smoothed)
+    ray_shift = isinstance(affine_part(K)[2], Smoothed)
     alone = []
     for z in starts:
         (res, steps, entry), res.evaluations = _alone(
@@ -448,6 +449,23 @@ def test_capacity_linear_symplectic_invariance():
     base = capacity(Ellipsoid([1.0, 2.0]), FAST).capacity
     mapped = capacity(LinearImage(M, Ellipsoid([1.0, 2.0])), SolveConfig(modes=12, starts=6)).capacity
     assert mapped == pytest.approx(base, rel=1e-3)
+
+
+def test_folded_polytope_has_the_support_of_the_wrapped_one():
+    cross = Polytope(np.vstack([np.eye(4), -np.eye(4)]))
+    S = random_symplectic(4, 7, 0.5)
+    K = Translate([0.2, -0.1, 0.3, 0.05],
+                  LinearImage(S, Scale(1.3, Translate([-0.3, 0.1, 0.0, 0.2], cross))))
+    folded = solver._folded(K)
+    assert isinstance(folded, Polytope)
+    U = np.random.default_rng(5).normal(size=(64, 4))
+    h, X = K.support_batch(U)
+    h_f, X_f = folded.support_batch(U)
+    assert np.abs(h_f - h).max() <= 1e-14 * np.abs(h).max()
+    assert np.abs(X_f - X).max() <= 1e-14
+    # a body with a core other than a polytope is left as it is
+    smooth = Scale(2.0, Ellipsoid([1.0, 2.0]))
+    assert solver._folded(smooth) is smooth
 
 
 def test_affine_images_of_a_smoothed_polytope_get_its_solve():
@@ -702,7 +720,7 @@ def test_finished_solve_evaluates_winner_samples_once(name, monkeypatch):
     monkeypatch.setattr(type(K), "support_batch", counting)
     r = capacity(K, SolveConfig(modes=4, starts=4))
     z = r.minimizer
-    dz = _Discretization(z.modes, z.dim, r.grid).velocity(z.a, z.b)
+    dz = sample(z, r.grid).dz
     assert sum(U.shape == dz.shape and np.array_equal(U, dz) for U in seen) == 1
 
 
