@@ -30,9 +30,12 @@ support function is the minimum over t in [0, 1] of the support of the
 ellipsoid pencil {t q_K + (1 - t) q_T <= 1}, closed form after one
 generalized eigendecomposition, which the node makes once, together with
 the pencil's constants at t = 0 and t = 1.  A support call reads every
-row's value and slope at both ends from those constants, runs Newton in t
-only on the rows whose minimum is interior, evaluates those rows once at
-their minimum, and builds each support point once, at its winning t.
+row's value and slope at both ends from those constants.  Only the rows
+whose minimum is interior search for it: from the minimum of the cubic
+Hermite interpolant of those ends, by Halley steps on the closed-form
+second and third t-derivatives, in about two passes.  Those rows are
+evaluated once at their minimum, and each support point is built once, at
+its winning t.
 
 All evaluation entry points are batched over rows so that samplers and the
 capacity solver can amortize the tree walk.
@@ -714,55 +717,99 @@ def _quadric_gauge(A: np.ndarray, c: np.ndarray, X: np.ndarray
     return r, AY / (AY @ c + r)[:, None]
 
 
-# Newton steps of the pencil minimization in t (`_pencil_minimum`): a row
-# stops once its step is at most PENCIL_STEP_TOL, and after at most
-# PENCIL_STEPS steps, enough for bisection alone to reach it.  At the
-# rounding floor the first derivative is noise: +-5e-17 against a second
-# derivative of 0.05 bounces t between two values 10-20 ulps apart, in steps
-# of about 1.2e-15.  So a row also stops once a step below PENCIL_FLOOR_STEP
-# is no shorter than the step before it.  (A bracket
-# collapsed to a few ulps of t <= 1 needs no rule of its own: its steps are
-# below PENCIL_STEP_TOL.)
+# The pencil minimization in t (`_pencil_minimum`) starts each row at the
+# minimum of the cubic Hermite interpolant of its ends and takes Halley
+# steps.  A row stops once its step is at most PENCIL_STEP_TOL, or, after two
+# Halley steps in a row, once the next step that cubic convergence predicts,
+# C s_k^3, is at most PENCIL_STEP_TOL (that saves the pass that would only
+# confirm it); and after at most PENCIL_STEPS steps, enough for bisection
+# alone to reach it.  The error constant C is the larger of two estimates:
+# s_k / s_{k-1}^3 from the last two steps, and (h''' / (2 h''))^2 at the
+# last iterate, the first term of Halley's constant (h''' / (2 h''))^2 -
+# h'''' / (6 h'').  The first alone is low when the first step starts far
+# from the root: 0.094 against 1.45 on a row of a general ellipsoid pair of
+# condition 20, which stopped 1.2e-14 from its root.  At the rounding floor
+# the first derivative is noise: +-5e-17 against a second derivative of 0.05
+# bounces t between two values 10-20 ulps apart, in steps of about 1.2e-15.
+# So a row also stops once a step below PENCIL_FLOOR_STEP is no shorter than
+# the step before it.  (A bracket collapsed to a few ulps of t <= 1 needs no
+# rule of its own: its steps are below PENCIL_STEP_TOL.)
 PENCIL_STEP_TOL = 1e-15
 PENCIL_STEPS = 64
 PENCIL_FLOOR_STEP = 1e-12
 
 
-def _pencil_minimum(derivatives, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """Per row, the t in [0, 1] that minimizes a quasi-convex function of t.
+def _hermite_start(h0, h1, g0, g1):
+    """Per row, the root in (0, 1) of the derivative of the cubic Hermite
+    interpolant of values h0, h1 and slopes g0 < 0 < g1 at t = 0, 1, or the
+    root g0 / (g0 - g1) of the chord of the slopes where that root is not in
+    (0, 1).
 
-    g0 and g1 are its first derivatives at t = 0 and t = 1, and
-    `derivatives(t, rows)` gives its first and second derivatives at t for
-    those rows.  A row with g0 >= 0 (g1 <= 0) has its minimum at that
-    endpoint.  The others take safeguarded Newton steps on the first
-    derivative, from the root of its chord over [0, 1]: the bracket [lo, hi]
-    keeps a negative derivative at lo and a positive one at hi, and a step
-    that leaves it, or meets a second derivative <= 0, is replaced by
-    bisection.
+    The derivative is a t^2 + b t + g0 with a = 3 (g0 + g1) - 6 (h1 - h0) and
+    b = 6 (h1 - h0) - 4 g0 - 2 g1, and the root where it turns positive is
+    taken in the form without cancellation: -2 g0 / (b + s) for b >= 0 and
+    (s - b) / (2 a) otherwise, s = sqrt(b^2 - 4 a g0).
+    """
+    d = h1 - h0
+    a = 3.0 * (g0 + g1) - 6.0 * d
+    b = 6.0 * d - 4.0 * g0 - 2.0 * g1
+    s = np.sqrt(b * b - 4.0 * a * g0)
+    t = np.where(b >= 0, -2.0 * g0 / (b + s), (s - b) / (2.0 * a))
+    return np.where((t > 0) & (t < 1), t, g0 / (g0 - g1))
+
+
+def _pencil_minimum(derivatives, h0: np.ndarray, h1: np.ndarray, g0: np.ndarray,
+                    g1: np.ndarray) -> np.ndarray:
+    """Per row, the t in [0, 1] that minimizes a quasi-convex function h of t.
+
+    h0, h1 and g0, g1 are its values and first derivatives at t = 0 and
+    t = 1, and `derivatives(t, rows)` gives its first three derivatives at t
+    for those rows.  A row with g0 >= 0 (g1 <= 0) has its minimum at that
+    endpoint.  The others start at `_hermite_start` and take safeguarded
+    Halley steps on h': the bracket [lo, hi] keeps h' < 0 at lo and h' > 0 at
+    hi, a step that leaves it, or meets h'' <= 0, is replaced by bisection,
+    and where the Halley denominator 2 h''^2 - h' h''' is not positive the
+    Newton step is taken instead.  The PENCIL_* constants say when a row
+    stops.  Divisions by zero on degenerate rows, in `_hermite_start` and in
+    the caller's derivatives, are silenced once for the whole loop.
     """
     t = np.where(g0 >= 0, 0.0, 1.0)
     live = np.flatnonzero((g0 < 0) & (g1 > 0))
-    lo, hi = np.zeros(live.size), np.ones(live.size)
-    x = g0[live] / (g0[live] - g1[live])
-    step = np.full(live.size, np.inf)
-    for _ in range(PENCIL_STEPS):
-        if live.size == 0:
-            break
-        g, dg = derivatives(x, live)
-        lo = np.where(g < 0, x, lo)
-        hi = np.where(g > 0, x, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = x - g / dg
-        x_new = np.where((dg > 0) & (newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
-        t[live] = x_new
-        new_step = np.abs(x_new - x)
-        go = (new_step > PENCIL_STEP_TOL) & ((new_step < step) | (new_step >= PENCIL_FLOOR_STEP))
-        live, x, lo, hi, step = live[go], x_new[go], lo[go], hi[go], new_step[go]
+    if live.size == 0:
+        return t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = _hermite_start(h0[live], h1[live], g0[live], g1[live])
+        lo, hi = np.zeros(live.size), np.ones(live.size)
+        step = np.full(live.size, np.inf)
+        cubic = np.zeros(live.size, dtype=bool)     # the last step was Halley's
+        for _ in range(PENCIL_STEPS):
+            g, dg, d3g = derivatives(x, live)
+            np.copyto(lo, x, where=g < 0)
+            np.copyto(hi, x, where=g > 0)
+            # Halley's step g / (dg - g A), A = d3g / (2 dg), or Newton's g / dg
+            A = 0.5 * d3g / dg
+            den = dg - g * A
+            halley = den > 0
+            np.copyto(den, dg, where=~halley)
+            x_new = x - g / den
+            ok = (dg > 0) & (x_new >= lo) & (x_new <= hi)
+            np.copyto(x_new, 0.5 * (lo + hi), where=~ok)
+            t[live] = x_new
+            new_step = np.abs(x_new - x)
+            halley &= ok
+            # Halley's error constant, from the last two steps or from A
+            C = np.maximum(new_step / step ** 3, A * A)
+            go = ((new_step > PENCIL_STEP_TOL)
+                  & ((new_step < step) | (new_step >= PENCIL_FLOOR_STEP))
+                  & ~(halley & cubic & (C * new_step ** 3 <= PENCIL_STEP_TOL)))
+            if go.all():
+                x, step, cubic = x_new, new_step, halley
+                continue
+            live, x, lo, hi = live[go], x_new[go], lo[go], hi[go]
+            step, cubic = new_step[go], halley[go]
+            if live.size == 0:
+                break
     return t
-
-
-# which of 1/D, 1/D^2 and 1/D^3 each row sum of `Intersection._derivatives` takes
-_SUM_POWERS = np.array([0, 1, 2, 0, 1, 2, 1, 2])
 
 
 class Intersection(ConvexBody):
@@ -805,7 +852,9 @@ class Intersection(ConvexBody):
     per class of rows.  Every row's h and h' at both ends are products of v
     and v^2 with those cached constants.  Only the rows with h'(0) < 0 <
     h'(1) have an interior minimum t*; only they run `_pencil_minimum` on
-    `_derivatives`, and only they are evaluated at t*, against the lower end.
+    `_derivatives`: a start at the minimum of the cubic Hermite interpolant
+    of h and h' at both ends, then Halley steps on h'' and h''' in closed
+    form.  Only they are evaluated at t*, against the lower end.
     Each row's support point is built once, at its winning t.  Support
     points lie in both bodies with <u, x> = h_{K cap T}(u).  Both bodies are
     strictly convex, so the intersection is too, and its support function is
@@ -824,27 +873,34 @@ class Intersection(ConvexBody):
         self._lam, self._a, self._b = lam, a_, b_
         dD, N = lam - 1.0, lam * (a_ - b_)
         self._dD, self._L = dD, N * (a_ - b_)
-        # numerators of `_derivatives`' row sums: the pencil's own, then
-        # those of v^2 and of v
-        self._rho_num = np.vstack([self._L, self._L * dD, N * N])
-        self._vv_num = np.vstack([np.ones_like(dD), -dD, dD * dD])
-        self._v_num = np.vstack([N, -2.0 * N * dD])
+        # numerators of `_derivatives`' row sums over 1/D, ..., 1/D^4: the
+        # pencil's own, then those of v^2 and of v
+        self._rho_num = np.vstack([self._L, self._L * dD, 2.0 * N * N, -6.0 * N * N * dD])
+        self._vv_num = np.vstack([np.ones_like(dD), -dD, 2.0 * dD * dD, -6.0 * dD ** 3])
+        self._v_num = np.vstack([np.zeros_like(dD), N, -2.0 * N * dD, 6.0 * N * dD * dD])
         # the ends t = 0, 1: <v, m> and <v, N / D^2> are the columns of
-        # V @ _end_V, and S and -S' those of (V * V) @ _end_VV; rho' is
-        # -sum L at t = 0 and sum (a' - b')^2 at t = 1
-        D, m, _ = self._ends = self._pencil(np.array([[0.0], [1.0]]))
+        # V @ _end_V, and S and -S' those of (V * V) @ _end_VV; rho is 1 at
+        # both, and rho' is -sum L at t = 0 and sum (a' - b')^2 at t = 1
+        D, m, _ = self._pencil(np.array([[0.0], [1.0]]))
+        self._end_D, self._end_m = D, m
         self._end_V = np.vstack([m, N / D ** 2]).T
         self._end_VV = np.vstack([1.0 / D, dD / D ** 2]).T
         self._end_drho = np.array([-self._L.sum(), ((a_ - b_) ** 2).sum()])
         Z = self._sum_terms(np.zeros((1, self.dim)))   # a zero row: only rho's sums
-        t_rho = _pencil_minimum(lambda t, rows: self._derivatives(t, Z)[:2],
-                                self._end_drho[:1], self._end_drho[1:])
+        one = np.ones(1)
+        t_rho = _pencil_minimum(lambda t, rows: self._derivatives(t, Z)[:3],
+                                one, one, self._end_drho[:1], self._end_drho[1:])
         _, (m_rho,), (rho_min,) = self._pencil(t_rho[:, None])
         self.centre = self._W @ m_rho
         if not rho_min > 0:
             raise DegenerateIntersectionError(
                 f"the intersection is empty or a point (pencil radius^2 {rho_min:.3g} "
                 f"at t = {t_rho[0]:.6g})")
+
+    # Leibniz's rule as a matrix: row 4 i + j takes rho^(i) S^(j) into the
+    # (i + j)-th derivative of rho S, with weight binomial(i + j, i)
+    _LEIBNIZ = np.array([[math.comb(k, i) if i + j == k else 0.0 for k in range(4)]
+                         for i in range(4) for j in range(4)])
 
     def _pencil(self, t):
         # D, m and rho at the column of values t
@@ -854,33 +910,50 @@ class Intersection(ConvexBody):
         return D, m, 1.0 - (t * s)[:, 0] * (self._L / D).sum(axis=1)
 
     def _sum_terms(self, V):
-        # the numerators of `_derivatives`' eight row sums at the rows V
-        C = np.empty((V.shape[0], 8, self.dim))
-        C[:, :3] = self._rho_num
-        np.multiply((V * V)[:, None], self._vv_num, out=C[:, 3:6])
-        np.multiply(V[:, None], self._v_num, out=C[:, 6:])
+        # the numerators of `_derivatives`' row sums at the rows V: C[i, k]
+        # holds those over 1/D^(k + 1), of the pencil, of v^2 and of v
+        C = np.empty((V.shape[0], 4, 3, self.dim))
+        C[:, :, 0] = self._rho_num
+        np.multiply((V * V)[:, None], self._vv_num, out=C[:, :, 1])
+        np.multiply(V[:, None], self._v_num, out=C[:, :, 2])
         return C
 
     def _derivatives(self, t, C):
-        """rho', rho'' and the first two t-derivatives of h_{E_t} at t[i] for
-        the row whose `_sum_terms` are C[i].  1/D is formed once, and the
-        eight row sums (sum L / D, sum L D' / D^2 and sum N^2 / D^3 of the
-        pencil; S, S', S'' / 2, <v, m'> and <v, m''> of the row) are one
-        reduction."""
-        R = np.empty((t.size, 3, self.dim))     # 1/D, 1/D^2, 1/D^3
+        """rho', rho'', rho''' and the first three t-derivatives of h_{E_t}
+        at t[i] for the row whose `_sum_terms` are C[i].
+
+        1/D, ..., 1/D^4 are formed once, and the twelve row sums over them
+        are one matrix product per row.  For 1/D^k they are a sum of the
+        pencil (sum L / D and sum L D' / D^2, from which rho and rho' follow,
+        then rho'' = 2 sum N^2 / D^3 and rho''' = -6 sum N^2 D' / D^4), the
+        (k - 1)-th derivative of S = sum v^2 / D and the (k - 1)-th of <v, m>
+        (m^(k) = (-1)^(k - 1) k! N D'^(k - 1) / D^(k + 1); none for k = 1).
+        Leibniz's rule gives the derivatives of P = rho S, and those of
+        h = <v, m> + sqrt(P) follow with q = P' / P:
+
+            h'   = <v, m'>   + P' / (2 sqrt(P)),
+            h''  = <v, m''>  + (P'' - q P' / 2) / (2 sqrt(P)),
+            h''' = <v, m'''> + (P''' - 3 q P'' / 2 + 3 q^2 P' / 4) / (2 sqrt(P)).
+
+        Each row's numbers come from its own values alone (the products are
+        stacked, one per row).
+        """
+        n = t.size
+        R = np.empty((n, 4, self.dim))              # 1/D, ..., 1/D^4
         np.divide(1.0, t[:, None] * self._dD + 1.0, out=R[:, 0])
         np.multiply(R[:, 0], R[:, 0], out=R[:, 1])
-        np.multiply(R[:, 1], R[:, 0], out=R[:, 2])
-        sL, sLD, sNN, S, dS, d2S, dvm, d2vm = (C * R[:, _SUM_POWERS]).sum(axis=2).T
+        np.multiply(R[:, 1:2], R[:, :2], out=R[:, 2:])
+        s = (C @ R[..., None])[..., 0]
         u = t * (1.0 - t)
-        rho, drho = 1.0 - u * sL, (2.0 * t - 1.0) * sL + u * sLD
-        Pr, dPr = rho * S, drho * S + rho * dS
-        d2Pr = 2.0 * (sNN * S + drho * dS + rho * d2S)
-        root2 = 2.0 * np.sqrt(Pr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = dvm + dPr / root2
-            dg = d2vm + (d2Pr - dPr * dPr / (2.0 * Pr)) / root2
-        return drho, 2.0 * sNN, g, dg
+        s[:, 0, 0], s[:, 1, 0] = 1.0 - u * s[:, 0, 0], (2.0 * t - 1.0) * s[:, 0, 0] + u * s[:, 1, 0]
+        # s[:, k, 0] and s[:, k, 1] are now the k-th derivatives of rho and S
+        P = (s[:, :, 0, None] * s[:, None, :, 1]).reshape(n, 1, 16) @ self._LEIBNIZ
+        P, dP, d2P, d3P = P.reshape(n, 4).T
+        w, q = 0.5 / np.sqrt(P), dP / P
+        g = s[:, 1, 2] + dP * w
+        dg = s[:, 2, 2] + (d2P - 0.5 * q * dP) * w
+        d3g = s[:, 3, 2] + (d3P - q * (1.5 * d2P - 0.75 * q * dP)) * w
+        return s[:, 1, 0], s[:, 2, 0], s[:, 3, 0], g, dg, d3g
 
     def support_batch(self, U):
         U = np.asarray(U, dtype=float)
@@ -891,29 +964,30 @@ class Intersection(ConvexBody):
             return vals[:1], X[:1]
         V = U @ self._W
         VV = V * V
-        D, m, rho = self._ends
         Vm, VD = V @ self._end_V, VV @ self._end_VV
-        S = VD[:, :2]
+        S = VD[:, :2]                               # rho is 1 at both ends
         with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.sqrt(rho * S)
+            root = np.sqrt(S)
             h = Vm[:, :2] + root
-            g = Vm[:, 2:] + (self._end_drho * S - rho * VD[:, 2:]) / (2.0 * root)
-        # every row at its lower end, then the rows with an interior minimum at t*
-        end = (h[:, 1] < h[:, 0]).astype(np.intp)
-        rows = np.arange(V.shape[0])
-        vals, S, rho, D, m = h[rows, end], S[rows, end], rho[end], D[end], m[end]
+            g = Vm[:, 2:] + (self._end_drho * S - VD[:, 2:]) / (2.0 * root)
+            # every row at its lower end, then the rows with an interior
+            # minimum at t*
+            end = h[:, 1] < h[:, 0]
+            vals, S = np.where(end, h[:, 1], h[:, 0]), np.where(end, S[:, 1], S[:, 0])
+            end = end.astype(np.intp)
+            Y = (self._end_m.take(end, axis=0) + np.where(S > 0, np.sqrt(1.0 / S), 0.0)[:, None]
+                 * V / self._end_D.take(end, axis=0))
         inner = np.flatnonzero((g[:, 0] < 0) & (g[:, 1] > 0))
-        C = self._sum_terms(V[inner])
-        t = _pencil_minimum(lambda t, live: self._derivatives(t, C[live])[2:],
-                            g[inner, 0], g[inner, 1])
-        Di, mi, rhoi = self._pencil(t[:, None])
-        Si = (VV[inner] / Di).sum(axis=1)
-        h_in = (V[inner] * mi).sum(axis=1) + np.sqrt(rhoi * Si)
-        win = h_in <= vals[inner]
+        Vi, hi, gi = V.take(inner, axis=0), h.take(inner, axis=0), g.take(inner, axis=0)
+        C = self._sum_terms(Vi)
+        t = _pencil_minimum(lambda t, live: self._derivatives(t, C.take(live, axis=0))[3:],
+                            hi[:, 0], hi[:, 1], gi[:, 0], gi[:, 1])
+        D, m, rho = self._pencil(t[:, None])
+        S = (Vi * Vi / D).sum(axis=1)
+        h_in = (Vi * m).sum(axis=1) + np.sqrt(rho * S)
+        win = h_in <= vals.take(inner)
         j = inner[win]
-        vals[j], S[j], rho[j], D[j], m[j] = h_in[win], Si[win], rhoi[win], Di[win], mi[win]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Y = m + np.where(S[:, None] > 0, np.sqrt(rho / S)[:, None] * V / D, 0.0)
+        vals[j], Y[j] = h_in[win], (m + np.sqrt(rho / S)[:, None] * Vi / D)[win]
         return vals, Y @ self._W.T
 
     def excess(self, X: np.ndarray) -> np.ndarray:

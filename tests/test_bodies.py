@@ -14,7 +14,8 @@ from ehz import bodies
 from ehz.bodies import (Ball, BodyError, DegenerateIntersectionError, Ellipsoid,
                         GeneralEllipsoid, Intersection, LinearImage, MinkowskiSum, Polytope,
                         PENCIL_STEPS, PSum, Scale, Smoothed, Translate, _pencil_minimum,
-                        affine_part, build_body, intersection_support_batch, quadric)
+                        affine_part, build_body, direction_design, intersection_support_batch,
+                        quadric)
 from ehz.randbodies import random_general_ellipsoid, random_symmetric_polytope
 from ehz.symplectic import random_symplectic
 
@@ -784,28 +785,49 @@ def test_intersection_node_matches_the_pencil_reference(pair):
 
 def test_pencil_newton_stops_at_the_rounding_floor(monkeypatch):
     # h' at the rounding floor: near the root the sign of its 5e-17 rounding
-    # error follows t, so that every Newton step lands 1.25e-15 past the root
+    # error follows t, so that every step (Halley's is Newton's here, with
+    # h''' = 0) lands 1.28e-15 past the root
     root, calls = math.pi / 10, []
 
     def derivatives(t, rows):
         calls.append(t.copy())
-        return 0.04 * (t - root) + 5e-17 * np.sign(t - root), np.full(t.size, 0.04)
+        return (0.04 * (t - root) + 5e-17 * np.sign(t - root), np.full(t.size, 0.04),
+                np.zeros(t.size))
 
-    g0, g1 = np.array([-1.0]), np.array([1.0])     # the chord starts Newton at t = 1/2
+    def run():
+        calls.clear()
+        # h(0) = h(1) and h'(0) = -h'(1): the Hermite start is t = 1/2
+        return _pencil_minimum(derivatives, np.zeros(1), np.zeros(1),
+                               np.array([-1.0]), np.array([1.0]))[0]
+
+    # PENCIL_STEP_TOL = 0 turns the rate stop off (no bouncing step meets the
+    # plain step stop anyway)
     monkeypatch.setattr(bodies, "PENCIL_FLOOR_STEP", 0.0)
-    _pencil_minimum(derivatives, g0, g1)
-    assert len(calls) == PENCIL_STEPS           # without the rule: bounces to the cap
-    calls.clear()
+    monkeypatch.setattr(bodies, "PENCIL_STEP_TOL", 0.0)
+    run()
+    assert len(calls) == PENCIL_STEPS           # without both rules: bounces to the cap
     monkeypatch.undo()
-    t = _pencil_minimum(derivatives, g0, g1)
-    assert len(calls) <= 6
-    assert abs(t[0] - root) <= 2.5e-15
+    monkeypatch.setattr(bodies, "PENCIL_STEP_TOL", 0.0)
+    t = run()
+    assert len(calls) <= 4                      # the floor rule alone ends it
+    assert abs(t - root) <= 2.5e-15
+    monkeypatch.undo()
+    monkeypatch.setattr(bodies, "PENCIL_FLOOR_STEP", 0.0)
+    t = run()
+    assert len(calls) <= 4                      # and so does the rate stop alone
+    assert abs(t - root) <= 2.5e-15
+    monkeypatch.undo()
+    t = run()
+    assert len(calls) <= 4
+    assert abs(t - root) <= 2.5e-15
 
 
 def test_pencil_newton_stops_early_on_a_criterion_12_floor_row(monkeypatch):
     # criterion 12's fourth pair at its middle shift, and a direction of the
-    # seed-0 round whose Newton iterates, without the floor rule, bounce
-    # 1e-15 apart for all PENCIL_STEPS rounds (numpy 2.4, OpenBLAS)
+    # seed-0 round whose Newton iterates from the chord root, without the
+    # floor rule, bounce 1e-15 apart for all PENCIL_STEPS rounds (numpy 2.4,
+    # OpenBLAS); from the Hermite start, the rate stop ends its Halley steps
+    # after two passes
     rng = np.random.default_rng(900)
     for i in range(4):
         K = random_general_ellipsoid(4, 900 + 2 * i, cond_max=4.0)
@@ -817,21 +839,94 @@ def test_pencil_newton_stops_early_on_a_criterion_12_floor_row(monkeypatch):
                   -0.3397061527785111, -0.31289837744070054])
     calls, seen = [], {}
 
-    def counted(derivatives, g0, g1):
+    def counted(derivatives, h0, h1, g0, g1):
         def count(t, rows):
             calls.append(rows.size)
             return derivatives(t, rows)
         seen["slope"] = lambda t: derivatives(np.array([t, t]), np.arange(2))[0]
-        seen["t"] = _pencil_minimum(count, g0, g1)
+        seen["t"] = _pencil_minimum(count, h0, h1, g0, g1)
         return seen["t"]
 
     monkeypatch.setattr(bodies, "_pencil_minimum", counted)
     node.support_batch(u[None])              # goes through as two equal rows
-    assert len(calls) <= 10 < PENCIL_STEPS
+    assert len(calls) <= 2
     t = seen["t"][0]
     assert 0 < t < 1
     # t is inside its bracket: h' changes sign across it
     assert np.all(seen["slope"](t - 1e-13) < 0) and np.all(seen["slope"](t + 1e-13) > 0)
+
+
+@pytest.mark.parametrize("pair", ["criterion_12", "lens"])
+def test_pencil_third_derivative_matches_central_differences(pair):
+    # rho''' of the constructor's path and h''' of the row path against
+    # central differences of rho'' and h'', step 1e-5
+    K, T = _criterion_12_pairs(1)[0] if pair == "criterion_12" else _lens()
+    node = Intersection(K, T)
+    rng = np.random.default_rng(5)
+    C = node._sum_terms(rng.normal(size=(16, K.dim)))
+    t, d = rng.uniform(0.05, 0.95, 16), 1e-5
+    at, up, down = (node._derivatives(s, C) for s in (t, t + d, t - d))
+    for second in (1, 4):                   # rho'' and h''
+        central = (up[second] - down[second]) / (2 * d)
+        assert np.all(np.abs(at[second + 1] - central) <= 1e-8 * np.abs(at[second + 1]))
+    # rho's derivatives do not depend on the row: the constructor's zero row
+    # (whose h derivatives are 0 / 0) gives the same
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zero_row = node._derivatives(t, node._sum_terms(np.zeros((16, K.dim))))
+    assert np.array_equal(at[:3], zero_row[:3])
+
+
+def test_hermite_start_lands_inside_and_falls_back_to_the_chord():
+    rng = np.random.default_rng(7)
+    h0, h1 = rng.normal(size=1000), rng.normal(size=1000)
+    g0, g1 = -rng.exponential(size=1000), rng.exponential(size=1000)
+    # the branch not taken divides by a = 0 on some rows
+    start = np.errstate(divide="ignore", invalid="ignore")(bodies._hermite_start)
+    t = start(h0, h1, g0, g1)
+    assert np.all((t > 0) & (t < 1))
+    # a root of the cubic's derivative 3 a t^2 + 2 b t + g0 ...
+    d = h1 - h0
+    a, b = 3.0 * (g0 + g1) - 6.0 * d, 6.0 * d - 4.0 * g0 - 2.0 * g1
+    scale = np.abs(a) + np.abs(b) + np.abs(g0)
+    assert np.all(np.abs((a * t + b) * t + g0) <= 1e-14 * scale)
+    # ... where it turns positive, the cubic's minimum
+    assert np.all(2.0 * a * t + b > 0)
+    # a quadratic h is its own interpolant: the start is its minimum
+    r = np.array([0.1, math.pi / 10, 0.5, 0.9])
+    assert np.allclose(start(r * r, (1 - r) ** 2, -2 * r, 2 * (1 - r)), r, rtol=0, atol=1e-15)
+    # no root in (0, 1): the derivative stays negative there (slopes -1 and
+    # -1/4 with h1 - h0 = -2), or the values are not finite
+    g0, g1 = np.array([-1.0, -1.0]), np.array([-0.25, 1.0])
+    assert np.array_equal(start(np.array([2.0, np.nan]), np.zeros(2), g0, g1), g0 / (g0 - g1))
+
+
+def test_pencil_pass_budget_on_a_criterion_12_design(monkeypatch):
+    # one support call on the 768-direction design of criterion 12's first
+    # pair: 283 rows have an interior minimum, and all but 83 of them stop
+    # after two passes
+    K, T = _criterion_12_pairs(1)[0]
+    node = Intersection(K, T)
+    passes, run = [], bodies._pencil_minimum
+
+    def counted(derivatives, *ends):
+        return run(lambda t, rows: passes.append(rows.size) or derivatives(t, rows), *ends)
+
+    monkeypatch.setattr(bodies, "_pencil_minimum", counted)
+    node.support_batch(direction_design(4, 768, 0))
+    assert passes == [283, 283, 83]
+
+
+def test_pencil_rate_stop_waits_for_the_asymptotic_range():
+    # the middle row's first Halley step starts far from its root: its last
+    # two steps (6e-2, then 2e-5) put Halley's error constant at 0.094, where
+    # it is 1.45, and with that estimate alone it stopped 1.2e-14 from its
+    # root, its support point 9.7e-15 from the reference's
+    K = random_general_ellipsoid(4, 126, cond_max=20.0)
+    T = Translate([0.18023515, 0.12309281, -0.0550186, 0.2938564],
+                  random_general_ellipsoid(4, 526, cond_max=8.0))
+    U = direction_design(4, 768, 26)[231:234]
+    X = Intersection(K, T).support_batch(U)[1]
+    assert np.abs(X - _pencil_reference_batch(K, T, U)[1]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("pair", ["criterion_12", "lens"])

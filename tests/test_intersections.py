@@ -107,7 +107,7 @@ def test_audit_catches_support_points_off_the_pencil_minimum(monkeypatch):
     _, audit = build_intersection_body(K, T, design_size=256)
     assert audit.max_rel_error <= 1e-12
     monkeypatch.setattr(bodies, "_pencil_minimum",
-                        lambda derivatives, g0, g1: np.full(g0.size, 0.5))
+                        lambda derivatives, h0, h1, g0, g1: np.full(g0.size, 0.5))
     _, audit = build_intersection_body(K, T, design_size=256)
     assert audit.max_rel_error > 1e-3
 
