@@ -50,8 +50,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
 
 from .optimize import ARMIJO, EPS
 from .symplectic import DimensionError, check_even_dim
@@ -265,6 +263,7 @@ class Polytope(ConvexBody):
             raise BodyError("origin is not strictly inside the polytope")
 
     def _origin_interior(self) -> bool:
+        from scipy.optimize import linprog
         # max eps s.t. sum lam_i v_i = 0, sum lam_i = 1, lam_i >= eps, written
         # with lam = mu + eps so that mu >= 0 are bounds and only the dim + 1
         # equality rows remain: V^T mu + eps V^T 1 = 0, sum mu + m eps = 1
@@ -289,6 +288,7 @@ class Polytope(ConvexBody):
         comes as several simplices with the same equation; those are merged
         (equations within 1e-9), and each facet keeps its first simplex's.
         """
+        from scipy.spatial import ConvexHull
         eq = ConvexHull(self.vertices).equations
         first = np.ones(len(eq), dtype=bool)
         for i in range(len(eq)):

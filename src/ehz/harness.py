@@ -22,8 +22,6 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.spatial import ConvexHull
 
 from .bodies import (Ball, BodyError, ConvexBody, MinkowskiSum, Polytope, PSum, affine_part,
                      direction_design, quadric)
@@ -149,6 +147,7 @@ def _phase_aligned_residual(l_K, l_T, alpha: float, N: int = 256) -> tuple[float
     Carriers are defined up to a time shift; beta is fixed by the offsets.
     Returns (relative residual, best phase).
     """
+    from scipy.optimize import minimize_scalar
     t = 2 * np.pi * np.arange(N) / N
     target = l_T.loop.evaluate(t)
     scale = max(float(np.linalg.norm(target) / math.sqrt(N)), 1e-300)
@@ -417,6 +416,7 @@ def capacity_area_2d(K: ConvexBody, n: int = 40_000) -> float:
         pass
     A, _, core = affine_part(K)
     if isinstance(core, Polytope):
+        from scipy.spatial import ConvexHull
         return abs(float(np.linalg.det(A))) * ConvexHull(core.vertices).volume
     theta = 2 * np.pi * np.arange(n) / n
     U = np.stack([np.cos(theta), np.sin(theta)], axis=1)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bodies import (ConvexBody, DegenerateIntersectionError, Intersection, Translate,
                      direction_design)
@@ -36,6 +35,7 @@ def deep_point(U: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, float]:
     their pencil centre.  It is the Chebyshev-centre program for a body
     given by its facets.
     """
+    from scipy.optimize import linprog
     m, d = U.shape
     c = np.zeros(d + 1)
     c[-1] = -1.0

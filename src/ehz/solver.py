@@ -46,7 +46,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize as scipy_minimize
 
 from .bodies import (ConvexBody, MinkowskiSum, Polytope, PSum, Smoothed, affine_part,
                      direction_design, support_hessians)
@@ -900,12 +899,20 @@ def _maximize_word_form(normals: np.ndarray, h: np.ndarray, word: np.ndarray,
     SLSQP reports a failure), beta and the residuals of closure
     |sum beta n|_inf, normalization |sum beta h - 1| and min beta.
     """
+    from scipy.optimize import minimize as scipy_minimize
     Nw, hw = normals[word], h[word]
     upper = np.triu(apply_J(Nw) @ Nw.T, 1)
     sym = upper + upper.T
     C = np.vstack([Nw.T, hw])
     e = np.zeros(len(C))
     e[-1] = 1.0
+    # SLSQP refuses dependent equality rows (a word whose normals span fewer
+    # than d dimensions, e.g. any word of d or fewer positions): keep the
+    # rows' range only, U_r^T C beta = U_r^T e from the SVD of C
+    U, sigma, _ = np.linalg.svd(C, full_matrices=False)
+    rank = int(np.sum(sigma > 1e-12 * sigma[0]))
+    if rank < len(C):
+        C, e = U[:, :rank].T @ C, U[:, :rank].T @ e
     res = scipy_minimize(lambda b: (-(b @ upper @ b), -(sym @ b)), beta0 / (hw @ beta0),
                          jac=True, method="SLSQP", bounds=[(0.0, None)] * len(word),
                          constraints={"type": "eq", "fun": lambda b: C @ b - e,

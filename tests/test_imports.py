@@ -1,9 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ehz"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "ehz"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -73,3 +77,51 @@ def test_the_scan_flags_sibling_imports_inside_functions_only():
                      "def f():\n    from .c import D\n    from scipy import linalg\n"
                      "class K:\n    def g(self):\n        from . import e as E\n")
     assert _local_sibling_imports(tree) == {"D": 3, "E": 7}
+
+
+# scipy subpackages that no cold path of ehz calls: a smooth or intersection
+# solve needs scipy.linalg only
+COLD = {"optimize", "spatial", "sparse", "special"}
+COLD_PATHS = {
+    "import": "import ehz",
+    "smooth_capacity": "from ehz import Ellipsoid, capacity\n"
+                       "from ehz.suite import FAST8\n"
+                       "capacity(Ellipsoid([1.0, 2.0]), FAST8)",
+    "intersection_support": "import numpy as np\n"
+                            "from ehz.bodies import Ball, Intersection, Translate\n"
+                            "from ehz.randbodies import random_general_ellipsoid\n"
+                            "body = Intersection(random_general_ellipsoid(4, 900, cond_max=4.0),\n"
+                            "                    Translate([0.3, 0, 0, 0], Ball(1.0, 4)))\n"
+                            "body.support_batch(np.eye(4))",
+}
+
+
+def _scipy_subpackages_after(code: str) -> set[str]:
+    """The scipy subpackages loaded once `code` has run in a fresh interpreter."""
+    probe = code + ("\nimport sys\n"
+                    "print(' '.join({m.split('.')[1] for m in sys.modules"
+                    " if m.startswith('scipy.')}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_the_probe_sees_a_loaded_subpackage():
+    assert "optimize" in _scipy_subpackages_after("import scipy.optimize")
+
+
+@pytest.fixture(scope="module")
+def linalg_loads():
+    """What `import scipy.linalg` loads on its own, which ehz cannot defer;
+    older scipy releases may load scipy.sparse with it."""
+    return _scipy_subpackages_after("import scipy.linalg")
+
+
+@pytest.mark.parametrize("path", sorted(COLD_PATHS))
+def test_cold_paths_load_no_scipy_subpackage_beyond_linalg(path, linalg_loads):
+    # the pytest process has loaded scipy.optimize already, so each path runs
+    # in a fresh interpreter
+    loaded = _scipy_subpackages_after(COLD_PATHS[path]) - linalg_loads
+    assert not loaded & COLD, f"{path} loads scipy.{sorted(loaded & COLD)}"

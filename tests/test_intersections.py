@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from ehz import bodies, intersections
 from ehz.bodies import (Ball, BodyError, Ellipsoid, Intersection, Polytope, Translate,
@@ -94,7 +95,7 @@ def test_building_an_intersection_body_solves_no_linear_program(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("no linear program on the build path")
     monkeypatch.setattr(intersections, "deep_point", refuse)
-    monkeypatch.setattr(intersections, "linprog", refuse)
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
     K, T = random_general_ellipsoid(4, 900, cond_max=4.0), Translate([0.3, 0, 0, 0], Ball(1.0, 4))
     body, audit = build_intersection_body(K, T, design_size=256)
     assert np.array_equal(body.vector, -Intersection(K, T).centre)

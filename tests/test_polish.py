@@ -25,14 +25,20 @@ POLISH12 = SolveConfig(modes=12, starts=4, grad_tol=1e-9, max_iter=900,
 POLISH16 = SolveConfig(modes=16, starts=4, polytope_sharpness=64.0, sharpness_extrapolate=True)
 
 
+def lagrangian_product(K, T):
+    """The product of K (vertices in q-space) and T (vertices in p-space), in
+    coordinates (x1, y1, x2, y2, ...): x the q- and y the p-coordinates."""
+    K, T = np.asarray(K, dtype=float), np.asarray(T, dtype=float)
+    return Polytope(np.array([np.stack([k, t], axis=1).ravel() for k in K for t in T]))
+
+
 def pentagon_product():
     """Regular pentagon (q-plane) times the pentagon rotated by 90 degrees
     (p-plane), coordinates (x1, y1, x2, y2); returns it and its 4-volume."""
     th = math.pi / 2 + 2 * math.pi * np.arange(5) / 5
     K = np.stack([np.cos(th), np.sin(th)], axis=1)
     T = np.stack([-np.sin(th), np.cos(th)], axis=1)
-    V = np.array([[k[0], t[0], k[1], t[1]] for k in K for t in T])
-    return Polytope(V), (2.5 * math.sin(2 * math.pi / 5)) ** 2
+    return lagrangian_product(K, T), (2.5 * math.sin(2 * math.pi / 5)) ** 2
 
 
 def simplex4():
@@ -47,7 +53,7 @@ def triangle_product():
     th = math.pi / 2 + 2 * math.pi * np.arange(3) / 3
     K = np.stack([np.cos(th), np.sin(th)], axis=1)
     T = 0.8 * np.stack([np.cos(th + 0.4), np.sin(th + 0.4)], axis=1) + [0.05, -0.1]
-    return Polytope(np.array([[k[0], t[0], k[1], t[1]] for k in K for t in T]))
+    return lagrangian_product(K, T)
 
 
 PENTAGONS, PENTAGONS_VOLUME = pentagon_product()
@@ -221,3 +227,26 @@ def test_polish_finds_the_best_of_every_facet_order(make, facets):
     r = capacity(P, POLISH12)
     assert r.polish["accepted"]
     assert r.capacity == pytest.approx(_enumerated_capacity(P), rel=1e-12, abs=0)
+
+
+def _polar_vertices(P):
+    """Vertices of the polar of a polygon P: its facet normals n_i / h_i."""
+    normals, h = P.facets
+    return normals / h[:, None]
+
+
+POLAR_PAIRS = {
+    "square_x_diamond": (SQUARE.vertices, _polar_vertices(SQUARE)),
+    "hexagon_x_polar": (_regular_hexagon().vertices, _polar_vertices(_regular_hexagon())),
+    "cube_x_octahedron": (list(itertools.product([-1, 1], repeat=3)),
+                          np.vstack([np.eye(3), -np.eye(3)])),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(POLAR_PAIRS))
+def test_a_symmetric_body_times_its_polar_has_capacity_4(pair):
+    # c(K x K°) = 4 (Artstein-Avidan, Karasev & Ostrover 2014); the 2-bounce
+    # words of these products have dependent closure rows
+    r = capacity(lagrangian_product(*POLAR_PAIRS[pair]), POLISH12)
+    assert r.polish["accepted"]
+    assert r.capacity == pytest.approx(4.0, rel=0, abs=1e-12)
