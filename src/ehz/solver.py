@@ -59,10 +59,18 @@ TWO_PI = 2 * np.pi
 # A start leaves L-BFGS for Newton steps once its gradient sup-norm is at most
 # NEWTON_ENTRY, or earlier when L-BFGS slows down (the "slow" exit of
 # `lbfgs_run`), and takes at most NEWTON_STEPS of them; each step tries the
-# fractions NEWTON_TRIALS of the Newton direction, the full step first.
+# fractions NEWTON_TRIALS of the Newton direction in three blocks: the full
+# step, then 1/2 to 1/16, then 1/32 to 1/4096 (`_newton_phase`).  The
+# third block runs only when the first two are rejected, so it costs
+# nothing where they take a step.  It serves slow exits whose Hessian has a
+# tiny negative eigenvalue: their pseudo-inverse step can be several times
+# |x| long (|d| = 34.6 against |x| = 6.3 on start 3 of random_body(4, 307)
+# at RANDOM12, Hessian eigenvalues -4.8e-6 to 8.8), and without the short
+# fractions such a start resumed L-BFGS from an empty memory for hundreds
+# of iterations (457 there, ending in a stall).
 NEWTON_ENTRY = 1e-5
 NEWTON_STEPS = 16
-NEWTON_TRIALS = (1.0, 0.5, 0.25, 0.125, 0.0625)
+NEWTON_TRIALS = tuple(2.0 ** -k for k in range(13))
 
 # A raw polytope's polish reads the facet word off WORD_SAMPLES carrier
 # samples, and accepts a polished loop whose residuals are within POLISH_TOL.
@@ -170,10 +178,10 @@ class StartDiagnostics:
     phase: "gradient" (|g|_inf at most NEWTON_ENTRY), "slow" (L-BFGS slowed
     down first) or None (no Newton phase); `newton_entry_grad` is its
     |g|_inf there.  `evaluations` counts the objective rows of the start:
-    the L-BFGS evaluations, and in a Newton phase one row for the full step
-    of every step it tried and the other fractions of NEWTON_TRIALS of each
-    step whose full step it rejected; the phase starts from the (f, g) of
-    the L-BFGS run's last point.  A line_search
+    the L-BFGS evaluations, and in a Newton phase, for every step it tried,
+    one row for the full step, four more (1/2 to 1/16) if it rejected that,
+    and eight more (1/32 to 1/4096) if it rejected those too; the phase
+    starts from the (f, g) of the L-BFGS run's last point.  A line_search
     exit's last, failed search stops once its steps no longer move the
     coefficients by more than roundoff, so it costs fewer than a bisection
     of the step to 1e-16.  `winner` marks the one start whose loop
@@ -440,16 +448,17 @@ def _newton_direction(H: np.ndarray, g: np.ndarray, x: np.ndarray,
 def _newton_phase(run: MinimizeResult, grad_tol: float, ray_shift: bool):
     """Newton steps from the end of an L-BFGS run, as a generator for `lockstep`.
 
-    Each step asks for the Hessian at the current point, evaluates the full
-    step x + d, and if it rejects that, the other fractions t of
-    NEWTON_TRIALS together as one block of x + t d.  It takes the first
-    trial, in the order of NEWTON_TRIALS, that lowers f by more than
-    4 eps max(1, |f|), or that keeps f within that band and lowers
-    |g|_inf; it ends with status "newton" once |g|_inf <= grad_tol.  It
-    stops short when no trial is taken or after NEWTON_STEPS steps.  It
-    starts from the run's last (f, g), updates the run in place (point,
-    value, gradient, gradient norm, status) and returns the number of steps
-    taken.  `ray_shift` is passed on to `_newton_direction`.
+    Each step asks for the Hessian at the current point and evaluates the
+    trials x + t d, t in NEWTON_TRIALS, in three blocks: the full step; if
+    it rejects that, t = 1/2 to 1/16; if it rejects those, t = 1/32 to
+    1/4096.  It takes the first trial, in the order of NEWTON_TRIALS, that
+    lowers f by more than 4 eps max(1, |f|), or that keeps f within that
+    band and lowers |g|_inf; it ends with status "newton" once
+    |g|_inf <= grad_tol.  It stops short when no trial is taken or after
+    NEWTON_STEPS steps.  It starts from the run's last (f, g), updates the
+    run in place (point, value, gradient, gradient norm, status) and
+    returns the number of steps taken.  `ray_shift` is passed on to
+    `_newton_direction`.
     """
     x, f, g = run.x, run.f, run.grad
     run.converged = False
@@ -459,7 +468,7 @@ def _newton_phase(run: MinimizeResult, grad_tol: float, ray_shift: bool):
         d = _newton_direction(H, g, x, ray_shift)
         band = 4.0 * EPS * max(1.0, abs(f))
         gnorm = np.abs(g).max()
-        for trials in (NEWTON_TRIALS[:1], NEWTON_TRIALS[1:]):
+        for trials in (NEWTON_TRIALS[:1], NEWTON_TRIALS[1:5], NEWTON_TRIALS[5:]):
             Xt = x + np.array(trials)[:, None] * d
             Ft, Gt = yield Xt
             taken = next((j for j in range(len(trials)) if Ft[j] < f - band

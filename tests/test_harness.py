@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from ehz.harness import (AsymmetricBodyError, bm_check, capacity_area_2d,
                          directional_derivative, equality_certificate,
                          isoperimetric_check, mean_width, mean_width_bound_check,
                          p_combination)
-from ehz.randbodies import random_body, random_general_ellipsoid
+from ehz.randbodies import (random_body, random_general_ellipsoid, random_symmetric_body,
+                            random_symmetric_polytope)
 from ehz.solver import SolveConfig, capacity
 from ehz.suite import canonical_heptagon
 from ehz.symplectic import random_symplectic
@@ -211,6 +213,59 @@ def test_mean_width_additive_under_minkowski_sum():
     mkt = mean_width(MinkowskiSum([K, T]), 150_000, seed=7)
     gap = abs(mkt.estimate - mk.estimate - mt.estimate)
     assert gap <= 3 * (mk.stderr + mt.stderr + mkt.stderr)
+
+
+def _mean_width_one_call_per_group(K, samples, seed):
+    """(estimate, stderr) of `mean_width` drawn and evaluated in one call per
+    group of at most 100,000 samples: the reference for its blocks."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x3E4)))
+    total = total_sq = 0.0
+    left = samples
+    while left > 0:
+        m = min(left, 100_000)
+        U = rng.normal(size=(m, K.dim))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        h, _ = K.support_batch(U)
+        total += float(np.sum(h))
+        total_sq += float(np.sum(h * h))
+        left -= m
+    mean = total / samples
+    return mean, math.sqrt(max(total_sq / samples - mean**2, 0.0) / samples)
+
+
+MEAN_WIDTH_BODIES = {
+    "ball": Ball(1.3, 4),
+    "ellipsoid": Ellipsoid([1.0, 2.0]),
+    "general_ellipsoid": random_general_ellipsoid(4, 3),
+    "smoothed": random_symmetric_polytope(4, 5),
+    "psum": random_symmetric_body(4, 703),
+    # a smoothed polygon's support points depend on the call's row count,
+    # its support values do not
+    "smoothed_polygon": random_symmetric_polytope(2, 5),
+}
+
+
+# 4097 ends in a one-row block; 250,001 crosses a group boundary and is no
+# multiple of the block
+@pytest.mark.parametrize("samples", [4097, 60_000, 100_000, 250_001])
+@pytest.mark.parametrize("name", MEAN_WIDTH_BODIES)
+def test_mean_width_in_blocks_matches_one_call_per_group_bitwise(name, samples):
+    K = MEAN_WIDTH_BODIES[name]
+    est = mean_width(K, samples, seed=3)
+    assert (est.estimate, est.stderr) == _mean_width_one_call_per_group(K, samples, 3)
+
+
+def test_mean_width_memory_does_not_grow_with_samples():
+    K = random_symmetric_body(4, 703)  # a PSum of two ellipsoids
+    mean_width(K, 1000)
+    tracemalloc.start()
+    try:
+        mean_width(K, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one support_batch call per group of 100,000 peaked at 30.5 MiB
+    assert peak < 4 * 2**20
 
 
 def test_mean_width_rejects_asymmetric_body():

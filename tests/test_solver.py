@@ -18,7 +18,7 @@ from ehz.solver import (CharacteristicFitError, SolveConfig, SolverError, _Discr
                         boundary_residual, capacity, capacity_from_lambda, certify,
                         euler_residual, from_carrier, lambda_from_capacity, minimize,
                         to_carrier)
-from ehz.randbodies import random_symmetric_polytope
+from ehz.randbodies import random_body, random_symmetric_polytope
 from ehz.suite import RANDOM12
 from ehz.symplectic import apply_J, random_symplectic
 
@@ -305,6 +305,16 @@ def test_smoothed_starts_enter_newton_when_lbfgs_slows_and_ellipsoid_starts_do_n
         assert {d.newton_entry for d in diags} <= {None, "gradient"}
         assert all(d.newton_entry_grad is None or d.newton_entry_grad <= solver.NEWTON_ENTRY
                    for d in diags)
+
+
+def test_a_slow_start_whose_newton_step_overshoots_still_ends_newton():
+    # start 3 leaves L-BFGS slow at |g| 1.0e-3 where the Hessian has an
+    # eigenvalue of -4.8e-6: the Newton direction is 34.6 long at |x| = 6.3,
+    # and only a fraction below 1/16 of it is accepted.  Without those,
+    # the start resumed L-BFGS and stalled 457 iterations later.
+    res = capacity(random_body(4, 307), RANDOM12)
+    assert [d.status for d in res.per_start] == ["newton"] * RANDOM12.starts
+    assert all(d.newton_entry == "slow" for d in res.per_start)
 
 
 def _hexagon_first_start():
