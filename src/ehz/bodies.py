@@ -248,9 +248,22 @@ class GeneralEllipsoid(ConvexBody):
 
 
 class Polytope(ConvexBody):
-    """Convex hull of a vertex list; support picks the lowest-index maximizer."""
+    """Convex hull of a vertex list; support picks the lowest-index maximizer.
+
+    The constructor makes the polytope's one Qhull call, on the vertices
+    divided by the power of two 2^e just above max|v|.  That division is
+    exact, so the hull of a scaled copy is the scaled hull bit for bit.
+    Qhull on the vertices as they are does not scale so: it orders the
+    facets of a copy scaled by 2^-30 differently, and in R^4 it fails from
+    coordinates of about 1e60 on and crashes the interpreter from about
+    1e140 on.  A set that Qhull finds flat is rejected as degenerate.  The
+    origin is interior when every facet's offset h_i = h_P(n_i) exceeds
+    1e-12 max|v|, a floor relative to the vertices' scale, far above the
+    offsets' roundoff.  The raw equations are kept for `facets`.
+    """
 
     def __init__(self, vertices):
+        from scipy.spatial import ConvexHull, QhullError
         V = _as_matrix(vertices, "vertices")
         _even_dim(V.shape[1])
         if V.shape[0] < V.shape[1] + 1:
@@ -259,37 +272,28 @@ class Polytope(ConvexBody):
             raise BodyError("polytope is degenerate (vertices span a lower-dimensional set)")
         self.vertices = _freeze(V)
         self.dim = V.shape[1]
-        if not self._origin_interior():
+        top = np.abs(V).max()
+        scale = 2.0 ** np.frexp(top)[1]
+        try:
+            eq = ConvexHull(V / scale).equations
+        except QhullError as exc:
+            raise BodyError("polytope is degenerate (Qhull finds its vertices flat)") from exc
+        eq[:, -1] *= scale
+        self._equations = _freeze(eq)
+        if not np.all(-eq[:, -1] > 1e-12 * top):
             raise BodyError("origin is not strictly inside the polytope")
-
-    def _origin_interior(self) -> bool:
-        from scipy.optimize import linprog
-        # max eps s.t. sum lam_i v_i = 0, sum lam_i = 1, lam_i >= eps, written
-        # with lam = mu + eps so that mu >= 0 are bounds and only the dim + 1
-        # equality rows remain: V^T mu + eps V^T 1 = 0, sum mu + m eps = 1
-        V = self.vertices
-        m = V.shape[0]
-        A_eq = np.vstack([np.hstack([V.T, V.sum(axis=0)[:, None]]),
-                          np.append(np.ones(m), float(m))])
-        b_eq = np.zeros(self.dim + 1)
-        b_eq[-1] = 1.0
-        c = np.zeros(m + 1)
-        c[-1] = -1.0
-        res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * m + [(None, None)],
-                      method="highs")
-        return bool(res.status == 0 and -res.fun > 1e-12)
 
     @cached_property
     def facets(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit outer normals n_i (F, dim) and support numbers h_i = h_P(n_i)
-        (F,) of the facets, computed on first use.
+        (F,) of the facets, merged on first use from the constructor's hull.
 
         The hull is triangulated, so a facet with more than dim vertices
         comes as several simplices with the same equation; those are merged
         (equations within 1e-9), and each facet keeps its first simplex's.
+        The merge is O(F^2), so it stays out of the constructor.
         """
-        from scipy.spatial import ConvexHull
-        eq = ConvexHull(self.vertices).equations
+        eq = self._equations
         first = np.ones(len(eq), dtype=bool)
         for i in range(len(eq)):
             if first[i]:

@@ -117,7 +117,7 @@ def bm_check(K: ConvexBody, T: ConvexBody, p: float, cfg: SolveConfig | None = N
     return _report("bm", lhs, rhs, lhs - rhs, slack, witnesses, _meta(cfg, sum_p=p))
 
 
-def _area_clock(carrier, N: int = 256, iters: int = 40):
+def _area_clock(carrier):
     """Reparametrize a closed curve so the symplectic area sweep about its
     center is uniform in time, with the center fixed so that it equals the
     time-mean of the reclocked curve.
@@ -126,28 +126,30 @@ def _area_clock(carrier, N: int = 256, iters: int = 40):
     maps fixed points to fixed points), unlike the characteristic clock,
     whose speed profile depends on the gauge and is not
     translation-covariant.  Homothetic carriers become pointwise comparable
-    after it.
+    after it.  The center is fixed on 256 samples in at most 40 rounds.
     """
-    g = carrier.sample(N)
+    g = carrier.sample(256)
     center = g.z.mean(axis=0)
     clocked = carrier
-    for _ in range(iters):
+    for _ in range(40):
         speed = np.sum(apply_J(g.z - center) * g.dz, axis=1)
-        clocked = resample_by_clock(carrier, speed, modes=carrier.loop.modes)
-        new_center = clocked.sample(N).z.mean(axis=0)
+        clocked = resample_by_clock(carrier, speed)
+        new_center = clocked.sample(256).z.mean(axis=0)
         if np.linalg.norm(new_center - center) <= 1e-13 * (1 + np.linalg.norm(center)):
             break
         center = new_center
     return clocked
 
 
-def _phase_aligned_residual(l_K, l_T, alpha: float, N: int = 256) -> tuple[float, float]:
+def _phase_aligned_residual(l_K, l_T, alpha: float) -> tuple[float, float]:
     """min over phase of ||l_T - alpha l_K(.+phi) - beta|| / ||l_T centered||.
 
     Carriers are defined up to a time shift; beta is fixed by the offsets.
-    Returns (relative residual, best phase).
+    The norms are taken over N = 256 uniform samples.  Returns (relative
+    residual, best phase).
     """
     from scipy.optimize import minimize_scalar
+    N = 256
     t = 2 * np.pi * np.arange(N) / N
     target = l_T.loop.evaluate(t)
     scale = max(float(np.linalg.norm(target) / math.sqrt(N)), 1e-300)
@@ -335,11 +337,11 @@ class MeanWidthEstimate:
         return asdict(self)
 
 
-def _check_symmetry(K: ConvexBody, seed: int, tol: float = 1e-10) -> None:
+def _check_symmetry(K: ConvexBody, seed: int) -> None:
     # the two halves of the design are antipodal
     h, _ = K.support_batch(direction_design(K.dim, 128, seed))
     hp, hm = np.split(h, 2)
-    if np.max(np.abs(hp - hm)) > tol * max(np.max(hp), 1.0):
+    if np.max(np.abs(hp - hm)) > 1e-10 * max(np.max(hp), 1.0):
         raise AsymmetricBodyError("body is not centrally symmetric")
 
 

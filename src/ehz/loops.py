@@ -180,25 +180,26 @@ class CarrierLoop:
         return action(self.loop)
 
 
-def resample_by_clock(carrier: CarrierLoop, speed: np.ndarray, modes: int | None = None) -> CarrierLoop:
+def resample_by_clock(carrier: CarrierLoop, speed: np.ndarray) -> CarrierLoop:
     """Reparametrize a closed curve so the given positive clock rate is uniform.
 
     `speed` holds dtau/dt at the uniform samples of the current
     parametrization; the curve is resampled at times where the new clock tau
-    is uniform and refit to a Fourier series (same image, new clock).
+    is uniform and refit to a Fourier series with the carrier's modes (same
+    image, new clock).
     """
     speed = np.asarray(speed, dtype=float)
     if np.any(speed <= 0):
         raise LoopError("clock rate must be positive along the loop")
     N = speed.size
-    modes = modes or carrier.loop.modes
+    modes = carrier.loop.modes
     dt = 2 * np.pi / N
     tau = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * dt)])
     total = tau[-1] + 0.5 * (speed[-1] + speed[0]) * dt
     tau = 2 * np.pi * tau / total
-    targets = 2 * np.pi * np.arange(N) / N
     t_grid = 2 * np.pi * np.arange(N) / N
-    t_of_tau = np.interp(targets, np.append(tau, 2 * np.pi), np.append(t_grid, 2 * np.pi))
+    # the new clock is uniform at the old grid's times
+    t_of_tau = np.interp(t_grid, np.append(tau, 2 * np.pi), np.append(t_grid, 2 * np.pi))
     samples = carrier.evaluate(t_of_tau)
     offset = samples.mean(axis=0)
     spec = np.fft.rfft(samples - offset, axis=0) / N

@@ -14,9 +14,9 @@ as a rejected step, which is how scale-invariant quotients with an open
 domain (positive loop action, positive support values) are kept feasible
 without explicit constraints.  The quasi-Newton constants are fixed:
 MEMORY curvature pairs, the Wolfe parameters ARMIJO (sufficient decrease)
-and CURVATURE, and a stall exit after STALL_PATIENCE iterations without
-progress; callers set only the gradient tolerance, the iteration cap and
-whether the slow exit applies.
+and CURVATURE, at most 60 trials per line search, and a stall exit after
+STALL_PATIENCE iterations without progress; callers set only the gradient
+tolerance, the iteration cap and whether the slow exit applies.
 The line search gives up once its bracket in t is narrower than the
 resolution of x along the search direction, EPS * |x|_inf / |d|_inf: a
 narrower step moves no coordinate by more than the roundoff of the largest,
@@ -64,7 +64,7 @@ class MinimizeResult:
     evaluations: int = 0
 
 
-def _wolfe_search(x, f, g, d, slope, max_evals=60):
+def _wolfe_search(x, f, g, d, slope):
     """Strong-Wolfe line search by bracketing and bisection.
 
     A generator: it yields each trial point and is sent back its (f, g).
@@ -83,7 +83,7 @@ def _wolfe_search(x, f, g, d, slope, max_evals=60):
     t = 1.0
     best = (0.0, f, g)
     resolution = EPS * np.abs(x).max() / np.abs(d).max()
-    for _ in range(max_evals):
+    for _ in range(60):
         x_t = x + t * d
         f_t, g_t = yield x_t
         if not math.isfinite(f_t) or f_t > f + ARMIJO * t * slope:

@@ -409,7 +409,7 @@ def _quotient_hessian(K: ConvexBody, disc: _Discretization, p: float):
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray, x: np.ndarray,
-                      ray_shift: bool = True) -> np.ndarray:
+                      ray_shift: bool) -> np.ndarray:
     """-H^{-1} g at the point x, with H shifted by mu = 1e-6 max|diag H|.
 
     The quotient is constant along rays, so H x = -g and H is singular along
@@ -487,31 +487,29 @@ def _newton_phase(run: MinimizeResult, grad_tol: float, ray_shift: bool):
 
 
 def _starts(K: ConvexBody, cfg: SolveConfig) -> list[FourierLoop]:
-    """Planar circles in each symplectic plane, then randomized perturbations."""
+    """Planar circles in each symplectic plane, then randomized perturbations.
+
+    Start j is the circle of action 1 in plane j for j < n = dim/2; past
+    that, its generator SeedSequence((seed, j)) draws the plane and a
+    perturbation of the circle there, normalized to action 1.
+    """
     d = K.dim
     n = d // 2
     M = cfg.modes
     out: list[FourierLoop] = []
     inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    for i in range(min(n, cfg.starts)):
-        a = np.zeros((M, d))
-        b = np.zeros((M, d))
-        a[0, 2 * i] = inv_sqrt_pi
-        b[0, 2 * i + 1] = inv_sqrt_pi
-        out.append(FourierLoop(a, b))
-    for j in range(len(out), cfg.starts):
+    for j in range(cfg.starts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, j)))
-        plane = int(rng.integers(n))
+        plane = j if j < n else int(rng.integers(n))
         a = np.zeros((M, d))
         b = np.zeros((M, d))
-        a[0, 2 * plane] = inv_sqrt_pi
-        b[0, 2 * plane + 1] = inv_sqrt_pi
-        base = FourierLoop(a, b)
-        pert = random_loop(M, d, rng, decay=2.0, scale=0.25 * inv_sqrt_pi)
-        cand = FourierLoop(base.a + pert.a, base.b + pert.b)
-        if action(cand) == 0:
-            cand = base
-        out.append(normalize_action(cand))
+        a[0, 2 * plane] = b[0, 2 * plane + 1] = inv_sqrt_pi
+        start = FourierLoop(a, b)
+        if j >= n:
+            pert = random_loop(M, d, rng, decay=2.0, scale=0.25 * inv_sqrt_pi)
+            cand = FourierLoop(a + pert.a, b + pert.b)
+            start = normalize_action(cand if action(cand) != 0 else start)
+        out.append(start)
     return out
 
 
@@ -821,7 +819,7 @@ def _certificates(K: ConvexBody, h: np.ndarray, residual: float, carrier: Carrie
     )
 
 
-def _origin_interior_check(K: ConvexBody, seed: int = 0) -> None:
+def _origin_interior_check(K: ConvexBody, seed: int) -> None:
     U = np.vstack([np.eye(K.dim), -np.eye(K.dim), direction_design(K.dim, 32, seed)])
     h, _ = K.support_batch(U)
     if np.any(h <= 0):

@@ -67,6 +67,65 @@ def test_polytope_degenerate_rejected():
         Polytope([[1, 0], [-1, 0], [2, 0]])
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6, 1e20])
+def test_polytope_origin_check_is_scale_free(scale):
+    # the cases of the two origin tests above, on scaled copies
+    assert Polytope(scale * np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]])).dim == 2
+    for V in ([[1, 1], [1, -1], [2, 0], [3, 1]], [[0, 1], [0, -1], [2, 1], [2, -1]],
+              [[0, 0], [1, 0], [0, 1], [1, 1]], np.vstack([np.eye(4), -np.eye(4)]) + np.eye(4)[0]):
+        with pytest.raises(BodyError, match="origin"):
+            Polytope(scale * np.asarray(V, dtype=float))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_polytope_origin_just_inside_a_facet_accepted(scale, dim):
+    # the cube [-1, 1]^dim shifted so that the origin lies 1e-9 max|v| inside
+    # the facet x_0 = -delta
+    cube = np.array(np.meshgrid(*[[-1.0, 1.0]] * dim)).reshape(dim, -1).T
+    delta = 2e-9
+    P = Polytope(scale * (cube + (1 - delta) * np.eye(dim)[0]))
+    assert np.min(P.facets[1]) == pytest.approx(scale * delta, rel=1e-6)
+
+
+def test_a_polytope_makes_one_hull_call_facets_included(monkeypatch):
+    import scipy.spatial
+    calls = []
+    hull = scipy.spatial.ConvexHull
+
+    def counting(points, *args, **kwargs):
+        calls.append(len(points))
+        return hull(points, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
+    bodies_built = [Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
+                    random_symmetric_polytope(4, 5).body, random_symmetric_polytope(6, 5).body]
+    assert len(calls) == len(bodies_built)      # the constructor makes the call
+    for P in bodies_built:
+        assert P.facets is P.facets
+    assert len(calls) == len(bodies_built)
+
+
+@pytest.mark.parametrize("k", [-30, 30, 600])
+@pytest.mark.parametrize("dim", [2, 6])
+def test_polytope_hull_scales_with_its_vertices_bit_for_bit(k, dim):
+    # Qhull on the raw vertices orders the facets of the 2^-30 copy in R^6
+    # differently and fails at 2^600; in R^4 it can crash the interpreter
+    # there, so R^4 is not run
+    P = random_symmetric_polytope(dim, 11).body
+    normals, h = P.facets
+    scaled_normals, scaled_h = Polytope(P.vertices * 2.0**k).facets
+    assert np.array_equal(scaled_normals, normals)
+    assert np.array_equal(scaled_h, h * 2.0**k)
+
+
+def test_polytope_that_qhull_finds_flat_rejected_as_degenerate():
+    # passes the rank check (singular values 2e12 and 2e-9), but Qhull
+    # raises QH6154 "initial simplex is flat"
+    with pytest.raises(BodyError, match="degenerate"):
+        Polytope(np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]]) * [1e12, 1e-9])
+
+
 def test_general_ellipsoid_validation():
     with pytest.raises(BodyError, match="positive definite"):
         GeneralEllipsoid(np.diag([1.0, -1.0]))

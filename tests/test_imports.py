@@ -125,3 +125,31 @@ def test_cold_paths_load_no_scipy_subpackage_beyond_linalg(path, linalg_loads):
     # in a fresh interpreter
     loaded = _scipy_subpackages_after(COLD_PATHS[path]) - linalg_loads
     assert not loaded & COLD, f"{path} loads scipy.{sorted(loaded & COLD)}"
+
+
+# paths that build a polytope, whose constructor makes one Qhull call: they
+# may load what `import scipy.spatial` loads, but not scipy.optimize, which
+# only the polish (`sharpness_extrapolate`) and the phase fit of the harness
+# call
+SPATIAL_PATHS = {
+    "polytope_build": "from ehz import Polytope\n"
+                      "Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])",
+    "raw_polytope_capacity": "from ehz import Polytope, capacity\n"
+                             "from ehz.suite import FAST8\n"
+                             "capacity(Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]]), FAST8)",
+}
+
+
+@pytest.fixture(scope="module")
+def spatial_loads():
+    """What `import scipy.spatial` loads on its own."""
+    return _scipy_subpackages_after("import scipy.spatial")
+
+
+@pytest.mark.parametrize("path", sorted(SPATIAL_PATHS))
+def test_polytope_paths_load_no_scipy_subpackage_beyond_spatial(path, spatial_loads,
+                                                                linalg_loads):
+    loaded = _scipy_subpackages_after(SPATIAL_PATHS[path])
+    assert "optimize" not in loaded
+    assert not loaded - spatial_loads - linalg_loads, \
+        f"{path} loads scipy.{sorted(loaded - spatial_loads - linalg_loads)}"
