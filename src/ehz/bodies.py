@@ -46,7 +46,6 @@ from __future__ import annotations
 import hashlib
 import math
 import json
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
@@ -226,9 +225,9 @@ class GeneralEllipsoid(ConvexBody):
         if Q.shape[0] != Q.shape[1]:
             raise BodyError(f"Q must be square, got shape {Q.shape}")
         _even_dim(Q.shape[0])
-        if not np.allclose(Q, Q.T, rtol=1e-10, atol=1e-12):
+        if not np.allclose(Q, Q.T, rtol=1e-10, atol=1e-12 * np.abs(Q).max()):
             raise BodyError("Q must be symmetric")
-        Q = 0.5 * (Q + Q.T)
+        Q = 0.5 * Q + 0.5 * Q.T
         try:
             np.linalg.cholesky(Q)
         except np.linalg.LinAlgError:
@@ -251,15 +250,23 @@ class Polytope(ConvexBody):
     """Convex hull of a vertex list; support picks the lowest-index maximizer.
 
     The constructor makes the polytope's one Qhull call, on the vertices
-    divided by the power of two 2^e just above max|v|.  That division is
-    exact, so the hull of a scaled copy is the scaled hull bit for bit.
-    Qhull on the vertices as they are does not scale so: it orders the
-    facets of a copy scaled by 2^-30 differently, and in R^4 it fails from
-    coordinates of about 1e60 on and crashes the interpreter from about
-    1e140 on.  A set that Qhull finds flat is rejected as degenerate.  The
-    origin is interior when every facet's offset h_i = h_P(n_i) exceeds
-    1e-12 max|v|, a floor relative to the vertices' scale, far above the
-    offsets' roundoff.  The raw equations are kept for `facets`.
+    divided by the power of two 2^e just above max|v|, and settles
+    everything from it.  That division is exact, so the hull of a scaled
+    copy is the scaled hull bit for bit.  Qhull on the vertices as they are
+    does not scale so: it orders the facets of a copy scaled by 2^-30
+    differently, and in R^4 it fails from coordinates of about 1e60 on and
+    crashes the interpreter from about 1e140 on.  Every check is relative
+    to max|v|, so acceptance does not depend on scale:
+
+    - a set that Qhull finds flat is rejected as degenerate;
+    - the origin is interior when every facet's offset h_i = h_P(n_i)
+      exceeds 1e-12 max|v|, far above the offsets' roundoff.
+
+    `facets` holds the unit outer normals n_i (F, dim) and offsets h_i (F,)
+    of the facets.  The hull is triangulated, and Qhull gives each simplex
+    of a facet that facet's own hyperplane, so the facets are the hull's
+    distinct equations, in the order of their first simplex.  `volume` is
+    the hull's volume, inf where it overflows.
     """
 
     def __init__(self, vertices):
@@ -268,37 +275,22 @@ class Polytope(ConvexBody):
         _even_dim(V.shape[1])
         if V.shape[0] < V.shape[1] + 1:
             raise BodyError("a full-dimensional polytope needs at least dim+1 vertices")
-        if np.linalg.matrix_rank(V - V[0], tol=1e-10) < V.shape[1]:
-            raise BodyError("polytope is degenerate (vertices span a lower-dimensional set)")
         self.vertices = _freeze(V)
         self.dim = V.shape[1]
         top = np.abs(V).max()
-        scale = 2.0 ** np.frexp(top)[1]
+        e = np.frexp(top)[1]
         try:
-            eq = ConvexHull(V / scale).equations
+            hull = ConvexHull(np.ldexp(V, -e))
         except QhullError as exc:
             raise BodyError("polytope is degenerate (Qhull finds its vertices flat)") from exc
-        eq[:, -1] *= scale
-        self._equations = _freeze(eq)
-        if not np.all(-eq[:, -1] > 1e-12 * top):
+        _, first = np.unique(hull.equations, axis=0, return_index=True)
+        eq = hull.equations[np.sort(first)]
+        h = np.ldexp(-eq[:, -1], e)
+        if not np.all(h > 1e-12 * top):
             raise BodyError("origin is not strictly inside the polytope")
-
-    @cached_property
-    def facets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit outer normals n_i (F, dim) and support numbers h_i = h_P(n_i)
-        (F,) of the facets, merged on first use from the constructor's hull.
-
-        The hull is triangulated, so a facet with more than dim vertices
-        comes as several simplices with the same equation; those are merged
-        (equations within 1e-9), and each facet keeps its first simplex's.
-        The merge is O(F^2), so it stays out of the constructor.
-        """
-        eq = self._equations
-        first = np.ones(len(eq), dtype=bool)
-        for i in range(len(eq)):
-            if first[i]:
-                first[i + 1:] &= np.abs(eq[i + 1:] - eq[i]).max(axis=1) > 1e-9
-        return _freeze(eq[first, :-1]), _freeze(-eq[first, -1])
+        self.facets = _freeze(eq[:, :-1]), _freeze(h)
+        with np.errstate(over="ignore"):
+            self.volume = float(np.ldexp(hull.volume, e * self.dim))
 
     def support_batch(self, U):
         R = U @ self.vertices.T
@@ -396,7 +388,7 @@ class LinearImage(ConvexBody):
         A = _as_matrix(matrix, "matrix")
         if A.shape != (body.dim, body.dim):
             raise BodyError(f"matrix shape {A.shape} does not match body dimension {body.dim}")
-        if abs(np.linalg.det(A)) < 1e-12:
+        if np.linalg.matrix_rank(A) < body.dim:
             raise BodyError("matrix must be invertible")
         self.matrix = _freeze(A)
         self.body = body

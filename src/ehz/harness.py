@@ -341,7 +341,7 @@ def _check_symmetry(K: ConvexBody, seed: int) -> None:
     # the two halves of the design are antipodal
     h, _ = K.support_batch(direction_design(K.dim, 128, seed))
     hp, hm = np.split(h, 2)
-    if np.max(np.abs(hp - hm)) > 1e-10 * max(np.max(hp), 1.0):
+    if np.max(np.abs(hp - hm)) > 1e-10 * np.max(hp):
         raise AsymmetricBodyError("body is not centrally symmetric")
 
 
@@ -424,7 +424,8 @@ def capacity_area_2d(K: ConvexBody, n: int = 40_000) -> float:
 
     pi / sqrt(det Q) for a body that `bodies.quadric` reduces to (Q, c);
     exact for a polygon P under affine wrappers, K = A P + c
-    (`bodies.affine_part`): |det A| times the area of P's convex hull;
+    (`bodies.affine_part`): |det A| times the area of P's own hull
+    (`Polytope.volume`);
     support-function quadrature 1/2 * integral(h^2 - h'^2) on K otherwise,
     with h' taken from the support point (the formula is
     translation-invariant).
@@ -438,8 +439,7 @@ def capacity_area_2d(K: ConvexBody, n: int = 40_000) -> float:
         pass
     A, _, core = affine_part(K)
     if isinstance(core, Polytope):
-        from scipy.spatial import ConvexHull
-        return abs(float(np.linalg.det(A))) * ConvexHull(core.vertices).volume
+        return abs(float(np.linalg.det(A))) * core.volume
     theta = 2 * np.pi * np.arange(n) / n
     U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     Uperp = np.stack([-np.sin(theta), np.cos(theta)], axis=1)

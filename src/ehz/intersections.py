@@ -3,10 +3,12 @@
 The intersection of two quadratic bodies (balls, ellipsoids, general
 ellipsoids and their translates, scalings and linear images) is the exact
 body `bodies.Intersection`, whose support comes from the ellipsoid pencil.
-Before a solve it is recentred at its pencil centre `Intersection.centre`.
-One support evaluation on a quasi-uniform direction design gives both the
-depth of that centre and an audit of how far the support points stray
-outside the two bodies, reported alongside every pass/fail.
+Its constructor decides acceptance: an empty or single-point intersection
+raises DegenerateIntersectionError, at any scale.  Before a solve the body
+is recentred at its pencil centre `Intersection.centre`.  One support
+evaluation on a quasi-uniform direction design gives both the depth of that
+centre and an audit of how far the support points stray outside the two
+bodies, reported alongside every pass/fail; neither is used to reject.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from .bodies import (ConvexBody, DegenerateIntersectionError, Intersection, Tran
                      direction_design)
 from .harness import HarnessError, InequalityReport, _meta, _report
 from .solver import SolveConfig, _mode_chain, _richardson, capacity_from_lambda
-
-
-# The depth below which an intersection counts as degenerate.
-MIN_DEPTH = 1e-6
 
 
 def deep_point(U: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, float]:
@@ -73,10 +71,11 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
     """K cap T as `Translate(-c, Intersection(K, T))`, recentred at its pencil
     centre c.
 
-    One support evaluation on `direction_design(dim, design_size, seed)`
-    gives the depth of c, min_i h(u_i) - <c, u_i>, and the audit residual
-    of the support points; a depth at most MIN_DEPTH raises
-    DegenerateIntersectionError.
+    `Intersection` raises DegenerateIntersectionError for an empty or
+    single-point intersection; otherwise c is interior.  One support
+    evaluation on `direction_design(dim, design_size, seed)` gives the depth
+    of c, min_i h(u_i) - <c, u_i>, and the audit residual of the support
+    points; both are reported, not used to reject.
     """
     if K.dim != T.dim:
         raise HarnessError(f"dimension mismatch: {K.dim} vs {T.dim}")
@@ -86,15 +85,11 @@ def build_intersection_body(K: ConvexBody, T: ConvexBody, design_size: int = 102
     exact = Intersection(K, T)
     U = direction_design(d, design_size, seed)
     h, points = exact.support_batch(U)
-    depth = float(np.min(h - U @ exact.centre))
-    if depth <= MIN_DEPTH:
-        raise DegenerateIntersectionError(
-            f"intersection depth {depth:.3g} below {MIN_DEPTH:g}")
     residual = np.maximum(exact.excess(points), 0.0)
     audit = SurrogateAudit(
         max_rel_error=float(np.max(residual)),
         mean_rel_error=float(np.mean(residual)),
-        design_size=U.shape[0], vertex_count=0, depth=depth,
+        design_size=U.shape[0], vertex_count=0, depth=float(np.min(h - U @ exact.centre)),
     )
     return Translate(-exact.centre, exact), audit
 

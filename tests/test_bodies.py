@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -16,6 +17,7 @@ from ehz.bodies import (Ball, BodyError, DegenerateIntersectionError, Ellipsoid,
                         PENCIL_STEPS, PSum, Scale, Smoothed, Translate, _pencil_minimum,
                         affine_part, build_body, direction_design, intersection_support_batch,
                         quadric)
+from ehz.harness import capacity_area_2d
 from ehz.randbodies import random_general_ellipsoid, random_symmetric_polytope
 from ehz.symplectic import random_symplectic
 
@@ -67,7 +69,7 @@ def test_polytope_degenerate_rejected():
         Polytope([[1, 0], [-1, 0], [2, 0]])
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1e6, 1e20])
+@pytest.mark.parametrize("scale", [1e-100, 1e-12, 1e-6, 1e6, 1e20])
 def test_polytope_origin_check_is_scale_free(scale):
     # the cases of the two origin tests above, on scaled copies
     assert Polytope(scale * np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]])).dim == 2
@@ -98,9 +100,12 @@ def test_a_polytope_makes_one_hull_call_facets_included(monkeypatch):
         return hull(points, *args, **kwargs)
 
     monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
-    bodies_built = [Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
-                    random_symmetric_polytope(4, 5).body, random_symmetric_polytope(6, 5).body]
-    assert len(calls) == len(bodies_built)      # the constructor makes the call
+    square = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+    assert len(calls) == 1                      # the constructor makes the call
+    assert capacity_area_2d(square) == 4.0      # the area oracle reads its volume
+    assert len(calls) == 1
+    bodies_built = [square, random_symmetric_polytope(4, 5).body,
+                    random_symmetric_polytope(6, 5).body]
     for P in bodies_built:
         assert P.facets is P.facets
     assert len(calls) == len(bodies_built)
@@ -111,17 +116,19 @@ def test_a_polytope_makes_one_hull_call_facets_included(monkeypatch):
 def test_polytope_hull_scales_with_its_vertices_bit_for_bit(k, dim):
     # Qhull on the raw vertices orders the facets of the 2^-30 copy in R^6
     # differently and fails at 2^600; in R^4 it can crash the interpreter
-    # there, so R^4 is not run
+    # there, so R^4 is not run.  The volume of the 2^600 copy overflows, to
+    # inf and without a warning
     P = random_symmetric_polytope(dim, 11).body
     normals, h = P.facets
-    scaled_normals, scaled_h = Polytope(P.vertices * 2.0**k).facets
-    assert np.array_equal(scaled_normals, normals)
-    assert np.array_equal(scaled_h, h * 2.0**k)
+    scaled = Polytope(P.vertices * 2.0**k)
+    assert np.array_equal(scaled.facets[0], normals)
+    assert np.array_equal(scaled.facets[1], h * 2.0**k)
+    assert scaled.volume == (math.inf if k == 600 else P.volume * 2.0**(k * dim))
 
 
 def test_polytope_that_qhull_finds_flat_rejected_as_degenerate():
-    # passes the rank check (singular values 2e12 and 2e-9), but Qhull
-    # raises QH6154 "initial simplex is flat"
+    # singular values 2e12 and 2e-9: Qhull raises QH6154 "initial simplex
+    # is flat"
     with pytest.raises(BodyError, match="degenerate"):
         Polytope(np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]]) * [1e12, 1e-9])
 
@@ -131,6 +138,24 @@ def test_general_ellipsoid_validation():
         GeneralEllipsoid(np.diag([1.0, -1.0]))
     with pytest.raises(BodyError, match="symmetric"):
         GeneralEllipsoid(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14, 5e307])
+def test_general_ellipsoid_symmetry_check_is_scale_free(scale):
+    with pytest.raises(BodyError, match="symmetric"):
+        GeneralEllipsoid(scale * np.array([[1.0, 0.3], [0.0, 1.0]]))
+    Q = scale * np.array([[1.0, 0.3], [0.3, 2.0]])
+    assert np.array_equal(GeneralEllipsoid(Q).Q, Q)     # a symmetric Q keeps its bits
+
+
+def test_linear_image_invertibility_is_scale_free():
+    # condition number 1, determinant 1e-18
+    K = LinearImage(1e-3 * np.eye(6), Ball(1.0, 6))
+    assert K.support_batch(np.eye(6))[0] == pytest.approx(np.full(6, 1e-3), rel=1e-15)
+    singular = np.eye(4)
+    singular[3] = singular[2]
+    with pytest.raises(BodyError, match="invertible"):
+        LinearImage(singular, Ball(1.0, 4))
 
 
 def test_psum_validation():
@@ -1022,12 +1047,22 @@ def test_build_body_roundtrip():
     K = build_body(doc)
     assert K.dim == 4
     assert build_body(K.recipe()).recipe() == K.recipe()
-    lens = Intersection(Ball(1.0, 2), Translate([1.0, 0.0], Ellipsoid([0.8])))
-    assert lens.recipe()["type"] == "intersection"
-    rebuilt = build_body(lens.recipe())
-    assert isinstance(rebuilt, Intersection) and rebuilt.recipe() == lens.recipe()
-    U = random_directions(2, 16)
-    assert np.array_equal(rebuilt.support_batch(U)[0], lens.support_batch(U)[0])
+    # every body type, through JSON text, with a zero weight, a non-default
+    # sharpness and a linear image
+    square = Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+    every_type = [
+        Ball(1.5, 4), Ellipsoid([1.0, 2.0]), GeneralEllipsoid([[1.0, 0.3], [0.3, 2.0]]), square,
+        K, MinkowskiSum([square, Ball(1.0, 2), Ellipsoid([0.5])], [1.0, 0.0, 2.5]),
+        LinearImage(random_symplectic(4, 17, 0.5), Ellipsoid([1.0, 2.0])),
+        Translate([0.2, -0.1], square), Scale(1.7, square), Smoothed(square, 12.0),
+        Intersection(Ball(1.0, 2), Translate([1.0, 0.0], Ellipsoid([0.8]))),
+    ]
+    assert len({body.recipe()["type"] for body in every_type}) == 11
+    for body in every_type:
+        rebuilt = build_body(json.loads(json.dumps(body.recipe())))
+        assert type(rebuilt) is type(body) and rebuilt.recipe() == body.recipe()
+        U = random_directions(body.dim, 16)
+        assert np.array_equal(rebuilt.support_batch(U)[0], body.support_batch(U)[0])
 
 
 def test_build_body_error_paths_name_fields():

@@ -3,12 +3,14 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehz.cli import main
 from ehz.harness import InequalityReport
+from ehz.loops import read_loop_csv
 
 
 @pytest.fixture
@@ -73,14 +75,19 @@ def test_capacity_csv_format(bodies, capsys):
 
 def test_carrier_csv(bodies, capsys):
     out = str(bodies["dir"] / "carrier.csv")
+    minimizer = str(bodies["dir"] / "minimizer.csv")
     code = main(["carrier", bodies["ball4"], "--modes", "8", "--starts", "2",
-                 "--out", out])
+                 "--out", out, "--minimizer", minimizer])
     assert code == 0
     with open(out) as fh:
         header = fh.readline().strip().split(",")
     assert header == ["t", "z_1", "z_2", "z_3", "z_4"]
     summary = json.loads(capsys.readouterr().out)
     assert summary["capacity"] == pytest.approx(math.pi, rel=1e-8)
+    assert summary["minimizer_csv"] == minimizer
+    t, z, dz = read_loop_csv(minimizer)
+    assert z.shape == (64, 4) and dz is None
+    assert np.all(np.isfinite(z)) and np.ptp(z) > 0
 
 
 def test_bm_equality_exit_zero(bodies, capsys):
@@ -164,6 +171,18 @@ def test_meanwidth(bodies, capsys):
     assert out["estimate"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_meanwidth_bound(bodies, capsys):
+    # a ball meets the bound c <= pi M*^2 with equality
+    out = bodies["dir"] / "bound.json"
+    code = main(["meanwidth", bodies["ball4"], "--bound", "--samples", "5000",
+                 "--modes", "8", "--starts", "2", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["name"] == "mean-width-bound" and report["passed"]
+    assert report["witnesses"]["equality_within_margin"]
+    assert report["rhs"] == pytest.approx(math.pi, rel=1e-8)
+
+
 def test_derivative_command(bodies, capsys):
     code = main(["derivative", bodies["ball4"], bodies["ball4"], "--modes", "8",
                  "--starts", "2", "--eps", "0.2,0.1"])
@@ -186,12 +205,16 @@ def test_report_exit_judges_the_auxiliary_witnesses(command, check, witness, bod
     assert json.loads(capsys.readouterr().out)["passed"]
 
 
-def test_suite_single_criterion(capsys):
-    code = main(["suite", "--only", "1"])
+def test_suite_single_criterion(capsys, tmp_path):
+    summary = tmp_path / "suite.json"
+    code = main(["suite", "--only", "1", "--out", str(summary)])
     out = capsys.readouterr().out
     assert code == 0
     assert "ACCEPTANCE  1 [PASS]" in out
     assert "SUITE: 1/1" in out
+    (result,) = json.loads(summary.read_text())
+    assert result["number"] == 1 and result["passed"]
+    assert result["checks"] and all(check["ok"] for check in result["checks"])
 
 
 def test_cache_hit_reports_the_current_body_path(bodies, tmp_path):

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from ehz.bodies import (Ball, Ellipsoid, GeneralEllipsoid, LinearImage, MinkowskiSum,
                         Polytope, PSum, Scale, Translate)
@@ -273,6 +274,14 @@ def test_mean_width_rejects_asymmetric_body():
         mean_width(Translate(np.array([0.3, 0.0, 0.0, 0.0]), Ball(1.0, 4)))
 
 
+@pytest.mark.parametrize("r", [1e-10, 1.0, 1e10])
+def test_symmetry_check_is_scale_free(r):
+    # the same off-centre ball at three scales, and the centred one
+    with pytest.raises(AsymmetricBodyError):
+        mean_width(Translate([0.2 * r, 0.0, 0.0, 0.0], Ball(r, 4)), 1000)
+    assert mean_width(Ball(r, 4), 1000).estimate == pytest.approx(r, rel=1e-12)
+
+
 def test_mean_width_bound_ball_equality():
     rep = mean_width_bound_check(Ball(1.0, 4), FAST, samples=50_000, seed=1)
     assert rep.passed
@@ -330,6 +339,17 @@ def test_area_oracle_peels_affine_wrappers_off_a_polygon():
     for body, V in ((Translate(v, P), P.vertices + v), (Scale(1.7, P), 1.7 * P.vertices),
                     (LinearImage(M, P), P.vertices @ M.T)):
         assert capacity_area_2d(body) == pytest.approx(shoelace(V), rel=1e-14, abs=0)
+
+
+def test_area_oracle_is_the_hull_volume_bit_for_bit():
+    # the polytope's own hull, on its vertices divided by 2^e, times 4^e
+    polygons = [canonical_heptagon().vertices]
+    for seed in range(200):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+        V = rng.normal(size=(int(rng.integers(3, 40)), 2))
+        polygons.append(V - V.mean(axis=0))
+    for V in polygons:
+        assert capacity_area_2d(Polytope(V)) == ConvexHull(V).volume
 
 
 def test_area_oracle_matches_solver_on_2d_bodies():

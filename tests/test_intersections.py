@@ -5,12 +5,11 @@ import pytest
 import scipy.optimize
 
 from ehz import bodies, intersections
-from ehz.bodies import (Ball, BodyError, Ellipsoid, Intersection, Polytope, Translate,
-                        intersection_support_batch)
+from ehz.bodies import (Ball, BodyError, DegenerateIntersectionError, Ellipsoid, Intersection,
+                        Polytope, Translate, intersection_support_batch)
 from ehz.harness import HarnessError
-from ehz.intersections import (DegenerateIntersectionError, build_intersection_body,
-                               deep_point, direction_design, intersection_capacity,
-                               intersection_concavity_check)
+from ehz.intersections import (build_intersection_body, deep_point, direction_design,
+                               intersection_capacity, intersection_concavity_check)
 from ehz.randbodies import random_general_ellipsoid
 from ehz.solver import SolveConfig, capacity_from_lambda, minimize
 
@@ -159,6 +158,18 @@ def test_lens_capacity_matches_analytic_area():
     c, audit = intersection_capacity(disc, disc, np.array([1.0, 0.0]), CFG2,
                                      design_size=720)
     assert c == pytest.approx(LENS_AREA, rel=1e-3)
+
+
+def test_lens_capacity_is_conformal():
+    # c(sK) = s^2 c(K): the lens of two discs of radius 2^-20 is accepted
+    # and solves to 2^-40 times the unit lens
+    r = 2.0**-20
+    unit, _ = intersection_capacity(Ball(1.0, 2), Ball(1.0, 2), np.array([1.0, 0.0]), CFG2,
+                                    design_size=720)
+    small, audit = intersection_capacity(Ball(r, 2), Ball(r, 2), np.array([r, 0.0]), CFG2,
+                                         design_size=720)
+    assert small == pytest.approx(r * r * unit, rel=1e-12, abs=0)
+    assert audit.depth == pytest.approx(0.5 * r, rel=1e-3)
 
 
 def test_trivial_intersection_recovers_disc():

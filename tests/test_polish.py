@@ -8,11 +8,12 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
+from scipy.spatial import ConvexHull
 
 from ehz import solver
 from ehz.bodies import LinearImage, Polytope, Scale, Smoothed, Translate
 from ehz.harness import capacity_area_2d
-from ehz.randbodies import random_symmetric_polytope
+from ehz.randbodies import random_body, random_symmetric_body, random_symmetric_polytope
 from ehz.solver import SolveConfig, capacity, certify
 from ehz.suite import canonical_heptagon
 from ehz.symplectic import apply_J, random_symplectic, symplectic_form
@@ -250,3 +251,64 @@ def test_a_symmetric_body_times_its_polar_has_capacity_4(pair):
     r = capacity(lagrangian_product(*POLAR_PAIRS[pair]), POLISH12)
     assert r.polish["accepted"]
     assert r.capacity == pytest.approx(4.0, rel=0, abs=1e-12)
+
+
+def _merged_facets(V):
+    """Reference for `Polytope.facets`: the equations of the hull of V / 2^e
+    (offsets times 2^e) merged pairwise when they agree to within 1e-9,
+    each facet keeping its first simplex's."""
+    V = np.asarray(V, dtype=float)
+    e = np.frexp(np.abs(V).max())[1]
+    eq = ConvexHull(np.ldexp(V, -e)).equations
+    eq[:, -1] = np.ldexp(eq[:, -1], e)
+    first = np.ones(len(eq), dtype=bool)
+    for i in range(len(eq)):
+        if first[i]:
+            first[i + 1:] &= np.abs(eq[i + 1:] - eq[i]).max(axis=1) > 1e-9
+    return eq[first, :-1], -eq[first, -1]
+
+
+def _assert_facets_are_the_merged_ones(P):
+    normals, h = _merged_facets(P.vertices)
+    assert np.array_equal(P.facets[0], normals) and np.array_equal(P.facets[1], h)
+
+
+def _workload_polytopes():
+    """The polytopes of the benchmark's polytope workload and of the suite's
+    random families, at seeds 0 and 4099."""
+    bodies = [random_body(4, s) for seed in (0, 4099)
+              for s in range(300 + 100 * seed, 324 + 100 * seed)]
+    bodies += [random_symmetric_body(4, s) for seed in (0, 4099)
+               for s in range(700 + 20 * seed, 704 + 20 * seed)]
+    bodies += [random_symmetric_polytope(dim, s) for dim in (2, 4, 6) for s in range(16)]
+    return [K.body for K in bodies if isinstance(K, Smoothed)]
+
+
+def test_facets_are_the_merged_equations_on_the_named_polytopes():
+    named = [SQUARE, canonical_heptagon(), PENTAGONS, simplex4(), triangle_product(),
+             _regular_hexagon(), Polytope([[1, 1], [-1, 1], [-1, -1], [1, -1], [0.5, 0]])]
+    named += [lagrangian_product(*pair) for pair in POLAR_PAIRS.values()]
+    for dim in (2, 4):
+        cube = np.array(np.meshgrid(*[[-1.0, 1.0]] * dim)).reshape(dim, -1).T
+        named.append(Polytope(cube + (1 - 2e-9) * np.eye(dim)[0]))
+    for P in named + _workload_polytopes():
+        _assert_facets_are_the_merged_ones(P)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6])
+def test_facets_are_the_merged_equations_on_random_vertex_sets(dim):
+    for seed in range(200):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, dim)))
+        V = rng.normal(size=(int(rng.integers(dim + 2, 30 if dim < 6 else 20)), dim))
+        _assert_facets_are_the_merged_ones(Polytope(V - V.mean(axis=0)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_flat_polygon_keeps_every_edge_of_its_hull(seed):
+    # 6 points of thickness about 1e-10: Qhull reports 3 to 5 edges, which
+    # a merge of equations to within 1e-9 would fold into 2 or 3
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(6, 2))
+    V -= V.mean(axis=0)
+    V[:, 1] *= 1e-10
+    assert len(Polytope(V).facets[1]) == len(ConvexHull(V).equations) >= 3
